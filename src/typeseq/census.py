@@ -19,6 +19,7 @@ a census documents exactly which identities hold on which range.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import random
@@ -42,7 +43,6 @@ from .classification import (
 from .errors import BoundTooLarge, WindowTooLarge
 from .ideals import (
     RelativeIdeal,
-    bidual,
     canonical_ideal,
     colon,
     dedekind_different,
@@ -50,7 +50,6 @@ from .ideals import (
     ideal_intersection,
     ideal_product,
     ideal_union,
-    is_omega_stable,
     length_between,
     maximal_ideal,
     tail_ideal,
@@ -61,7 +60,6 @@ from .invariants import (
     _le,
     _tail_members_ideal,
     ab_invariants,
-    d_invariant,
     decomposition_check,
     extended_type_sequence,
     overring_check,
@@ -188,14 +186,12 @@ def _children(S: NumericalSemigroup) -> list[NumericalSemigroup]:
     return out
 
 
-def enumerate_semigroups(
-    max_genus: int | None = None,
-    max_conductor: int | None = None,
+def _subtree(
+    root: NumericalSemigroup,
+    max_genus: int | None,
+    max_conductor: int | None,
 ):
-    """Depth-first stream of all semigroups within the given bounds."""
-    if max_genus is None and max_conductor is None:
-        raise ValueError("a genus or conductor bound is required")
-    root = NumericalSemigroup(0, 0)
+    """Depth-first stream of root and its descendants within the bounds."""
     stack = [root]
     while stack:
         S = stack.pop()
@@ -205,6 +201,16 @@ def enumerate_semigroups(
             continue
         yield S
         stack.extend(reversed(_children(S)))
+
+
+def enumerate_semigroups(
+    max_genus: int | None = None,
+    max_conductor: int | None = None,
+):
+    """Depth-first stream of all semigroups within the given bounds."""
+    if max_genus is None and max_conductor is None:
+        raise ValueError("a genus or conductor bound is required")
+    yield from _subtree(NumericalSemigroup(0, 0), max_genus, max_conductor)
 
 
 def enumerate_ideals(S: NumericalSemigroup, window: int) -> list[RelativeIdeal]:
@@ -599,7 +605,8 @@ def _population(query: CensusQuery):
     yield from enumerate_semigroups(query.max_genus, query.max_conductor)
 
 
-def _census_serial(query: CensusQuery, population) -> CensusReport:
+def _census_part(query: CensusQuery, population) -> CensusReport:
+    """Tallies over one part of the population, in walk order."""
     groups = query.groups()
     col = _Collector()
     report = CensusReport(query=query.to_dict())
@@ -623,102 +630,62 @@ def _census_serial(query: CensusQuery, population) -> CensusReport:
                     S.encode()
                 )
     report.check_tallies = col.tallies
-    report.violations = sorted(col.violations, key=Violation.sort_key)
-    for tag in report.classification_members:
-        report.classification_members[tag].sort()
+    report.violations = col.violations
+    return report
+
+
+def _add_counts(total: dict, part: dict) -> None:
+    for key, k in part.items():
+        total[key] = total.get(key, 0) + k
+
+
+def _merge(query: CensusQuery, parts) -> CensusReport:
+    """One order-normalized report from the parts of a census."""
+    report = CensusReport(query=query.to_dict())
+    for part in parts:
+        report.semigroup_count += part.semigroup_count
+        report.ideal_count += part.ideal_count
+        _add_counts(report.semigroups_per_genus, part.semigroups_per_genus)
+        _add_counts(report.check_tallies, part.check_tallies)
+        _add_counts(report.classification_tallies, part.classification_tallies)
+        report.violations.extend(part.violations)
+        for tag, encs in part.classification_members.items():
+            report.classification_members.setdefault(tag, []).extend(encs)
+    report.violations.sort(key=Violation.sort_key)
+    for members in report.classification_members.values():
+        members.sort()
     return report
 
 
 _SPLIT_GENUS = 4
 
 
-def _worker_run(payload: tuple[str, dict]) -> dict:
-    root_enc, qdict = payload
-    query = CensusQuery(**qdict)
-    root = NumericalSemigroup.decode(root_enc)
-    stack = [root]
-
-    def subtree():
-        while stack:
-            S = stack.pop()
-            if query.max_genus is not None and S.genus > query.max_genus:
-                continue
-            if (
-                query.max_conductor is not None
-                and S.conductor > query.max_conductor
-            ):
-                continue
-            yield S
-            stack.extend(reversed(_children(S)))
-
-    sub = _census_serial(query, subtree())
-    return {
-        "semigroup_count": sub.semigroup_count,
-        "ideal_count": sub.ideal_count,
-        "per_genus": sub.semigroups_per_genus,
-        "tallies": sub.check_tallies,
-        "violations": [v.to_dict() for v in sub.violations],
-        "class_tallies": sub.classification_tallies,
-        "class_members": sub.classification_members,
-    }
-
-
-def _census_parallel(query: CensusQuery) -> CensusReport:
-    """Partition the tree at a fixed genus and merge order-normalized parts."""
-    near: list[NumericalSemigroup] = []
-    roots: list[NumericalSemigroup] = []
-    stack = [NumericalSemigroup(0, 0)]
-    while stack:
-        S = stack.pop()
-        if query.max_genus is not None and S.genus > query.max_genus:
-            continue
-        if query.max_conductor is not None and S.conductor > query.max_conductor:
-            continue
-        if S.genus == _SPLIT_GENUS:
-            roots.append(S)
-            continue
-        near.append(S)
-        stack.extend(reversed(_children(S)))
-
-    report = _census_serial(query, iter(near))
-    qdict = dict(
-        max_genus=query.max_genus,
-        max_conductor=query.max_conductor,
-        semigroups=None,
-        window=query.window,
-        multiplicity_range=query.multiplicity_range,
-        gorenstein_only=query.gorenstein_only,
-        non_gorenstein_only=query.non_gorenstein_only,
-        checks=query.checks,
-        workers=1,
-        sample_limit=query.sample_limit,
-        allow_large=query.allow_large,
+def _subtree_part(query: CensusQuery, root: NumericalSemigroup) -> CensusReport:
+    return _census_part(
+        query, _subtree(root, query.max_genus, query.max_conductor)
     )
-    payloads = [(root.encode(), qdict) for root in roots]
+
+
+def _census_parts(query: CensusQuery) -> list[CensusReport]:
+    """The census split into parts: one part for a serial run.
+
+    A parallel run splits the tree at a fixed genus: the nodes below it
+    form one part, run here, and each node at it roots a subtree that a
+    pool worker censuses.
+    """
+    if query.workers == 1 or query.semigroups is not None:
+        return [_census_part(query, _population(query))]
+    split = _SPLIT_GENUS
+    if query.max_genus is not None:
+        split = min(split, query.max_genus)
+    top = list(enumerate_semigroups(split, query.max_conductor))
+    near = [S for S in top if S.genus < _SPLIT_GENUS]
+    roots = [S for S in top if S.genus == _SPLIT_GENUS]
+    parts = [_census_part(query, near)]
+    worker_query = dataclasses.replace(query, workers=1)
     with ProcessPoolExecutor(max_workers=query.workers) as pool:
-        parts = list(pool.map(_worker_run, payloads))
-    violations = list(report.violations)
-    for part in parts:
-        report.semigroup_count += part["semigroup_count"]
-        report.ideal_count += part["ideal_count"]
-        for g, k in part["per_genus"].items():
-            g = int(g)
-            report.semigroups_per_genus[g] = (
-                report.semigroups_per_genus.get(g, 0) + k
-            )
-        for cid, k in part["tallies"].items():
-            report.check_tallies[cid] = report.check_tallies.get(cid, 0) + k
-        violations.extend(Violation(**v) for v in part["violations"])
-        for tag, k in part["class_tallies"].items():
-            report.classification_tallies[tag] = (
-                report.classification_tallies.get(tag, 0) + k
-            )
-        for tag, encs in part["class_members"].items():
-            report.classification_members.setdefault(tag, []).extend(encs)
-    report.violations = sorted(violations, key=Violation.sort_key)
-    for tag in report.classification_members:
-        report.classification_members[tag].sort()
-    return report
+        parts.extend(pool.map(_subtree_part, [worker_query] * len(roots), roots))
+    return parts
 
 
 def verify_theorems(query: CensusQuery) -> CensusReport:
@@ -726,10 +693,7 @@ def verify_theorems(query: CensusQuery) -> CensusReport:
     import time
 
     start = time.perf_counter()
-    if query.workers > 1 and query.semigroups is None:
-        report = _census_parallel(query)
-    else:
-        report = _census_serial(query, _population(query))
+    report = _merge(query, _census_parts(query))
     report.wall_ms = (time.perf_counter() - start) * 1000.0
     return report
 
@@ -756,7 +720,6 @@ class SearchReport:
     query: dict
     semigroup_count: int = 0
     ideal_count: int = 0
-    pruned_count: int = 0
     examples: list[tuple[str, str, int]] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -764,7 +727,6 @@ class SearchReport:
             "query": self.query,
             "semigroup_count": self.semigroup_count,
             "ideal_count": self.ideal_count,
-            "pruned_count": self.pruned_count,
             "examples": [
                 {"semigroup": s, "ideal": i, "a": a} for s, i, a in self.examples
             ],
@@ -774,28 +736,15 @@ class SearchReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def search_negative_a(query: CensusQuery, prune: bool = True) -> SearchReport:
-    """Collect ideals with a < 0 over the queried range.
-
-    The pruned walk skips ideals stable under the canonical product
-    (a >= type - 1 >= 0 there) and reflexive ideals with d = 0 (the
-    lower bound a >= type - 1 - l(bidual/I) - d degenerates to the same
-    floor).  Pruning soundness is re-verified by comparing against the
-    unpruned walk in the test suite.
-    """
+def search_negative_a(query: CensusQuery) -> SearchReport:
+    """Collect ideals with a < 0 over the queried range."""
     report = SearchReport(query=query.to_dict())
     for S in _population(query):
-        report.semigroup_count += 1
         if not _filtered(S, query):
             continue
+        report.semigroup_count += 1
         for E in enumerate_ideals(S, query.window):
             report.ideal_count += 1
-            if prune:
-                if is_omega_stable(E) or (
-                    bidual(E) == E and d_invariant(S, E) == 0
-                ):
-                    report.pruned_count += 1
-                    continue
             a, _ = ab_invariants(S, E)
             if a < 0:
                 report.examples.append((S.encode(), E.encode(), a))

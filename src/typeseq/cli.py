@@ -15,8 +15,9 @@ by generators (comma list) or in ``min|members|conductor`` form.
 
 Output is deterministic: fixed key order, no timestamps or timings, so
 identical runs produce identical bytes.  Exit status is 0 when every
-reported check passed, 1 when any check failed, and 2 for usage or
-domain errors (reported as a JSON object with an ``error`` key).
+reported check passed, 1 when any check failed, 2 for usage or domain
+errors and 3 for an internal inconsistency (a bug); errors are reported
+as a JSON object with an ``error`` key.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .census import (
     verify_theorems,
 )
 from .classification import classify_b, window_profile
-from .errors import TypeseqError
+from .errors import InternalInconsistency, TypeseqError
 from .ideals import RelativeIdeal, ideal_from_generators, tail_ideal
 from .invariants import (
     ab_invariants,
@@ -201,10 +202,9 @@ def _cmd_search(args) -> dict:
         max_genus=args.max_genus,
         max_conductor=args.max_conductor,
         window=args.window,
-        workers=args.workers,
         allow_large=args.allow_large,
     )
-    return search_negative_a(query, prune=not args.no_prune).to_dict()
+    return search_negative_a(query).to_dict()
 
 
 # -- rendering -------------------------------------------------------------------
@@ -361,7 +361,6 @@ def _add_range_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-genus", type=int, default=None)
     p.add_argument("--max-conductor", type=int, default=None)
     p.add_argument("--window", type=int, default=2)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--allow-large", action="store_true")
 
 
@@ -394,6 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="verify check groups over a range")
     _add_range_args(p)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument(
         "--checks",
         default="all",
@@ -418,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="scan for ideals with negative a")
     p.add_argument("--negative-a", action="store_true", required=True)
-    p.add_argument("--no-prune", action="store_true")
     _add_range_args(p)
     _add_output_args(p)
     p.set_defaults(fn=_cmd_search)
@@ -426,18 +425,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report_error(code: str, message: str) -> None:
+    error = {"error": {"code": code, "message": message}}
+    sys.stdout.write(json.dumps(error, sort_keys=True) + "\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         payload = args.fn(args)
+    except InternalInconsistency as exc:
+        _report_error(exc.code, str(exc))
+        return 3
     except TypeseqError as exc:
-        error = {"error": {"code": exc.code, "message": str(exc)}}
-        sys.stdout.write(json.dumps(error, sort_keys=True) + "\n")
+        _report_error(exc.code, str(exc))
         return 2
     except ValueError as exc:
-        error = {"error": {"code": "ValueError", "message": str(exc)}}
-        sys.stdout.write(json.dumps(error, sort_keys=True) + "\n")
+        _report_error("ValueError", str(exc))
         return 2
     if args.fmt == "json":
         text = _render_json(payload)

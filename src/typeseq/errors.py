@@ -61,3 +61,7 @@ class WindowTooLarge(TypeseqError):
 
 class EncodingError(TypeseqError):
     """A textual encoding could not be parsed."""
+
+
+class InternalInconsistency(TypeseqError):
+    """An identity the theory guarantees failed: a bug, not bad input."""

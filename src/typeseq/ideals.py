@@ -15,7 +15,6 @@ bounds sits next to each implementation.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .errors import (
     EmptyGenerators,
@@ -225,19 +224,18 @@ def ideal_from_generators(S: NumericalSemigroup, generators) -> RelativeIdeal:
 # -- arithmetic ----------------------------------------------------------------
 
 
-def colon(A: RelativeIdeal, B: RelativeIdeal, _pad: int = 0) -> RelativeIdeal:
+def colon(A: RelativeIdeal, B: RelativeIdeal) -> RelativeIdeal:
     """The ideal quotient A - B = {z : z + B inside A}.
 
     Window: z >= conductor(A) - min(B) shifts all of B into the tail of A,
     and z < min(A) - min(B) sends min(B) below min(A); so the window
     [min(A) - min(B), conductor(A) - min(B)) decides membership.  For each
     z only b < conductor(A) - z matter, since larger b land in A's tail.
-    ``_pad`` widens the window for self-checks; the result cannot change.
     """
     if A.parent != B.parent:
         raise ParentMismatch("ideals belong to different semigroups")
-    lo = A.min_element - B.min_element - _pad
-    hi = A.conductor - B.min_element + _pad
+    lo = A.min_element - B.min_element
+    hi = A.conductor - B.min_element
     a_bits = A.mask
     acc = 0
     for idx in range(hi - lo):
@@ -356,35 +354,6 @@ def require_proper(E: RelativeIdeal) -> None:
         unit_ideal(E.parent)
     ):
         raise NotIntegralProper("the ideal must sit inside its semigroup")
-
-
-@dataclass(frozen=True)
-class GammaProfile:
-    """Tail data attached to a proper integral ideal.
-
-    ``gamma_ideal`` is the tail from the ideal conductor c_I; its dual over
-    the parent is the tail from c - c_I, recorded as ``parent_colon_gamma``.
-    """
-
-    ideal_conductor: int
-    n_relative: int
-    gamma_ideal: RelativeIdeal
-    parent_colon_gamma: RelativeIdeal
-
-
-def gamma_of_ideal(E: RelativeIdeal) -> GammaProfile:
-    require_proper(E)
-    S = E.parent
-    c_i = E.conductor
-    profile = GammaProfile(
-        ideal_conductor=c_i,
-        n_relative=c_i - S.genus,
-        gamma_ideal=tail_ideal(S, c_i),
-        parent_colon_gamma=tail_ideal(S, S.conductor - c_i),
-    )
-    # n_I >= n always, since the ideal conductor is at least the conductor.
-    assert profile.n_relative >= S.n
-    return profile
 
 
 def integral_closure(E: RelativeIdeal) -> RelativeIdeal:

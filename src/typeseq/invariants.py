@@ -3,8 +3,8 @@
 For a semigroup S with small elements s_0 < ... < s_n, the chain
 R_i = {s in S : s >= s_i} interpolates between S and the tail gamma.
 The i-th type is r_i = l((S - R_i) / (S - R_{i-1})); the same number is
-the drop l(K + R_{i-1} / K + R_i) along the canonical-ideal products, and
-both computations are carried out and compared on every call.
+the drop l(K + R_{i-1} / K + R_i) along the canonical-ideal products, which
+the census re-derives as a named check.
 
 For a proper integral ideal I with bidual I**, ideal conductor c_I and
 n_I = c_I - genus, the marked indices are
@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .errors import NotOversemigroup
+from .errors import InternalInconsistency, NotOversemigroup
 from .ideals import (
     RelativeIdeal,
     bidual,
@@ -106,44 +106,37 @@ def _chain_dual(S: NumericalSemigroup, i: int) -> RelativeIdeal:
     return dual(_tail_members_ideal(S, S.small_element(i)))
 
 
+def _require(holds: bool, message: str) -> None:
+    if not holds:
+        raise InternalInconsistency(message)
+
+
 @functools.lru_cache(maxsize=4096)
 def type_sequence(S: NumericalSemigroup) -> TypeSequence:
-    """Compute (r_1, ..., r_n) by duals and verify by canonical products.
+    """Compute (r_1, ..., r_n) from the duals of the chain R_i.
 
-    Always-on consistency: the two computations must agree entrywise,
-    r_1 must equal the type, every entry lies in [1, r_1], the entries sum
-    to the genus, the excesses sum to l(K/S), and a small element inside
-    the different forces the next entry to be 1.
+    Always-on consistency: r_1 must equal the type, every entry lies in
+    [1, r_1], the entries sum to the genus and the excesses sum to l(K/S).
     """
-    n = S.n
     small = S.small_elements
-    K = canonical_ideal(S)
-    theta = dedekind_different(S)
     values = []
     d_prev = unit_ideal(S)
-    p_prev = K
-    for i in range(1, n + 1):
-        chain_ideal = _tail_members_ideal(S, small[i])
-        d_cur = dual(chain_ideal)
-        p_cur = ideal_product(K, chain_ideal)
-        r_i = length_between(d_cur, d_prev)
-        r_i_omega = length_between(p_prev, p_cur)
-        if r_i != r_i_omega:
-            raise AssertionError(
-                f"type sequence paths disagree at {i}: {r_i} != {r_i_omega}"
-            )
-        values.append(r_i)
-        d_prev, p_prev = d_cur, p_cur
-    ts = TypeSequence(S, tuple(values))
-    if n >= 1:
-        assert values[0] == S.type, "first entry must equal the type"
-        assert all(1 <= v <= values[0] for v in values)
-    assert sum(values) == S.genus
-    assert sum(v - 1 for v in values) == 2 * S.genus - S.conductor
-    for i in range(n):
-        if small[i] in theta:
-            assert values[i] == 1, "different membership must force entry 1"
-    return ts
+    for i in range(1, S.n + 1):
+        d_cur = dual(_tail_members_ideal(S, small[i]))
+        values.append(length_between(d_cur, d_prev))
+        d_prev = d_cur
+    if values:
+        _require(values[0] == S.type, "first entry must equal the type")
+        _require(
+            all(1 <= v <= values[0] for v in values),
+            "entries must lie in [1, type]",
+        )
+    _require(sum(values) == S.genus, "entries must sum to the genus")
+    _require(
+        sum(v - 1 for v in values) == 2 * S.genus - S.conductor,
+        "excesses must sum to 2 * genus - conductor",
+    )
+    return TypeSequence(S, tuple(values))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -158,7 +151,7 @@ def extended_type_sequence(S: NumericalSemigroup, m: int) -> tuple[int, ...]:
     for i in range(n + 1, m + 1):
         d_cur = _chain_dual(S, i)
         r_i = length_between(d_cur, d_prev)
-        assert r_i == 1, "entries beyond the chain are tails and contribute 1"
+        _require(r_i == 1, "entries beyond the chain are tails and contribute 1")
         out.append(r_i)
         d_prev = d_cur
     return tuple(out)
@@ -180,36 +173,12 @@ def gamma_invariants(S: NumericalSemigroup) -> tuple[int, int]:
     return ab_invariants(S, tail_ideal(S, S.conductor))
 
 
-def v_complement(S: NumericalSemigroup, I: RelativeIdeal) -> tuple[int, ...]:
-    """Unmarked indices W = [1, n_I] minus V, with V read off the bidual.
-
-    Indices h > n_I are always marked because s_{h-1} >= c_I there, so W
-    is a complete finite description of the marked set.
-    """
-    require_proper(I)
-    ib = bidual(I)
-    n_i = I.conductor - S.genus
-    return tuple(
-        h for h in range(1, n_i + 1) if S.small_element(h - 1) not in ib
-    )
-
-
 def sigma(S: NumericalSemigroup) -> int:
     """a of the tail minus l(S/different)."""
     if S.conductor == 0:
         return 0
     theta = dedekind_different(S)
     return (2 * S.genus - S.conductor) - length_between(unit_ideal(S), theta)
-
-
-@functools.lru_cache(maxsize=64)
-def _is_almost_gorenstein(S: NumericalSemigroup) -> bool:
-    return S.type - 1 == 2 * S.genus - S.conductor
-
-
-@functools.lru_cache(maxsize=64)
-def _is_arf_cached(S: NumericalSemigroup) -> bool:
-    return is_arf(S)
 
 
 class _IdealContext:
@@ -239,8 +208,9 @@ class _IdealContext:
             for h in range(1, self.n_i + 1)
             if S.small_element(h - 1) not in self.i_bid
         )
+        unmarked = set(self.unmarked)
         self.marked_below = tuple(
-            h for h in range(1, self.n_i + 1) if h not in set(self.unmarked)
+            h for h in range(1, self.n_i + 1) if h not in unmarked
         )
         self.l_quot = length_between(self.unit, I)
         self.l_dual = length_between(self.i_star, self.unit)
@@ -248,24 +218,15 @@ class _IdealContext:
         self.a = self.l_dual - self.l_quot
         self.b = self.r * self.l_quot - self.l_dual
         self.i0 = S.small_index(I.min_element)
-        self.d = self._d_primary()
+        self.d = length_between(self.colon_gamma, self.i_star) - self.sum_r(
+            self.marked_below
+        )
 
     def r_of(self, h: int) -> int:
         return self.ts.r(h)
 
     def sum_r(self, indices) -> int:
         return sum(self.ts.r(h) for h in indices)
-
-    def _d_primary(self) -> int:
-        marked_sum = self.sum_r(self.marked_below)
-        return length_between(self.colon_gamma, self.i_star) - marked_sum
-
-    def d_alternate(self) -> int:
-        """Canonical-product form: l(K+I / I**) minus the marked excesses."""
-        excess = sum(
-            self.r_of(h) - 1 for h in self.marked_below if h <= self.n
-        )
-        return length_between(self.omega_i, self.i_bid) - excess
 
     def d_of_bidual(self) -> int:
         """d recomputed for I**, whose own bidual and dual are already known."""
@@ -282,12 +243,8 @@ class _IdealContext:
 
 
 def d_invariant(S: NumericalSemigroup, I: RelativeIdeal) -> int:
-    """d(I), computed two independent ways which must agree."""
-    ctx = _IdealContext(S, I)
-    alt = ctx.d_alternate()
-    if ctx.d != alt:
-        raise AssertionError(f"d paths disagree: {ctx.d} != {alt}")
-    return ctx.d
+    """d(I) for a proper integral ideal I."""
+    return _IdealContext(S, I).d
 
 
 @dataclass(frozen=True)
@@ -360,6 +317,7 @@ def decomposition_check(
 
     # a against the canonical growth and the tail value.
     a_gamma = 2 * ctx.delta - ctx.c
+    almost_gorenstein = r - 1 == a_gamma
     checks.append(_le("a_at_most_tail_value", ctx.a, a_gamma))
     checks.append(_eq("a_via_omega_growth", ctx.a, a_gamma - l_omega_growth))
     a_bid = ctx.l_dual - length_between(ctx.unit, ctx.i_bid)
@@ -429,7 +387,7 @@ def decomposition_check(
     )
     if closed:
         checks.append(_eq("d_zero_when_integrally_closed", d, 0))
-    if _is_almost_gorenstein(S) and not principal:
+    if almost_gorenstein and not principal:
         checks.append(_eq("d_zero_when_almost_gorenstein", d, 0))
 
     # Distance to the tail.
@@ -475,7 +433,7 @@ def decomposition_check(
     # Special parents.  The subtrahend is the closed form of b on the
     # integral closure S cap tail(min): linear steps of r - 1 take over
     # once the index leaves the chain of small elements.
-    if _is_arf_cached(S):
+    if is_arf(S):
         s_1 = S.small_element(1)
         if ctx.i0 <= ctx.n:
             b_floor = ctx.i0 * s_1 - I.min_element
@@ -488,7 +446,7 @@ def decomposition_check(
                 (r - 1) * ctx.l_quot - b_floor,
             )
         )
-    if _is_almost_gorenstein(S) and refl and not principal:
+    if almost_gorenstein and refl and not principal:
         checks.append(_eq("a_constant_when_ag_reflexive", ctx.a, a_gamma))
     if r == 1:
         checks.append(_eq("a_zero_when_type_one", ctx.a, 0))

@@ -11,9 +11,9 @@ of the conductor, so no bits are stored for the tail.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from .errors import (
     ConductorNotTight,
@@ -288,43 +288,7 @@ def from_small_elements(elements, conductor: int) -> NumericalSemigroup:
     return NumericalSemigroup(conductor, mask)
 
 
-@dataclass(frozen=True)
-class SemigroupInvariants:
-    """Numeric profile of a semigroup."""
-
-    multiplicity: int
-    conductor: int
-    frobenius: int
-    genus: int
-    n: int
-    small_elements: tuple[int, ...]
-    gaps: tuple[int, ...]
-    minimal_generators: tuple[int, ...]
-    pseudo_frobenius: tuple[int, ...]
-    type: int
-
-
-def basic_invariants(S: NumericalSemigroup) -> SemigroupInvariants:
-    return SemigroupInvariants(
-        multiplicity=S.multiplicity,
-        conductor=S.conductor,
-        frobenius=S.frobenius,
-        genus=S.genus,
-        n=S.n,
-        small_elements=S.small_elements,
-        gaps=S.gaps,
-        minimal_generators=S.minimal_generators,
-        pseudo_frobenius=S.pseudo_frobenius,
-        type=S.type,
-    )
-
-
-@dataclass(frozen=True)
-class SemigroupPredicates:
-    is_gorenstein: bool
-    is_arf: bool
-
-
+@functools.lru_cache(maxsize=64)
 def is_arf(S: NumericalSemigroup) -> bool:
     """Whether s + t - u is a member for all members s >= t >= u.
 
@@ -339,13 +303,6 @@ def is_arf(S: NumericalSemigroup) -> bool:
                 if s + t - small[ui] not in S:
                     return False
     return True
-
-
-def predicates(S: NumericalSemigroup) -> SemigroupPredicates:
-    gor = S.is_gorenstein
-    # The symmetry condition and type 1 characterize the same rings.
-    assert gor == (S.type == 1)
-    return SemigroupPredicates(is_gorenstein=gor, is_arf=is_arf(S))
 
 
 def _add_gap(S: NumericalSemigroup, g: int) -> NumericalSemigroup:

@@ -7,6 +7,7 @@ window 2, every check group) so the pass/fail line for a criterion means
 
 import io
 import contextlib
+import hashlib
 import time
 
 import pytest
@@ -33,6 +34,11 @@ def census():
     )
 
 
+def _digest(report):
+    """First 16 hex chars of the SHA-256 of the canonical report bytes."""
+    return hashlib.sha256(report.to_json().encode()).hexdigest()[:16]
+
+
 def _clean_slice(report, check_ids):
     """No violation carries one of these ids, and each id actually ran."""
     hit = [v for v in report.violations if v.check_id in check_ids]
@@ -55,6 +61,7 @@ def test_01_negative_a_example_is_exact_and_fast():
 def test_02_decomposition_formulas_hold_with_exact_equality(census):
     assert census.passed
     assert census.semigroup_count == 478
+    assert _digest(census) == "6aa51d47219226cb"
     _clean_slice(
         census,
         ("a_from_type_sequence", "b_from_type_sequence", "a_plus_b_split"),
@@ -170,6 +177,7 @@ def test_07_small_b_classification_matches_frozen_catalogue():
         "0,5,6,8,10|10",
         "0,5,8,9,10,13|13",
     ]
+    assert _digest(rep) == "6f11a909e4b21a02"
     assert elapsed < 600.0
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from typeseq import cli
+from typeseq import InternalInconsistency, cli
 
 
 def run(argv, capsys):
@@ -205,13 +205,11 @@ class TestSearch:
             "ideal": "7|7,9,11|14",
             "a": -1,
         }
-        assert d["pruned_count"] > 0
 
-    def test_no_prune_same_examples(self, capsys):
-        base = ["search", "--negative-a", "--max-genus", "8", "--format", "json"]
-        _, pruned = run(base, capsys)
-        _, full = run(base + ["--no-prune"], capsys)
-        assert json.loads(pruned)["examples"] == json.loads(full)["examples"]
+    def test_workers_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["search", "--negative-a", "--workers", "2"])
+        assert exc.value.code == 2
 
     def test_csv_table(self, capsys):
         code, out = run(
@@ -251,6 +249,18 @@ class TestErrorsAndExitCodes:
         assert cli._all_checks_pass(payload) is False
         assert cli._all_checks_pass({"passed": False}) is False
         assert cli._all_checks_pass({"passed": True}) is True
+
+    def test_internal_inconsistency_exits_three(self, capsys, monkeypatch):
+        def broken(S):
+            raise InternalInconsistency("paths disagree")
+
+        monkeypatch.setattr(cli, "type_sequence", broken)
+        code, out = run(["info", "--gens", "3,4,5"], capsys)
+        assert code == 3
+        assert json.loads(out)["error"] == {
+            "code": "InternalInconsistency",
+            "message": "paths disagree",
+        }
 
     def test_env_guard_respected(self, capsys, monkeypatch):
         monkeypatch.setenv("TYPESEQ_MAX_GENUS", "4")

@@ -18,7 +18,6 @@ from typeseq import (
     dedekind_different,
     dual,
     from_generators,
-    gamma_of_ideal,
     ideal_from_generators,
     ideal_intersection,
     ideal_product,
@@ -267,12 +266,6 @@ class TestClosureAndLengths:
     def test_length_requires_containment(self):
         with pytest.raises(NotContained):
             length_between(ideal_from_generators(S345, (4, 5)), unit_ideal(S345))
-
-    def test_gamma_profile_of_ideal(self):
-        g = gamma_of_ideal(ideal_from_generators(S345, (4, 5)))
-        assert g.ideal_conductor == 7
-        assert g.gamma_ideal == tail_ideal(S345, 7)
-        assert g.parent_colon_gamma == tail_ideal(S345, 3 - 7)
 
     def test_require_proper_via_invariants(self):
         from typeseq import ab_invariants

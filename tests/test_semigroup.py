@@ -16,7 +16,6 @@ from typeseq import (
     from_small_elements,
     is_arf,
     oversemigroups,
-    predicates,
     ring_classification,
 )
 
@@ -183,9 +182,8 @@ class TestMembership:
 class TestPredicates:
     def test_gorenstein_iff_type_one(self):
         for S in semigroups_up_to(7):
-            p = predicates(S)
-            assert p.is_gorenstein == (S.type == 1)
-            assert p.is_gorenstein == (2 * S.genus == S.conductor)
+            assert S.is_gorenstein == (S.type == 1)
+            assert S.is_gorenstein == (2 * S.genus == S.conductor)
 
     def test_almost_gorenstein_examples(self):
         # ideals=() keeps this to the numeric criteria; the quantified

@@ -7,13 +7,13 @@ from conftest import negative_a_semigroup, semigroups_up_to
 from typeseq import (
     NumericalSemigroup,
     b_of_tail,
+    decomposition_check,
     extended_type_sequence,
     from_generators,
     gamma_invariants,
     ideal_from_generators,
     sigma,
     type_sequence,
-    v_complement,
 )
 
 
@@ -107,19 +107,20 @@ class TestSigma:
 class TestUnmarkedIndices:
     def test_frozen_values(self):
         S = from_generators((3, 4, 5))
-        assert v_complement(S, ideal_from_generators(S, (4, 5))) == (1, 2)
+        I = ideal_from_generators(S, (4, 5))
+        assert decomposition_check(S, I).v_complement == (1, 2)
         G = NumericalSemigroup.decode("0,4,8,9,12,13|16")
         from typeseq import RelativeIdeal
 
         R2 = RelativeIdeal(G, 8, 16, 0b110011)
-        assert v_complement(G, R2) == (1, 2)
+        assert decomposition_check(G, R2).v_complement == (1, 2)
         T = RelativeIdeal(G, 12, 20, 0b110011)
-        assert v_complement(G, T) == (1, 2, 3, 4, 9, 10)
+        assert decomposition_check(G, T).v_complement == (1, 2, 3, 4, 9, 10)
 
     def test_negative_a_witness_ideal(self):
         S = negative_a_semigroup()
         I = ideal_from_generators(S, (38, 44, 50))
-        W = v_complement(S, I)
+        W = decomposition_check(S, I).v_complement
         assert len(W) == 31
         assert W[:5] == (1, 2, 3, 4, 5)
         assert W[-4:] == (32, 33, 38, 39)
@@ -129,6 +130,7 @@ class TestUnmarkedIndices:
 
         S = from_generators((3, 4, 5))
         P = principal_ideal(S, 3)
-        assert v_complement(S, P) == (1, 3, 4)
+        W = decomposition_check(S, P).v_complement
+        assert W == (1, 3, 4)
         n_p = P.conductor - S.genus
-        assert all(1 <= h <= n_p for h in v_complement(S, P))
+        assert all(1 <= h <= n_p for h in W)
