@@ -40,7 +40,7 @@ from .classification import (
     ring_classification,
     window_profile,
 )
-from .errors import BoundTooLarge, WindowTooLarge
+from .errors import BoundTooLarge, InvalidInput, WindowTooLarge
 from .ideals import (
     RelativeIdeal,
     canonical_ideal,
@@ -123,14 +123,14 @@ class CensusQuery:
             for x in (self.max_genus, self.max_conductor, self.semigroups)
         )
         if selectors != 1:
-            raise ValueError(
+            raise InvalidInput(
                 "exactly one of max_genus, max_conductor, semigroups required"
             )
         if self.gorenstein_only and self.non_gorenstein_only:
-            raise ValueError("gorenstein_only conflicts with non_gorenstein_only")
+            raise InvalidInput("gorenstein_only conflicts with non_gorenstein_only")
         bad = [g for g in self.groups() if g not in GROUPS]
         if bad:
-            raise ValueError(f"unknown check groups: {bad}")
+            raise InvalidInput(f"unknown check groups: {bad}")
         if not self.allow_large:
             guard = _genus_guard()
             cond_guard = max(_CONDUCTOR_GUARD, 2 * guard)
@@ -147,9 +147,9 @@ class CensusQuery:
                     f"window {self.window} above guard {_WINDOW_GUARD}"
                 )
         if self.window < 0:
-            raise ValueError("window must be non-negative")
+            raise InvalidInput("window must be non-negative")
         if self.workers < 1:
-            raise ValueError("workers must be positive")
+            raise InvalidInput("workers must be positive")
 
     def groups(self) -> tuple[str, ...]:
         if "all" in self.checks:
@@ -209,7 +209,7 @@ def enumerate_semigroups(
 ):
     """Depth-first stream of all semigroups within the given bounds."""
     if max_genus is None and max_conductor is None:
-        raise ValueError("a genus or conductor bound is required")
+        raise InvalidInput("a genus or conductor bound is required")
     yield from _subtree(NumericalSemigroup(0, 0), max_genus, max_conductor)
 
 

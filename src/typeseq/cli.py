@@ -26,6 +26,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from .census import (
@@ -35,7 +36,7 @@ from .census import (
     verify_theorems,
 )
 from .classification import classify_b, window_profile
-from .errors import InternalInconsistency, TypeseqError
+from .errors import BoundTooLarge, InternalInconsistency, InvalidInput, TypeseqError
 from .ideals import RelativeIdeal, ideal_from_generators, tail_ideal
 from .invariants import (
     ab_invariants,
@@ -48,23 +49,40 @@ from .invariants import (
 from .semigroup import NumericalSemigroup, from_generators, from_small_elements, oversemigroups
 
 
+# Largest conductor bound a single-semigroup command accepts without
+# --allow-large; checked before any membership table is allocated.
+_CONDUCTOR_GUARD = 20_000
+
+
 def _parse_int_list(text: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:
-        raise TypeseqError(f"expected a comma-separated integer list: {text!r}") from exc
+        raise InvalidInput(f"expected a comma-separated integer list: {text!r}") from exc
+
+
+def _guard_conductor(bound: int, args) -> None:
+    if bound > _CONDUCTOR_GUARD and not args.allow_large:
+        raise BoundTooLarge(
+            f"conductor bound {bound} above guard {_CONDUCTOR_GUARD}"
+        )
 
 
 def _semigroup_from_args(args) -> NumericalSemigroup:
     if args.gens is not None:
         if args.elements is not None or args.conductor is not None:
-            raise TypeseqError("--gens conflicts with --elements/--conductor")
-        return from_generators(_parse_int_list(args.gens))
+            raise InvalidInput("--gens conflicts with --elements/--conductor")
+        gens = _parse_int_list(args.gens)
+        if gens and min(gens) > 0 and math.gcd(*gens) == 1:
+            # Schur: the conductor is at most (min g - 1)(max g - 1).
+            _guard_conductor((min(gens) - 1) * (max(gens) - 1), args)
+        return from_generators(gens)
     if args.elements is not None:
         if args.conductor is None:
-            raise TypeseqError("--elements needs --conductor")
+            raise InvalidInput("--elements needs --conductor")
+        _guard_conductor(args.conductor, args)
         return from_small_elements(_parse_int_list(args.elements), args.conductor)
-    raise TypeseqError("a semigroup is required: --gens or --elements/--conductor")
+    raise InvalidInput("a semigroup is required: --gens or --elements/--conductor")
 
 
 def _ideal_from_arg(S: NumericalSemigroup, text: str) -> RelativeIdeal:
@@ -345,6 +363,7 @@ def _add_semigroup_args(p: argparse.ArgumentParser) -> None:
         "--elements", help="comma-separated members below the conductor"
     )
     p.add_argument("--conductor", type=int, help="conductor for --elements")
+    p.add_argument("--allow-large", action="store_true", help="lift the size guards")
 
 
 def _add_output_args(p: argparse.ArgumentParser) -> None:
@@ -412,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_semigroup_args(p)
     p.add_argument("--max-conductor", type=int, default=None)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--allow-large", action="store_true")
     _add_output_args(p)
     p.set_defaults(fn=_cmd_classify)
 
@@ -440,9 +458,6 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except TypeseqError as exc:
         _report_error(exc.code, str(exc))
-        return 2
-    except ValueError as exc:
-        _report_error("ValueError", str(exc))
         return 2
     if args.fmt == "json":
         text = _render_json(payload)

@@ -15,6 +15,13 @@ class TypeseqError(Exception):
         return type(self).__name__
 
 
+class InvalidInput(TypeseqError, ValueError):
+    """An argument is outside the domain of the operation.
+
+    Also a ``ValueError``, so callers that catch the built-in still work.
+    """
+
+
 class EmptyGenerators(TypeseqError):
     """A generating set was empty."""
 

@@ -19,6 +19,7 @@ import functools
 from .errors import (
     EmptyGenerators,
     EncodingError,
+    InvalidInput,
     NotContained,
     NotIntegralProper,
     ParentMismatch,
@@ -40,15 +41,15 @@ class RelativeIdeal:
     ):
         width = conductor - min_element
         if width < 0:
-            raise ValueError("conductor below the minimum")
+            raise InvalidInput("conductor below the minimum")
         if width == 0:
             if mask:
-                raise ValueError("window is empty but bits are set")
+                raise InvalidInput("window is empty but bits are set")
         else:
             if not mask & 1:
-                raise ValueError("the minimum must be a member")
+                raise InvalidInput("the minimum must be a member")
             if (mask >> (width - 1)) & 1:
-                raise ValueError("conductor - 1 must not be a member")
+                raise InvalidInput("conductor - 1 must not be a member")
         self.parent = parent
         self.min_element = min_element
         self.conductor = conductor
@@ -227,28 +228,29 @@ def ideal_from_generators(S: NumericalSemigroup, generators) -> RelativeIdeal:
 def colon(A: RelativeIdeal, B: RelativeIdeal) -> RelativeIdeal:
     """The ideal quotient A - B = {z : z + B inside A}.
 
+    Generators: with e the multiplicity, the least member of B in each
+    residue class mod e generates B (e is in S), so A - B is the
+    intersection of the translates A - g over these at most e members g.
+
     Window: z >= conductor(A) - min(B) shifts all of B into the tail of A,
     and z < min(A) - min(B) sends min(B) below min(A); so the window
-    [min(A) - min(B), conductor(A) - min(B)) decides membership.  For each
-    z only b < conductor(A) - z matter, since larger b land in A's tail.
+    [min(A) - min(B), conductor(A) - min(B)) decides membership.
     """
     if A.parent != B.parent:
         raise ParentMismatch("ideals belong to different semigroups")
     lo = A.min_element - B.min_element
     hi = A.conductor - B.min_element
-    a_bits = A.mask
-    acc = 0
-    for idx in range(hi - lo):
-        z = lo + idx
-        shift = z + B.min_element - A.min_element
-        need = B.bits_below(A.conductor - z)
-        if shift >= 0:
-            if (need << shift) & ~a_bits == 0:
-                acc |= 1 << idx
-        else:
-            # Bits below min(A) must be empty for z to qualify.
-            if need & _ones(-shift) == 0 and (need >> -shift) & ~a_bits == 0:
-                acc |= 1 << idx
+    e = A.parent.multiplicity
+    b = B.bits_below(B.conductor + e)
+    gens = b & ~(b << e)
+    # Bit i of a_bits is min(A) + i; z = lo + idx needs bit idx + j for
+    # every generator offset j = g - min(B).
+    a_bits = A.bits_below(A.min_element + gens.bit_length() + hi - lo)
+    acc = a_bits
+    while gens:
+        low = gens & -gens
+        acc &= a_bits >> (low.bit_length() - 1)
+        gens ^= low
     return _normalized(A.parent, lo, hi, acc)
 
 

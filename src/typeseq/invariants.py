@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .errors import InternalInconsistency, NotOversemigroup
+from .errors import InternalInconsistency, InvalidInput, NotOversemigroup
 from .ideals import (
     RelativeIdeal,
     bidual,
@@ -78,7 +78,7 @@ class TypeSequence:
     def r(self, h: int) -> int:
         """r_h extended by 1 beyond the chain (tails of consecutive sets)."""
         if h < 1:
-            raise ValueError("indices start at 1")
+            raise InvalidInput("indices start at 1")
         return self.values[h - 1] if h <= len(self.values) else 1
 
     def sum_r(self, indices) -> int:
@@ -145,7 +145,7 @@ def extended_type_sequence(S: NumericalSemigroup, m: int) -> tuple[int, ...]:
     ts = type_sequence(S)
     n = S.n
     if m < n:
-        raise ValueError(f"extension length {m} is below n = {n}")
+        raise InvalidInput(f"extension length {m} is below n = {n}")
     out = list(ts.values)
     d_prev = _chain_dual(S, n)
     for i in range(n + 1, m + 1):

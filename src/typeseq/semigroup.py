@@ -19,6 +19,7 @@ from .errors import (
     ConductorNotTight,
     EmptyGenerators,
     EncodingError,
+    InvalidInput,
     NotClosed,
     NotCoprime,
 )
@@ -41,15 +42,15 @@ class NumericalSemigroup:
 
     def __init__(self, conductor: int, mask: int):
         if conductor < 0:
-            raise ValueError("conductor must be non-negative")
+            raise InvalidInput("conductor must be non-negative")
         if conductor > 0:
             # 0 is always a member and conductor - 1 is always a gap.
             if not mask & 1:
-                raise ValueError("0 must be a member")
+                raise InvalidInput("0 must be a member")
             if (mask >> (conductor - 1)) & 1:
                 raise ConductorNotTight(f"{conductor - 1} is a member")
         elif mask:
-            raise ValueError("mask must be empty when the conductor is 0")
+            raise InvalidInput("mask must be empty when the conductor is 0")
         self.conductor = conductor
         self.mask = mask
         small = []
@@ -176,7 +177,7 @@ class NumericalSemigroup:
             return self.n + (x - self.conductor)
         j = bisect_left(self.small_elements, x)
         if self.small_elements[j] != x:
-            raise ValueError(f"{x} is not a member")
+            raise InvalidInput(f"{x} is not a member")
         return j
 
     # -- encoding ------------------------------------------------------------
@@ -228,7 +229,7 @@ def from_generators(generators) -> NumericalSemigroup:
     if not gens:
         raise EmptyGenerators("at least one generator is required")
     if gens[0] < 1:
-        raise ValueError("generators must be positive")
+        raise InvalidInput("generators must be positive")
     if math.gcd(*gens) != 1:
         raise NotCoprime(f"gcd({', '.join(map(str, gens))}) != 1")
     lo = gens[0]
@@ -260,12 +261,12 @@ def from_small_elements(elements, conductor: int) -> NumericalSemigroup:
     itself round-trip.
     """
     if conductor < 0:
-        raise ValueError("conductor must be non-negative")
+        raise InvalidInput("conductor must be non-negative")
     elems = sorted({int(x) for x in elements})
     if not elems or elems[0] != 0:
         if elems and elems[0] < 0:
-            raise ValueError("members must be non-negative")
-        raise ValueError("0 must be listed among the elements")
+            raise InvalidInput("members must be non-negative")
+        raise InvalidInput("0 must be listed among the elements")
     mask = 0
     for x in elems:
         if x < conductor:

@@ -262,6 +262,42 @@ class TestErrorsAndExitCodes:
             "message": "paths disagree",
         }
 
+    def test_non_positive_generator_has_typed_code(self, capsys):
+        code, out = run(["info", "--gens", "0,3"], capsys)
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "InvalidInput"
+
+    def test_conductor_guard_refuses_before_sieving(self, capsys, monkeypatch):
+        def sieve(gens):
+            raise AssertionError("the sieve ran")
+
+        monkeypatch.setattr(cli, "from_generators", sieve)
+        for cmd in ("info", "ideal", "overrings", "classify"):
+            argv = [cmd, "--gens", "400,401"]
+            if cmd == "ideal":
+                argv += ["--ideal", "400"]
+            code, out = run(argv, capsys)
+            assert code == 2, cmd
+            assert json.loads(out)["error"]["code"] == "BoundTooLarge", cmd
+
+    def test_conductor_guard_on_elements(self, capsys):
+        code, out = run(["info", "--elements", "0", "--conductor", "20001"], capsys)
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "BoundTooLarge"
+
+    def test_conductor_guard_admits_bounds_up_to_the_guard(self, capsys):
+        # Schur bound 119 * 120 = 14,280.
+        code, out = run(["info", "--gens", "120,121", "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["semigroup"]["conductor"] == 14280
+
+    def test_allow_large_lifts_conductor_guard(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_CONDUCTOR_GUARD", 10)
+        code, _ = run(["info", "--gens", "5,7"], capsys)
+        assert code == 2
+        code, _ = run(["info", "--gens", "5,7", "--allow-large"], capsys)
+        assert code == 0
+
     def test_env_guard_respected(self, capsys, monkeypatch):
         monkeypatch.setenv("TYPESEQ_MAX_GENUS", "4")
         code, out = run(["census", "--max-genus", "5"], capsys)

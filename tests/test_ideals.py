@@ -1,7 +1,7 @@
 """Relative ideals: normal form, codec, lattice and colon operations."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from conftest import small_semigroup_st
@@ -35,6 +35,8 @@ from typeseq import (
 )
 
 S345 = from_generators((3, 4, 5))
+S35 = from_generators((3, 5))
+N = from_generators((1,))
 
 
 @st.composite
@@ -49,6 +51,13 @@ def ideal_st(draw, parent=None):
         )
     )
     return ideal_from_generators(S, gens)
+
+
+@st.composite
+def ideal_pair_st(draw):
+    """Two independent ideals over the same small semigroup."""
+    S = draw(small_semigroup_st())
+    return draw(ideal_st(S)), draw(ideal_st(S))
 
 
 class TestConstruction:
@@ -154,6 +163,33 @@ class TestColonAndDual:
         B = oracles.ideal_set(E, top)
         lo = -top
         want = oracles.colon_set(A, B, lo, got.conductor + 3, top)
+        window = set(range(lo, got.conductor + 3))
+        assert {x for x in window if x in got} == want
+
+    @given(ideal_pair_st())
+    # S = N: conductor 0 and multiplicity 1, both ideals tails.
+    @example((ideal_from_generators(N, (-2,)), ideal_from_generators(N, (3,))))
+    # B's conductor (10) above A's (5), with a negative minimum in A.
+    @example((ideal_from_generators(S35, (-3,)), ideal_from_generators(S35, (2,))))
+    # Negative minimum in B, so the window starts above min(A).
+    @example((ideal_from_generators(S35, (0, 1)), ideal_from_generators(S35, (-3, 4))))
+    @settings(max_examples=150, deadline=None)
+    def test_colon_of_pairs_matches_set_oracle(self, pair):
+        A, B = pair
+        S = A.parent
+        got = colon(A, B)
+        top = 4 * (
+            S.conductor
+            + abs(A.min_element)
+            + abs(A.conductor)
+            + abs(B.min_element)
+            + abs(B.conductor)
+            + 4
+        )
+        A_set = oracles.ideal_set(A, 2 * top)
+        B_set = oracles.ideal_set(B, 3 * top)
+        lo = -top
+        want = oracles.colon_set(A_set, B_set, lo, got.conductor + 3, top)
         window = set(range(lo, got.conductor + 3))
         assert {x for x in window if x in got} == want
 

@@ -9,9 +9,11 @@ from typeseq import (
     ConductorNotTight,
     EmptyGenerators,
     EncodingError,
+    InvalidInput,
     NotClosed,
     NotCoprime,
     NumericalSemigroup,
+    TypeseqError,
     from_generators,
     from_small_elements,
     is_arf,
@@ -76,6 +78,22 @@ class TestConstruction:
             from_generators((0,))
         with pytest.raises(ValueError):
             from_generators((-2, 3))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: from_generators((0, 3)),
+            lambda: NumericalSemigroup(-1, 0),
+            lambda: NumericalSemigroup(3, 0b10),
+            lambda: from_small_elements((3,), 4),
+            lambda: from_generators((3, 4)).small_index(5),
+        ],
+    )
+    def test_domain_errors_are_typed(self, build):
+        with pytest.raises(InvalidInput) as exc:
+            build()
+        assert isinstance(exc.value, TypeseqError)
+        assert isinstance(exc.value, ValueError)
 
     def test_not_coprime(self):
         with pytest.raises(NotCoprime):

@@ -57,6 +57,23 @@ class TestAggregateLaws:
             want = oracles.type_sequence_sets(members, S.conductor)
             assert list(type_sequence(S).values) == want, S.encode()
 
+    @pytest.mark.parametrize(
+        "gens", [(16, 21, 26, 31), (17, 23, 29), (21, 25, 29, 33)]
+    )
+    def test_matches_set_oracle_on_wide_windows(self, gens):
+        # Conductors 140-216: colon windows span several machine words.
+        S = from_generators(gens)
+        assert 100 <= S.conductor <= 300
+        members = oracles.semigroup_set(S, 2 * S.conductor + 4)
+        want = oracles.type_sequence_sets(members, S.conductor)
+        assert list(type_sequence(S).values) == want
+
+    def test_two_generator_wide_window_is_all_ones(self):
+        # <40, 41> is symmetric with conductor 39 * 40 = 1560.
+        S = from_generators((40, 41))
+        assert S.conductor == 1560
+        assert type_sequence(S).values == (1,) * 780
+
     def test_all_ones_iff_gorenstein(self):
         for S in semigroups_up_to(7):
             all_ones = set(type_sequence(S).values) <= {1}
