@@ -12,6 +12,16 @@ depth-first walk over the members of S in [1, c_E) in which including x
 forces every x + s that lands below c_E, and c_E - 1 is never allowed in
 (that keeps the stored conductor tight, so each ideal appears once).
 
+The pairs and equivalences groups, and the negative-a search, read one
+``IdealTable`` per semigroup, built right after the ideals are
+enumerated.  Its rows hold the membership bits of I, I* and I** on one
+absolute window: bit k is the integer k - offset, and offset and top are
+both c + window + 1, where c is S's conductor.  Every ideal here is proper
+and integral with conductor at most c + window, so I* starts no lower
+than -(c + window) and I, I*, I** are all full from c + window on; a
+subset test is then one AND and a length one popcount difference, and
+a and b come from the popcounts.
+
 ``verify_theorems`` runs named groups of checks over every enumerated
 semigroup (and ideal family); violations are collected, never raised, so
 a census documents exactly which identities hold on which range.
@@ -46,7 +56,6 @@ from .ideals import (
     canonical_ideal,
     colon,
     dedekind_different,
-    dual,
     ideal_intersection,
     ideal_product,
     ideal_union,
@@ -56,6 +65,7 @@ from .ideals import (
 )
 from .invariants import (
     Check,
+    IdealTable,
     _eq,
     _le,
     _tail_members_ideal,
@@ -429,37 +439,32 @@ def _semigroup_group(S: NumericalSemigroup) -> list[Check]:
 
 def _pairs_group(
     S: NumericalSemigroup,
-    ideals: list[RelativeIdeal],
+    table: IdealTable,
     sample_limit: int,
 ) -> list[Check]:
     r = S.type
+    rows = table.rows
     pairs = []
-    if len(ideals) <= sample_limit:
-        pairs = [
-            (I, J)
-            for i, I in enumerate(ideals)
-            for J in ideals[i + 1 :]
-        ]
+    if len(rows) <= sample_limit:
+        pairs = [(X, Y) for i, X in enumerate(rows) for Y in rows[i + 1 :]]
     else:
         rng = random.Random("pairs:" + S.encode())
         for _ in range(sample_limit):
-            pairs.append(tuple(rng.sample(ideals, 2)))
+            pairs.append(tuple(rng.sample(rows, 2)))
     checks: list[Check] = []
     for X, Y in pairs:
-        if Y.is_subset_of(X):
+        if Y.bits & ~X.bits == 0:
             big, small = X, Y
-        elif X.is_subset_of(Y):
+        elif X.bits & ~Y.bits == 0:
             big, small = Y, X
         else:
             continue
-        gap = length_between(big, small)
-        growth = length_between(dual(small), dual(big))
-        a_big, b_big = ab_invariants(S, big)
-        a_small, b_small = ab_invariants(S, small)
+        gap = big.length - small.length
+        growth = small.dual_length - big.dual_length
         checks.append(_le("pair_dual_growth_bound", growth, r * gap))
-        checks.append(_le("pair_b_antitone", b_big, b_small))
-        checks.append(_le("pair_a_upper", a_small, a_big + (r - 1) * gap))
-        checks.append(_le("pair_a_lower", a_big - gap, a_small))
+        checks.append(_le("pair_b_antitone", big.b, small.b))
+        checks.append(_le("pair_a_upper", small.a, big.a + (r - 1) * gap))
+        checks.append(_le("pair_a_lower", big.a - gap, small.a))
     return checks
 
 
@@ -559,6 +564,9 @@ def _run_semigroup(
         g in groups for g in ("ideals", "pairs", "colon_growth", "equivalences")
     )
     ideals = enumerate_ideals(S, window) if need_ideals else []
+    table = None
+    if "pairs" in groups or "equivalences" in groups:
+        table = IdealTable(S, ideals)
     tag = None
     if "semigroup" in groups:
         col.add(enc, "", _semigroup_group(S))
@@ -567,11 +575,11 @@ def _run_semigroup(
             report = decomposition_check(S, E)
             col.add(enc, E.encode(), report.checks)
     if "pairs" in groups:
-        col.add(enc, "", _pairs_group(S, ideals, sample_limit))
+        col.add(enc, "", _pairs_group(S, table, sample_limit))
     if "colon_growth" in groups:
         col.add(enc, "", _colon_growth_group(S, ideals, sample_limit))
     if "equivalences" in groups:
-        col.add(enc, "", ring_classification(S, window, ideals).checks)
+        col.add(enc, "", ring_classification(S, window, table).checks)
     if "overrings" in groups:
         for T in oversemigroups(S):
             if T == S:
@@ -743,10 +751,10 @@ def search_negative_a(query: CensusQuery) -> SearchReport:
         if not _filtered(S, query):
             continue
         report.semigroup_count += 1
-        for E in enumerate_ideals(S, query.window):
-            report.ideal_count += 1
-            a, _ = ab_invariants(S, E)
-            if a < 0:
-                report.examples.append((S.encode(), E.encode(), a))
+        table = IdealTable(S, enumerate_ideals(S, query.window))
+        report.ideal_count += len(table.rows)
+        for row in table.rows:
+            if row.a < 0:
+                report.examples.append((S.encode(), row.ideal.encode(), row.a))
     report.examples.sort()
     return report

@@ -25,19 +25,17 @@ from .ideals import (
     bidual,
     canonical_ideal,
     colon,
-    dual,
     ideal_intersection,
     ideal_product,
     ideal_union,
     is_principal,
-    is_reflexive,
     length_between,
     maximal_ideal,
     principal_ideal,
     tail_ideal,
     unit_ideal,
 )
-from .invariants import Check, _eq, _ge, _le, ab_invariants, type_sequence
+from .invariants import Check, IdealTable, _eq, _ge, _le, type_sequence
 from .semigroup import NumericalSemigroup, from_small_elements
 
 
@@ -72,12 +70,14 @@ def _bool_eq(cid: str, lhs: bool, rhs: bool) -> Check:
 def ring_classification(
     S: NumericalSemigroup,
     window: int = 2,
-    ideals: list[RelativeIdeal] | None = None,
+    ideals: list[RelativeIdeal] | IdealTable | None = None,
 ) -> RingClassification:
     """Classify S and verify the duality equivalences over an ideal family.
 
     The family defaults to every proper integral ideal whose conductor is
-    within ``window`` of the conductor of S.  Quantified conditions range
+    within ``window`` of the conductor of S; a list of ideals is turned
+    into an ``IdealTable``, on which every ideal-family condition except
+    the canonical product is evaluated.  Quantified conditions range
     over the non-principal members: translates of S satisfy none of the
     canonical-module identities except in the trivial direction, and the
     equivalence genuinely fails if they are included.
@@ -85,7 +85,8 @@ def ring_classification(
     if ideals is None:
         from .census import enumerate_ideals
 
-        ideals = list(enumerate_ideals(S, window))
+        ideals = enumerate_ideals(S, window)
+    table = ideals if isinstance(ideals, IdealTable) else IdealTable(S, ideals)
     r = S.type
     delta = S.genus
     c = S.conductor
@@ -109,30 +110,29 @@ def ring_classification(
         _bool_eq("symmetric_iff_canonical_trivial", gor, K == unit),
     ]
 
-    non_principal = [I for I in ideals if not is_principal(I)]
-    reflexive_np = [I for I in non_principal if is_reflexive(I)]
+    non_principal = [
+        (I, bid)
+        for I, bid in zip(table.rows, table.biduals)
+        if not is_principal(I.ideal)
+    ]
+    reflexive_np = [I for I, bid in non_principal if bid == I.bits]
 
     cond_omega_bidual = all(
-        ideal_product(K, I) == bidual(I) for I in non_principal
+        ideal_product(K, I.ideal) == bidual(I.ideal) for I, _ in non_principal
     )
-    cond_length_sym = True
-    for I in reflexive_np:
-        for J in reflexive_np:
-            if J is not I and J.is_subset_of(I):
-                if length_between(I, J) != length_between(dual(J), dual(I)):
-                    cond_length_sym = False
-                    break
-        if not cond_length_sym:
-            break
+    cond_length_sym = all(
+        I.length - J.length == J.dual_length - I.dual_length
+        for I in reflexive_np
+        for J in reflexive_np
+        if J is not I and J.bits & ~I.bits == 0
+    )
     cond_tail_dual = all(
-        length_between(I, tail_ideal(S, I.conductor))
-        == length_between(tail_ideal(S, c - I.conductor), dual(I))
+        I.length - table.tail_length(I.ideal.conductor)
+        == table.tail_length(c - I.ideal.conductor) - I.dual_length
         for I in reflexive_np
     )
     cond_a_formula = all(
-        ab_invariants(S, I)[0]
-        == r - 1 - length_between(bidual(I), I)
-        for I in non_principal
+        I.a == r - 1 - (bid.bit_count() - I.length) for I, bid in non_principal
     )
 
     for cid, cond in (
@@ -146,11 +146,10 @@ def ring_classification(
         checks.append(_bool_eq(cid, cond, ag_numeric))
 
     # Maximal length happens exactly when b dies on every ideal above the tail.
-    family_above_tail = [I for I in ideals if I.conductor == c]
-    ml_by_b = all(ab_invariants(S, I)[1] == 0 for I in family_above_tail)
+    ml_by_b = all(I.b == 0 for I in table.rows if I.ideal.conductor == c)
     checks.append(_bool_eq("maximal_length_iff_b_dies_above_tail", ml_by_b, ml_numeric))
     # Symmetric rings are exactly those with a = 0 everywhere.
-    a_everywhere_zero = all(ab_invariants(S, I)[0] == 0 for I in ideals)
+    a_everywhere_zero = all(I.a == 0 for I in table.rows)
     checks.append(_bool_eq("symmetric_iff_a_vanishes", a_everywhere_zero, gor))
 
     return RingClassification(

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -383,7 +384,9 @@ def _add_range_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--allow-large", action="store_true")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="typeseq",
         description="Type sequences and duality invariants of numerical semigroups.",

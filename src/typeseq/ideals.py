@@ -113,6 +113,11 @@ class RelativeIdeal:
             members = [int(t) for t in parts[1].split(",") if t != ""]
         except ValueError as exc:
             raise EncodingError(f"bad ideal encoding: {text!r}") from exc
+        # min + S lies inside the ideal, so its window is at most S's conductor.
+        if not 0 <= cond - mn <= parent.conductor:
+            raise EncodingError(
+                f"window [{mn}, {cond}) does not fit conductor {parent.conductor}"
+            )
         bits = 0
         for x in members:
             if x < mn or x >= cond:

@@ -27,7 +27,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .errors import InternalInconsistency, InvalidInput, NotOversemigroup
+from .errors import (
+    InternalInconsistency,
+    InvalidInput,
+    NotOversemigroup,
+    ParentMismatch,
+)
 from .ideals import (
     RelativeIdeal,
     bidual,
@@ -164,6 +169,67 @@ def ab_invariants(S: NumericalSemigroup, I: RelativeIdeal) -> tuple[int, int]:
     l_dual = length_between(dual(I), unit)
     l_quot = length_between(unit, I)
     return (l_dual - l_quot, S.type * l_quot - l_dual)
+
+
+class IdealRow:
+    """One ideal of an ``IdealTable``: I and I* as window bits, counts, a, b."""
+
+    __slots__ = ("ideal", "bits", "dual", "length", "dual_length", "a", "b")
+
+    def __init__(
+        self, ideal: RelativeIdeal, bits: int, dual: int, unit_length: int, r: int
+    ):
+        self.ideal = ideal
+        self.bits = bits
+        self.dual = dual
+        self.length = bits.bit_count()
+        self.dual_length = dual.bit_count()
+        l_quot = unit_length - self.length
+        l_dual = self.dual_length - unit_length
+        self.a = l_dual - l_quot
+        self.b = r * l_quot - l_dual
+
+
+class IdealTable:
+    """Proper integral ideals of S as membership bits on one absolute window.
+
+    Bit k of a row stands for the integer k - offset, for k below
+    offset + top, and every integer >= top is a member.  With both set to
+    one past the largest conductor of S and the ideals, the window covers
+    I, I* and I**: I <= I** <= S, I* contains S (so its conductor is at
+    most S's) and every z in I* has z + min(I) >= 0.  On this layout E is
+    inside F exactly when ``E & ~F == 0``, and l(F/E) is then the
+    difference of the popcounts.  Building the table computes each dual
+    once, through the ``dual`` cache; biduals are read on first use.
+    """
+
+    def __init__(self, S: NumericalSemigroup, ideals):
+        self.top = max([S.conductor] + [E.conductor for E in ideals]) + 1
+        self.offset = self.top
+        unit_length = self.bits_of(unit_ideal(S)).bit_count()
+        self.rows: list[IdealRow] = []
+        for E in ideals:
+            if E.parent != S:
+                raise ParentMismatch("the ideal belongs to another semigroup")
+            require_proper(E)
+            self.rows.append(
+                IdealRow(
+                    E, self.bits_of(E), self.bits_of(dual(E)), unit_length, S.type
+                )
+            )
+
+    def bits_of(self, E: RelativeIdeal) -> int:
+        """E's members below top, placed on the absolute window."""
+        return E.bits_below(self.top) << (E.min_element + self.offset)
+
+    def tail_length(self, start: int) -> int:
+        """Window members of the tail from ``start``."""
+        return self.top - start
+
+    @functools.cached_property
+    def biduals(self) -> tuple[int, ...]:
+        """I** bits of each row, in row order."""
+        return tuple(self.bits_of(bidual(row.ideal)) for row in self.rows)
 
 
 def gamma_invariants(S: NumericalSemigroup) -> tuple[int, int]:

@@ -203,6 +203,8 @@ class NumericalSemigroup:
     # -- value identity --------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, NumericalSemigroup):
             return NotImplemented
         return self.conductor == other.conductor and self.mask == other.mask

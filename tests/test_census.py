@@ -20,6 +20,131 @@ from typeseq import (
 
 GENUS_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 7, 5: 12, 6: 23, 7: 39, 8: 67}
 
+# Check tallies of CensusQuery(max_genus=7, window=2, checks=(group,)),
+# one group at a time, so a regression names the group that moved.
+GROUP_TALLIES_GENUS_7 = {
+    "semigroup": {
+        "sg_arf_chain_b": 90,
+        "sg_arf_dual_length": 90,
+        "sg_chain_a_partial": 346,
+        "sg_chain_b_partial": 346,
+        "sg_different_member_forces_one": 250,
+        "sg_different_shift_a_is_sigma": 314,
+        "sg_gorenstein_iff_type_one": 89,
+        "sg_tail_a_constant": 178,
+        "sg_tail_b_linear": 178,
+        "sg_ts_deficit_sum": 89,
+        "sg_ts_entries_in_range": 88,
+        "sg_ts_extension_ones": 89,
+        "sg_ts_first_is_type": 88,
+        "sg_ts_sum_is_genus": 89,
+        "sg_ts_two_paths": 346,
+        "sg_type_bound": 88,
+    },
+    "ideals": {
+        "a_at_most_tail_value": 1909,
+        "a_bidual_drop": 1909,
+        "a_bound_when_arf": 300,
+        "a_constant_when_ag_reflexive": 1202,
+        "a_from_type_sequence": 1909,
+        "a_lower_bound": 1909,
+        "a_lower_when_omega_stable": 1337,
+        "a_plus_b_split": 1909,
+        "a_upper_bound": 1909,
+        "a_via_omega_growth": 1909,
+        "a_zero_when_type_one": 741,
+        "b_at_least_reflexive_defect": 1909,
+        "b_from_type_sequence": 1909,
+        "b_lower_bound": 1909,
+        "b_nonnegative": 1909,
+        "b_upper_bound": 1909,
+        "b_vanishing_iff": 1909,
+        "d_bidual_invariant": 1909,
+        "d_inside_different": 1759,
+        "d_nonnegative": 1909,
+        "d_via_min_index": 1909,
+        "d_via_omega_product": 1909,
+        "d_window_lower": 1909,
+        "d_window_upper": 1909,
+        "d_zero_when_almost_gorenstein": 1515,
+        "d_zero_when_integrally_closed": 524,
+        "d_zero_when_omega_stable": 1337,
+        "dual_length_bound": 1909,
+        "marked_count_small": 1909,
+        "marked_count_window": 1909,
+        "marked_sum_lower": 1909,
+        "marked_sum_upper": 1909,
+        "omega_growth_lower": 1909,
+        "tail_length_bound": 1909,
+        "tail_length_equality_iff": 1909,
+        "unmarked_sum_split": 1909,
+    },
+    "pairs": {
+        "pair_a_lower": 11197,
+        "pair_a_upper": 11197,
+        "pair_b_antitone": 11197,
+        "pair_dual_growth_bound": 11197,
+    },
+    "colon_growth": {
+        "colon_growth_bound": 5132,
+    },
+    "equivalences": {
+        "almost_symmetric_product_vs_count": 89,
+        "almost_symmetric_type_seq_vs_count": 89,
+        "equiv_a_reflexive_defect": 89,
+        "equiv_canonical_stable_max_ideal": 89,
+        "equiv_length_symmetry": 89,
+        "equiv_omega_mult_is_bidual": 89,
+        "equiv_tail_dual_length": 89,
+        "equiv_type_seq_pattern": 89,
+        "maximal_length_iff_b_dies_above_tail": 89,
+        "maximal_length_type_seq_vs_count": 89,
+        "symmetric_iff_a_vanishes": 89,
+        "symmetric_iff_canonical_trivial": 89,
+    },
+    "overrings": {
+        "overring_length_bound": 1031,
+        "overring_length_by_min_index": 1031,
+        "overring_length_split": 1031,
+    },
+    "profile": {
+        "profile_b_lower_bound": 88,
+        "profile_b_split": 88,
+        "profile_b_split_upper": 88,
+        "profile_b_two_paths": 88,
+        "profile_e_minus_r_positive": 88,
+        "profile_gap_count_lower": 88,
+        "profile_gap_count_upper": 88,
+        "profile_late_count_is_quotient": 88,
+        "profile_late_count_is_socle": 88,
+        "profile_late_sum_bound": 88,
+        "profile_mid_b_bounds_type": 3,
+        "profile_mid_b_forces_quotient": 3,
+        "profile_p_lower": 88,
+        "profile_p_upper": 88,
+        "profile_quotient_at_least_e_minus_r": 88,
+        "profile_quotient_two_counts": 88,
+        "profile_quotient_window_q1": 13,
+        "profile_quotient_window_q2": 28,
+        "profile_small_b_forces_quotient": 13,
+        "profile_small_b_forces_type": 13,
+        "profile_socle_two_counts": 88,
+    },
+    "classification": {
+        "class_b_eq_r_family": 4,
+        "class_b_eq_rm1_unique_pattern": 12,
+        "class_b_lt_type_seq": 89,
+        "class_b_lt_value_set": 89,
+        "classify_conductor_value": 13,
+        "classify_last_entry": 13,
+        "classify_multiplicity_value": 2,
+        "classify_quotient_length": 29,
+        "classify_ts_pattern": 25,
+        "classify_type_value": 21,
+        "classify_value_pattern": 27,
+    },
+}
+
 
 class TestSemigroupEnumeration:
     def test_counts_by_genus(self):
@@ -161,6 +286,12 @@ class TestVerifyTheorems:
         assert json.dumps(data, sort_keys=True, indent=2) == text
         timed = json.loads(rep.to_json(include_timing=True))
         assert "wall_ms" in timed
+
+    @pytest.mark.parametrize("group", sorted(GROUP_TALLIES_GENUS_7))
+    def test_group_tallies_are_pinned(self, group):
+        rep = verify_theorems(CensusQuery(max_genus=7, window=2, checks=(group,)))
+        assert rep.violations == []
+        assert rep.check_tallies == GROUP_TALLIES_GENUS_7[group]
 
     def test_wall_time_recorded(self):
         rep = verify_theorems(CensusQuery(max_genus=3, window=1))

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from typeseq import InternalInconsistency, cli
+from typeseq import InternalInconsistency, cli, ideals
 
 
 def run(argv, capsys):
@@ -303,6 +303,31 @@ class TestErrorsAndExitCodes:
         code, out = run(["census", "--max-genus", "5"], capsys)
         assert code == 2
         assert json.loads(out)["error"]["code"] == "BoundTooLarge"
+
+
+    def test_ideal_window_is_bounded_before_allocating(self, capsys, monkeypatch):
+        def normalize(*args):
+            raise AssertionError("the window was allocated")
+
+        monkeypatch.setattr(ideals, "_normalized", normalize)
+        for text in ("1||100000000", "1||5", "5||3"):
+            code, out = run(["ideal", "--gens", "3,4,5", "--ideal", text], capsys)
+            assert code == 2, text
+            assert json.loads(out)["error"]["code"] == "EncodingError", text
+
+
+class TestParser:
+    def test_parser_is_built_once_and_keeps_no_state(self, capsys):
+        info = ["info", "--gens", "3,4,5", "--format", "json"]
+        cli.build_parser.cache_clear()
+        alone = run(info, capsys)
+        cli.build_parser.cache_clear()
+        census = ["census", "--max-genus", "3", "--window", "1", "--workers", "1"]
+        assert run(census + ["--format", "csv", "--gorenstein-only"], capsys)[0] == 0
+        assert run(info, capsys) == alone
+        # Neither --format csv nor --gorenstein-only carries over: 8 of genus <= 3.
+        assert run(census, capsys)[1].startswith("semigroups: 8\n")
+        assert cli.build_parser.cache_info().misses == 1
 
 
 class TestInstalledEntryPoint:

@@ -1,14 +1,18 @@
 """The a, b, d invariants, their decomposition, and overring lengths."""
 
+import itertools
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from conftest import negative_a_semigroup, semigroups_up_to, small_semigroup_st
 from typeseq import (
+    IdealTable,
     NotIntegralProper,
     NotOversemigroup,
     NumericalSemigroup,
+    ParentMismatch,
     RelativeIdeal,
     ab_invariants,
     b_of_tail,
@@ -21,6 +25,7 @@ from typeseq import (
     from_generators,
     gamma_invariants,
     ideal_from_generators,
+    is_reflexive,
     length_between,
     overring_check,
     oversemigroups,
@@ -180,3 +185,65 @@ class TestDomainErrors:
             d_invariant(S, ideal_from_generators(S, (-1,)))
         with pytest.raises(NotIntegralProper):
             decomposition_check(S, tail_ideal(S, 0))
+
+
+def _window_set(table, bits):
+    """The integers a table row stands for below the table's top."""
+    return {k - table.offset for k in range(bits.bit_length()) if bits >> k & 1}
+
+
+class TestIdealTable:
+    @given(small_semigroup_st(), st.integers(min_value=0, max_value=3))
+    @example(from_generators((1,)), 0)
+    @example(from_generators((1,)), 3)
+    @example(from_generators((3, 4, 5)), 2)
+    @settings(max_examples=30, deadline=None)
+    def test_matches_generic_operations_and_set_oracles(self, S, window):
+        table = IdealTable(S, enumerate_ideals(S, window))
+        # Every set below is read on [-margin, margin).
+        top, margin = table.top, 3 * table.top + 8
+        A = {x for x in oracles.semigroup_set(S, margin) if x < margin}
+        r = len(oracles.pseudo_frobenius(A, S.conductor))
+        tail = set(range(top, margin))
+        sets = {}
+        for row, bid in zip(table.rows, table.biduals):
+            E = row.ideal
+            I = {x for x in oracles.ideal_set(E, margin) if x < margin}
+            I_dual = oracles.colon_set(A, I, -margin, margin, margin)
+            I_bid = oracles.colon_set(A, I_dual, -margin, margin, margin)
+            # Each set is its window bits plus everything from top on.
+            for got, want in ((row.bits, I), (row.dual, I_dual), (bid, I_bid)):
+                assert _window_set(table, got) | tail == want, E.encode()
+            assert (bid == row.bits) == is_reflexive(E) == (I_bid == I)
+            assert (row.length, row.dual_length) == (
+                len(I - tail),
+                len(I_dual - tail),
+            )
+            l_quot = len(A - I)
+            l_dual = len(I_dual - A)
+            assert (row.a, row.b) == ab_invariants(S, E)
+            assert (row.a, row.b) == (l_dual - l_quot, r * l_quot - l_dual)
+            sets[row] = I, I_dual
+        for X, Y in itertools.permutations(table.rows, 2):
+            (X_set, X_dual), (Y_set, Y_dual) = sets[X], sets[Y]
+            inside = X.bits & ~Y.bits == 0
+            assert inside == X.ideal.is_subset_of(Y.ideal) == (X_set <= Y_set)
+            assert (Y.dual & ~X.dual == 0) == (Y_dual <= X_dual)
+            if inside:
+                assert (
+                    Y.length - X.length
+                    == length_between(Y.ideal, X.ideal)
+                    == len(Y_set - X_set)
+                )
+                assert (
+                    X.dual_length - Y.dual_length
+                    == length_between(dual(X.ideal), dual(Y.ideal))
+                    == len(X_dual - Y_dual)
+                )
+
+    def test_rejects_ideals_it_cannot_hold(self):
+        S = from_generators((3, 4, 5))
+        with pytest.raises(NotIntegralProper):
+            IdealTable(S, [unit_ideal(S)])
+        with pytest.raises(ParentMismatch):
+            IdealTable(S, [tail_ideal(from_generators((2, 3)), 3)])
