@@ -12,15 +12,17 @@ depth-first walk over the members of S in [1, c_E) in which including x
 forces every x + s that lands below c_E, and c_E - 1 is never allowed in
 (that keeps the stored conductor tight, so each ideal appears once).
 
-The pairs and equivalences groups, and the negative-a search, read one
-``IdealTable`` per semigroup, built right after the ideals are
-enumerated.  Its rows hold the membership bits of I, I* and I** on one
-absolute window: bit k is the integer k - offset, and offset and top are
-both c + window + 1, where c is S's conductor.  Every ideal here is proper
-and integral with conductor at most c + window, so I* starts no lower
-than -(c + window) and I, I*, I** are all full from c + window on; a
-subset test is then one AND and a length one popcount difference, and
-a and b come from the popcounts.
+The ideals, pairs and equivalences groups, and the negative-a search,
+read one ``IdealTable`` per semigroup, built whenever the ideals are
+enumerated; each row is the one record of its ideal's invariants, and
+the ideals group hands each row to ``decomposition_check``.  The rows hold
+membership bits of I, I*, I** and K.I on one absolute window: bit k is
+the integer k - offset, and offset and top are both c + window + 1, where
+c is S's conductor.  Every ideal here is proper and integral with
+conductor at most c + window, so I* starts no lower than -(c + window)
+and every set a row reads is full from c + window on; a subset test is
+then one AND and a length one popcount difference.  The overrings group
+reads the one-row table of each conductor ideal S - T.
 
 ``verify_theorems`` runs named groups of checks over every enumerated
 semigroup (and ideal family); violations are collected, never raised, so
@@ -564,16 +566,14 @@ def _run_semigroup(
         g in groups for g in ("ideals", "pairs", "colon_growth", "equivalences")
     )
     ideals = enumerate_ideals(S, window) if need_ideals else []
-    table = None
-    if "pairs" in groups or "equivalences" in groups:
-        table = IdealTable(S, ideals)
+    table = IdealTable(S, ideals) if need_ideals else None
     tag = None
     if "semigroup" in groups:
         col.add(enc, "", _semigroup_group(S))
     if "ideals" in groups:
-        for E in ideals:
-            report = decomposition_check(S, E)
-            col.add(enc, E.encode(), report.checks)
+        for row in table.rows:
+            report = decomposition_check(S, row)
+            col.add(enc, report.ideal, report.checks)
     if "pairs" in groups:
         col.add(enc, "", _pairs_group(S, table, sample_limit))
     if "colon_growth" in groups:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from .errors import DegenerateDVR
 from .ideals import (
     RelativeIdeal,
-    bidual,
     canonical_ideal,
     colon,
     ideal_intersection,
@@ -76,11 +75,11 @@ def ring_classification(
 
     The family defaults to every proper integral ideal whose conductor is
     within ``window`` of the conductor of S; a list of ideals is turned
-    into an ``IdealTable``, on which every ideal-family condition except
-    the canonical product is evaluated.  Quantified conditions range
-    over the non-principal members: translates of S satisfy none of the
-    canonical-module identities except in the trivial direction, and the
-    equivalence genuinely fails if they are included.
+    into an ``IdealTable``, on whose rows every ideal-family condition
+    is evaluated.  Quantified conditions range over the non-principal
+    members: translates of S satisfy none of the canonical-module
+    identities except in the trivial direction, and the equivalence
+    genuinely fails if they are included.
     """
     if ideals is None:
         from .census import enumerate_ideals
@@ -110,16 +109,10 @@ def ring_classification(
         _bool_eq("symmetric_iff_canonical_trivial", gor, K == unit),
     ]
 
-    non_principal = [
-        (I, bid)
-        for I, bid in zip(table.rows, table.biduals)
-        if not is_principal(I.ideal)
-    ]
-    reflexive_np = [I for I, bid in non_principal if bid == I.bits]
+    non_principal = [I for I in table.rows if not is_principal(I.ideal)]
+    reflexive_np = [I for I in non_principal if I.bidual == I.bits]
 
-    cond_omega_bidual = all(
-        ideal_product(K, I.ideal) == bidual(I.ideal) for I, _ in non_principal
-    )
+    cond_omega_bidual = all(I.omega == I.bidual for I in non_principal)
     cond_length_sym = all(
         I.length - J.length == J.dual_length - I.dual_length
         for I in reflexive_np
@@ -131,9 +124,7 @@ def ring_classification(
         == table.tail_length(c - I.ideal.conductor) - I.dual_length
         for I in reflexive_np
     )
-    cond_a_formula = all(
-        I.a == r - 1 - (bid.bit_count() - I.length) for I, bid in non_principal
-    )
+    cond_a_formula = all(I.a == r - 1 - I.bidual_drop for I in non_principal)
 
     for cid, cond in (
         ("equiv_type_seq_pattern", ag_ts),

@@ -145,6 +145,8 @@ def _cmd_info(args) -> dict:
 def _cmd_ideal(args) -> dict:
     S = _semigroup_from_args(args)
     I = _ideal_from_arg(S, args.ideal)
+    # The invariants run Python loops over [1, c_I] on c_I-bit windows.
+    _guard_conductor(I.conductor, args)
     report = decomposition_check(S, I)
     payload = _report_payload(
         S,
@@ -201,9 +203,13 @@ def _cmd_census(args) -> dict:
 
 def _cmd_classify(args) -> dict:
     if args.max_conductor is not None:
+        if any(x is not None for x in (args.gens, args.elements, args.conductor)):
+            raise InvalidInput("--max-conductor conflicts with a semigroup")
         return classification_census(
             args.max_conductor, workers=args.workers, allow_large=args.allow_large
         ).to_dict()
+    if args.workers != 1:
+        raise InvalidInput("--workers needs --max-conductor")
     S = _semigroup_from_args(args)
     outcome = classify_b(S)
     return {

@@ -168,11 +168,10 @@ def _normalized(
 
     Callers guarantee every integer >= hi is a member and none below lo is.
     """
-    width = hi - lo
-    bits &= _ones(width)
-    k = width
-    while k > 0 and (bits >> (k - 1)) & 1:
-        k -= 1
+    full = _ones(hi - lo)
+    bits &= full
+    # One past the highest non-member below hi.
+    k = (bits ^ full).bit_length()
     cond = lo + k
     win = bits & _ones(k)
     if win:

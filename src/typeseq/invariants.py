@@ -20,11 +20,19 @@ and ``decomposition_check`` re-derives a and b from the type sequence
 through the marked-index bookkeeping, together with every bound and
 identity the theory provides, reporting each as a named check with both
 sides evaluated.
+
+The row of an ``IdealTable`` is the one record of these per-ideal
+quantities: a and b, the lengths, I**, K.I, the marks and d are computed
+there and nowhere else.  ``ab_invariants``, ``d_invariant``,
+``decomposition_check`` and ``overring_check`` read the row of a one-row
+table built for their ideal; the census builds one table per semigroup
+and hands its rows to the ideals, pairs and equivalences groups.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -40,7 +48,6 @@ from .ideals import (
     dedekind_different,
     dual,
     ideal_product,
-    ideal_union,
     is_integrally_closed,
     is_principal,
     length_between,
@@ -48,7 +55,7 @@ from .ideals import (
     tail_ideal,
     unit_ideal,
 )
-from .semigroup import NumericalSemigroup, is_arf
+from .semigroup import NumericalSemigroup, _ones, is_arf
 
 
 @dataclass(frozen=True)
@@ -100,8 +107,6 @@ def _tail_members_ideal(S: NumericalSemigroup, s: int) -> RelativeIdeal:
     """R_i = members of S at or above the member s."""
     if s >= S.conductor:
         return tail_ideal(S, s)
-    from .semigroup import _ones
-
     return RelativeIdeal(S, s, S.conductor, (S.mask >> s) & _ones(S.conductor - s))
 
 
@@ -163,31 +168,82 @@ def extended_type_sequence(S: NumericalSemigroup, m: int) -> tuple[int, ...]:
 
 
 def ab_invariants(S: NumericalSemigroup, I: RelativeIdeal) -> tuple[int, int]:
-    """(a, b) for a proper integral ideal I."""
-    require_proper(I)
-    unit = unit_ideal(S)
-    l_dual = length_between(dual(I), unit)
-    l_quot = length_between(unit, I)
-    return (l_dual - l_quot, S.type * l_quot - l_dual)
+    """(a, b) for a proper integral ideal I, read from its ``IdealTable`` row."""
+    row = IdealTable(S, [I]).rows[0]
+    return row.a, row.b
 
 
 class IdealRow:
-    """One ideal of an ``IdealTable``: I and I* as window bits, counts, a, b."""
+    """One ideal of an ``IdealTable``: the one record of its invariants.
 
-    __slots__ = ("ideal", "bits", "dual", "length", "dual_length", "a", "b")
+    I and I* (``bits``, ``dual``) with their popcounts, l(S/I), l(I*/S),
+    a and b are set when the row is built.  I**, K.I, the unmarked
+    indices and d, which only the decomposition and some equivalences
+    read, are computed on first use.
+    """
 
-    def __init__(
-        self, ideal: RelativeIdeal, bits: int, dual: int, unit_length: int, r: int
-    ):
+    def __init__(self, table: IdealTable, ideal: RelativeIdeal):
+        self.table = table
         self.ideal = ideal
-        self.bits = bits
-        self.dual = dual
-        self.length = bits.bit_count()
-        self.dual_length = dual.bit_count()
-        l_quot = unit_length - self.length
-        l_dual = self.dual_length - unit_length
-        self.a = l_dual - l_quot
-        self.b = r * l_quot - l_dual
+        self.bits = table.bits_of(ideal)
+        self.dual = table.bits_of(dual(ideal))
+        self.length = self.bits.bit_count()
+        self.dual_length = self.dual.bit_count()
+        self.l_quotient = table.unit_length - self.length
+        self.l_dual = self.dual_length - table.unit_length
+        self.a = self.l_dual - self.l_quotient
+        self.b = table.S.type * self.l_quotient - self.l_dual
+
+    @functools.cached_property
+    def bidual(self) -> int:
+        """I** bits."""
+        return self.table.bits_of(bidual(self.ideal))
+
+    @functools.cached_property
+    def bidual_drop(self) -> int:
+        """l(I**/I)."""
+        return self.bidual.bit_count() - self.length
+
+    @functools.cached_property
+    def omega(self) -> int:
+        """K.I bits, the product with the canonical ideal."""
+        K = canonical_ideal(self.table.S)
+        return self.table.bits_of(ideal_product(K, self.ideal))
+
+    @functools.cached_property
+    def unmarked(self) -> tuple[int, ...]:
+        """The h in [1, n_I] with s_{h-1} outside I**; the others are marked."""
+        S = self.table.S
+        # Character x is 1 when x is in I**: one conversion, not a shift per h.
+        flags = format(self.bidual >> self.table.offset, "b")[::-1]
+        return tuple(
+            h
+            for h in range(1, self.ideal.conductor - S.genus + 1)
+            if flags[S.small_element(h - 1)] == "0"
+        )
+
+    @functools.cached_property
+    def unmarked_sum(self) -> int:
+        r = self.table.r_values
+        return sum(r[h] for h in self.unmarked)
+
+    def marked_sum(self, m: int) -> int:
+        """Sum of r_h over the marked h <= m, for m <= n_I."""
+        r = self.table.r_values
+        return self.table.prefix[m] - sum(r[h] for h in self.unmarked if h <= m)
+
+    def d_for(self, conductor: int) -> int:
+        """d of I or of I**, which share I* and the marks, by conductor."""
+        S = self.table.S
+        return (
+            self.table.tail_length(S.conductor - conductor)
+            - self.dual_length
+            - self.marked_sum(conductor - S.genus)
+        )
+
+    @functools.cached_property
+    def d(self) -> int:
+        return self.d_for(self.ideal.conductor)
 
 
 class IdealTable:
@@ -195,28 +251,30 @@ class IdealTable:
 
     Bit k of a row stands for the integer k - offset, for k below
     offset + top, and every integer >= top is a member.  With both set to
-    one past the largest conductor of S and the ideals, the window covers
-    I, I* and I**: I <= I** <= S, I* contains S (so its conductor is at
-    most S's) and every z in I* has z + min(I) >= 0.  On this layout E is
-    inside F exactly when ``E & ~F == 0``, and l(F/E) is then the
-    difference of the popcounts.  Building the table computes each dual
-    once, through the ``dual`` cache; biduals are read on first use.
+    one past the largest conductor of S and the ideals, the window holds
+    every set a row or the decomposition reads: I <= I** <= S and
+    I <= K.I (minimum min(I), conductor at most c_I); I*, S and the
+    different theta = S - K (each contains S or its tail, so has
+    conductor at most S's; z in I* has z + min(I) >= 0, and theta is
+    inside S); the chain duals S - R_i for s_i <= min(I) (they contain S
+    and start at -s_i or above); and the tail from any t >= -offset, whose
+    window bits are ``tail_mask(t)``.  On this layout E is inside F
+    exactly when ``E & ~F == 0``, and l(F/E) is then the difference of
+    the popcounts.  Building the table computes each dual once, through
+    the ``dual`` cache; everything else is computed on first use.
     """
 
     def __init__(self, S: NumericalSemigroup, ideals):
+        self.S = S
         self.top = max([S.conductor] + [E.conductor for E in ideals]) + 1
         self.offset = self.top
-        unit_length = self.bits_of(unit_ideal(S)).bit_count()
+        self.unit_length = self.bits_of(unit_ideal(S)).bit_count()
         self.rows: list[IdealRow] = []
         for E in ideals:
             if E.parent != S:
                 raise ParentMismatch("the ideal belongs to another semigroup")
             require_proper(E)
-            self.rows.append(
-                IdealRow(
-                    E, self.bits_of(E), self.bits_of(dual(E)), unit_length, S.type
-                )
-            )
+            self.rows.append(IdealRow(self, E))
 
     def bits_of(self, E: RelativeIdeal) -> int:
         """E's members below top, placed on the absolute window."""
@@ -226,10 +284,29 @@ class IdealTable:
         """Window members of the tail from ``start``."""
         return self.top - start
 
+    def tail_mask(self, start: int) -> int:
+        """Window bits of the tail from ``start``."""
+        return _ones(self.top - start) << (start + self.offset)
+
+    def chain_dual(self, i: int) -> int:
+        """S - R_i bits (R_i: the members of S from s_i on)."""
+        return self.bits_of(_chain_dual(self.S, i))
+
     @functools.cached_property
-    def biduals(self) -> tuple[int, ...]:
-        """I** bits of each row, in row order."""
-        return tuple(self.bits_of(bidual(row.ideal)) for row in self.rows)
+    def theta(self) -> int:
+        """Bits of the different S - K."""
+        return self.bits_of(dedekind_different(self.S))
+
+    @functools.cached_property
+    def r_values(self) -> tuple[int, ...]:
+        """(0, r_1, r_2, ...), extended by 1 to every index below top - genus."""
+        S = self.S
+        return (0,) + type_sequence(S).values + (1,) * (self.top - S.conductor)
+
+    @functools.cached_property
+    def prefix(self) -> tuple[int, ...]:
+        """prefix[h] = r_1 + ... + r_h."""
+        return tuple(itertools.accumulate(self.r_values))
 
 
 def gamma_invariants(S: NumericalSemigroup) -> tuple[int, int]:
@@ -247,70 +324,9 @@ def sigma(S: NumericalSemigroup) -> int:
     return (2 * S.genus - S.conductor) - length_between(unit_ideal(S), theta)
 
 
-class _IdealContext:
-    """Shared intermediate data for the invariant computations on (S, I)."""
-
-    def __init__(self, S: NumericalSemigroup, I: RelativeIdeal):
-        require_proper(I)
-        self.S = S
-        self.I = I
-        self.unit = unit_ideal(S)
-        self.r = S.type
-        self.delta = S.genus
-        self.c = S.conductor
-        self.n = S.n
-        self.c_i = I.conductor
-        self.n_i = self.c_i - self.delta
-        self.ts = type_sequence(S)
-        self.K = canonical_ideal(S)
-        self.theta = dedekind_different(S)
-        self.i_star = dual(I)
-        self.i_bid = bidual(I)
-        self.omega_i = ideal_product(self.K, I)
-        self.gamma_i = tail_ideal(S, self.c_i)
-        self.colon_gamma = tail_ideal(S, self.c - self.c_i)
-        self.unmarked = tuple(
-            h
-            for h in range(1, self.n_i + 1)
-            if S.small_element(h - 1) not in self.i_bid
-        )
-        unmarked = set(self.unmarked)
-        self.marked_below = tuple(
-            h for h in range(1, self.n_i + 1) if h not in unmarked
-        )
-        self.l_quot = length_between(self.unit, I)
-        self.l_dual = length_between(self.i_star, self.unit)
-        self.l_bid = length_between(self.i_bid, I)
-        self.a = self.l_dual - self.l_quot
-        self.b = self.r * self.l_quot - self.l_dual
-        self.i0 = S.small_index(I.min_element)
-        self.d = length_between(self.colon_gamma, self.i_star) - self.sum_r(
-            self.marked_below
-        )
-
-    def r_of(self, h: int) -> int:
-        return self.ts.r(h)
-
-    def sum_r(self, indices) -> int:
-        return sum(self.ts.r(h) for h in indices)
-
-    def d_of_bidual(self) -> int:
-        """d recomputed for I**, whose own bidual and dual are already known."""
-        c_b = self.i_bid.conductor
-        n_b = c_b - self.delta
-        marked = [
-            h
-            for h in range(1, n_b + 1)
-            if self.S.small_element(h - 1) in self.i_bid
-        ]
-        return length_between(
-            tail_ideal(self.S, self.c - c_b), self.i_star
-        ) - self.sum_r(marked)
-
-
 def d_invariant(S: NumericalSemigroup, I: RelativeIdeal) -> int:
-    """d(I) for a proper integral ideal I."""
-    return _IdealContext(S, I).d
+    """d(I) for a proper integral ideal I, read from its ``IdealTable`` row."""
+    return IdealTable(S, [I]).rows[0].d
 
 
 @dataclass(frozen=True)
@@ -340,83 +356,83 @@ class IdealInvariantReport:
 
 
 def decomposition_check(
-    S: NumericalSemigroup, I: RelativeIdeal
+    S: NumericalSemigroup, I: RelativeIdeal | IdealRow
 ) -> IdealInvariantReport:
     """Evaluate every decomposition identity and bound for (S, I).
 
-    Conditional statements (those whose hypothesis is a property of S or I)
-    are included only when the hypothesis holds, so tallies count genuine
-    instances.
+    I is a proper integral ideal of S or a row of an ``IdealTable`` of S,
+    as the census passes them.  Conditional statements (those whose
+    hypothesis is a property of S or I) are included only when the
+    hypothesis holds, so tallies count genuine instances.
     """
-    ctx = _IdealContext(S, I)
-    ts, r, n, n_i = ctx.ts, ctx.r, ctx.n, ctx.n_i
+    if isinstance(I, IdealRow):
+        row = I
+        if row.table.S != S:
+            raise ParentMismatch("the row belongs to another semigroup")
+    else:
+        row = IdealTable(S, [I]).rows[0]
+    table = row.table
+    I = row.ideal
+    r, delta, c, n = S.type, S.genus, S.conductor, S.n
+    c_i = I.conductor
+    n_i = c_i - delta
+    rs = table.r_values
     checks: list[Check] = []
 
-    unmarked = ctx.unmarked
-    marked = ctx.marked_below
-    sum_unmarked = ctx.sum_r(unmarked)
-    sum_marked = ctx.sum_r(marked)
-    excess_unmarked = sum(ctx.r_of(h) - 1 for h in unmarked)
-    defect_unmarked = sum(r - ctx.r_of(h) for h in unmarked)
-    d = ctx.d
-    l_bid = ctx.l_bid
-    l_tail_dual = length_between(ctx.colon_gamma, ctx.i_star)
-    l_bid_gamma = length_between(ctx.i_bid, ctx.gamma_i)
-    l_omega_growth = length_between(ctx.omega_i, I)
-    refl = ctx.i_bid == I
+    unmarked = row.unmarked
+    sum_unmarked = row.unmarked_sum
+    sum_marked = row.marked_sum(n_i)
+    # r_h = 1 beyond n, so these sums over all h equal those over h <= n.
+    excess_unmarked = sum_unmarked - len(unmarked)
+    excess_marked = sum_marked - (n_i - len(unmarked))
+    defect_unmarked = r * len(unmarked) - sum_unmarked
+    a, b, d = row.a, row.b, row.d
+    l_quot = row.l_quotient
+    l_bid = row.bidual_drop
+    bid_length = row.bidual.bit_count()
+    omega_length = row.omega.bit_count()
+    l_unit_bid = table.unit_length - bid_length
+    l_tail_dual = table.tail_length(c - c_i) - row.dual_length
+    l_bid_gamma = bid_length - table.tail_length(c_i)
+    l_omega_growth = omega_length - row.length
+    refl = row.bidual == row.bits
     closed = is_integrally_closed(I)
-    stable = ctx.omega_i == I
+    stable = row.omega == row.bits
     # Translates of S stand in for the ring itself, whose d depends on
     # the embedding; statements about almost-symmetric parents quantify
     # over the non-trivial ideals only.
     principal = is_principal(I)
+    i0 = S.small_index(I.min_element)
 
     # The two headline decompositions.
+    checks.append(_eq("a_from_type_sequence", a, excess_unmarked - l_bid - d))
     checks.append(
-        _eq("a_from_type_sequence", ctx.a, excess_unmarked - l_bid - d)
+        _eq("b_from_type_sequence", b, defect_unmarked + r * l_bid + d)
     )
-    checks.append(
-        _eq("b_from_type_sequence", ctx.b, defect_unmarked + r * l_bid + d)
-    )
-    checks.append(_eq("a_plus_b_split", ctx.a + ctx.b, (r - 1) * ctx.l_quot))
-    checks.append(_ge("b_nonnegative", ctx.b, 0))
+    checks.append(_eq("a_plus_b_split", a + b, (r - 1) * l_quot))
+    checks.append(_ge("b_nonnegative", b, 0))
 
     # a against the canonical growth and the tail value.
-    a_gamma = 2 * ctx.delta - ctx.c
+    a_gamma = 2 * delta - c
     almost_gorenstein = r - 1 == a_gamma
-    checks.append(_le("a_at_most_tail_value", ctx.a, a_gamma))
-    checks.append(_eq("a_via_omega_growth", ctx.a, a_gamma - l_omega_growth))
-    a_bid = ctx.l_dual - length_between(ctx.unit, ctx.i_bid)
-    checks.append(_eq("a_bidual_drop", ctx.a, a_bid - l_bid))
+    checks.append(_le("a_at_most_tail_value", a, a_gamma))
+    checks.append(_eq("a_via_omega_growth", a, a_gamma - l_omega_growth))
+    checks.append(_eq("a_bidual_drop", a, row.l_dual - l_unit_bid - l_bid))
 
     # Marked/unmarked sums against lengths.
     checks.append(_le("marked_sum_lower", l_bid_gamma, sum_marked))
     checks.append(_le("marked_sum_upper", sum_marked, l_tail_dual))
-    checks.append(_le("dual_length_bound", ctx.l_dual, sum_unmarked))
+    checks.append(_le("dual_length_bound", row.l_dual, sum_unmarked))
     checks.append(
-        _eq(
-            "unmarked_sum_split",
-            sum_unmarked,
-            length_between(ctx.unit, ctx.i_bid)
-            + sum(ctx.r_of(h) - 1 for h in unmarked if h <= n),
-        )
+        _eq("unmarked_sum_split", sum_unmarked, l_unit_bid + excess_unmarked)
     )
-    checks.append(
-        _ge(
-            "omega_growth_lower",
-            l_omega_growth,
-            sum(ctx.r_of(h) - 1 for h in marked if h <= n),
-        )
-    )
+    checks.append(_ge("omega_growth_lower", l_omega_growth, excess_marked))
     checks.append(_eq("marked_count_window", n_i - len(unmarked), l_bid_gamma))
     checks.append(
         _eq(
             "marked_count_small",
-            sum(1 for h in marked if h <= n),
-            length_between(
-                ideal_union(ctx.i_bid, tail_ideal(S, ctx.c)),
-                tail_ideal(S, ctx.c),
-            ),
+            n - sum(1 for h in unmarked if h <= n),
+            (row.bidual | table.tail_mask(c)).bit_count() - table.tail_length(c),
         )
     )
 
@@ -425,30 +441,19 @@ def decomposition_check(
     checks.append(_ge("d_window_lower", d, l_tail_dual - r * l_bid_gamma))
     checks.append(_le("d_window_upper", d, l_tail_dual - l_bid_gamma))
     checks.append(
-        _eq(
-            "d_via_omega_product",
-            d,
-            length_between(ctx.omega_i, ctx.i_bid)
-            - sum(ctx.r_of(h) - 1 for h in marked if h <= n),
-        )
+        _eq("d_via_omega_product", d, omega_length - bid_length - excess_marked)
     )
-    checks.append(_eq("d_bidual_invariant", d, ctx.d_of_bidual()))
-    if I.is_subset_of(ctx.theta):
-        checks.append(
-            _eq(
-                "d_inside_different",
-                d,
-                length_between(ctx.omega_i, ctx.i_bid),
-            )
-        )
+    checks.append(_eq("d_bidual_invariant", d, row.d_for(bidual(I).conductor)))
+    if row.bits & ~table.theta == 0:
+        checks.append(_eq("d_inside_different", d, omega_length - bid_length))
     if stable:
         checks.append(_eq("d_zero_when_omega_stable", d, 0))
     checks.append(
         _eq(
             "d_via_min_index",
             d,
-            ctx.sum_r(h for h in unmarked if h > ctx.i0)
-            - length_between(ctx.i_star, _chain_dual(S, ctx.i0)),
+            sum(rs[h] for h in unmarked if h > i0)
+            - (row.dual_length - table.chain_dual(i0).bit_count()),
         )
     )
     if closed:
@@ -457,41 +462,33 @@ def decomposition_check(
         checks.append(_eq("d_zero_when_almost_gorenstein", d, 0))
 
     # Distance to the tail.
-    l_i_gamma = length_between(I, ctx.gamma_i)
+    l_i_gamma = row.length - table.tail_length(c_i)
     checks.append(_le("tail_length_bound", l_i_gamma, l_tail_dual))
     eq_holds = l_i_gamma == l_tail_dual
-    cond = refl and d == 0 and all(ctx.r_of(h) == 1 for h in marked)
+    # Every r_h >= 1, so no excess means r_h = 1 on every marked h.
+    cond = refl and d == 0 and excess_marked == 0
     checks.append(Check("tail_length_equality_iff", eq_holds == cond, int(eq_holds), int(cond)))
 
     # Two-sided bounds on a and b.
-    upper_join = ideal_union(ctx.i_bid, ctx.theta)
+    join_length = (row.bidual | table.theta).bit_count()
     checks.append(
         _le(
             "a_upper_bound",
-            ctx.a,
-            (r - 1) * length_between(ctx.unit, upper_join) - l_bid,
+            a,
+            (r - 1) * (table.unit_length - join_length) - l_bid,
         )
     )
-    checks.append(_ge("a_lower_bound", ctx.a, r - 1 - l_bid - d))
+    checks.append(_ge("a_lower_bound", a, r - 1 - l_bid - d))
+    checks.append(_le("b_upper_bound", b, (r - 1) * (l_quot - 1) + l_bid + d))
     checks.append(
-        _le(
-            "b_upper_bound",
-            ctx.b,
-            (r - 1) * (ctx.l_quot - 1) + l_bid + d,
-        )
-    )
-    checks.append(
-        _ge(
-            "b_lower_bound",
-            ctx.b,
-            (r - 1) * length_between(upper_join, I) + l_bid,
-        )
+        _ge("b_lower_bound", b, (r - 1) * (join_length - row.length) + l_bid)
     )
     if stable:
-        checks.append(_ge("a_lower_when_omega_stable", ctx.a, r - 1))
-    checks.append(_ge("b_at_least_reflexive_defect", ctx.b, r * l_bid))
-    b_zero = ctx.b == 0
-    b_zero_cond = refl and d == 0 and all(ctx.r_of(h) == r for h in unmarked)
+        checks.append(_ge("a_lower_when_omega_stable", a, r - 1))
+    checks.append(_ge("b_at_least_reflexive_defect", b, r * l_bid))
+    b_zero = b == 0
+    # Every r_h <= r, so no defect means r_h = r on every unmarked h.
+    b_zero_cond = refl and d == 0 and defect_unmarked == 0
     checks.append(
         Check("b_vanishing_iff", b_zero == b_zero_cond, int(b_zero), int(b_zero_cond))
     )
@@ -501,33 +498,27 @@ def decomposition_check(
     # once the index leaves the chain of small elements.
     if is_arf(S):
         s_1 = S.small_element(1)
-        if ctx.i0 <= ctx.n:
-            b_floor = ctx.i0 * s_1 - I.min_element
+        if i0 <= n:
+            b_floor = i0 * s_1 - I.min_element
         else:
-            b_floor = ctx.n * s_1 - ctx.c + (ctx.i0 - ctx.n) * (r - 1)
-        checks.append(
-            _le(
-                "a_bound_when_arf",
-                ctx.a,
-                (r - 1) * ctx.l_quot - b_floor,
-            )
-        )
+            b_floor = n * s_1 - c + (i0 - n) * (r - 1)
+        checks.append(_le("a_bound_when_arf", a, (r - 1) * l_quot - b_floor))
     if almost_gorenstein and refl and not principal:
-        checks.append(_eq("a_constant_when_ag_reflexive", ctx.a, a_gamma))
+        checks.append(_eq("a_constant_when_ag_reflexive", a, a_gamma))
     if r == 1:
-        checks.append(_eq("a_zero_when_type_one", ctx.a, 0))
+        checks.append(_eq("a_zero_when_type_one", a, 0))
 
     return IdealInvariantReport(
         semigroup=S.encode(),
         ideal=I.encode(),
-        a=ctx.a,
-        b=ctx.b,
+        a=a,
+        b=b,
         d=d,
-        ideal_conductor=ctx.c_i,
+        ideal_conductor=c_i,
         n_relative=n_i,
         v_complement=unmarked,
-        l_quotient=ctx.l_quot,
-        l_dual=ctx.l_dual,
+        l_quotient=l_quot,
+        l_dual=row.l_dual,
         l_bidual_drop=l_bid,
         reflexive=refl,
         integrally_closed=closed,
@@ -573,23 +564,27 @@ def overring_check(S: NumericalSemigroup, T: NumericalSemigroup) -> OverringRepo
             checks=(),
         )
     I = dual(E_t)
-    ctx = _IdealContext(S, I)
-    L = length_between(E_t, unit)
-    t_bid = bidual(E_t)
-    l_t_growth = length_between(t_bid, E_t)
+    row = IdealTable(S, [I]).rows[0]
+    table = row.table
+    t_length = table.bits_of(E_t).bit_count()
+    L = t_length - table.unit_length
+    # T** = S - (S - T) is I*.
+    l_t_growth = row.dual_length - t_length
+    i0 = S.small_index(I.min_element)
     checks = [
         _eq(
             "overring_length_split",
             L,
-            ctx.sum_r(ctx.unmarked) - l_t_growth - ctx.d,
+            row.unmarked_sum - l_t_growth - row.d,
         ),
-        _le("overring_length_bound", L, ctx.r * ctx.l_quot),
+        _le("overring_length_bound", L, S.type * row.l_quotient),
         _eq(
             "overring_length_by_min_index",
             L,
-            ctx.sum_r(range(1, ctx.i0 + 1))
+            table.prefix[i0]
             - l_t_growth
-            + length_between(ctx.i_star, _chain_dual(S, ctx.i0)),
+            + row.dual_length
+            - table.chain_dual(i0).bit_count(),
         ),
     ]
     return OverringReport(
@@ -597,6 +592,6 @@ def overring_check(S: NumericalSemigroup, T: NumericalSemigroup) -> OverringRepo
         oversemigroup=T.encode(),
         conductor_ideal=I.encode(),
         length=L,
-        min_index=ctx.i0,
+        min_index=i0,
         checks=tuple(checks),
     )

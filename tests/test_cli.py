@@ -190,6 +190,21 @@ class TestClassify:
         assert d["classification_tallies"]["B_EQ_R_CASE_J"] == 3
         assert d["passed"] is True
 
+    def test_range_conflicts_with_a_semigroup(self, capsys):
+        for extra in (
+            ["--gens", "3,4,5"],
+            ["--elements", "0,3", "--conductor", "3"],
+            ["--conductor", "3"],
+        ):
+            code, out = run(["classify", "--max-conductor", "6"] + extra, capsys)
+            assert code == 2, extra
+            assert json.loads(out)["error"]["code"] == "InvalidInput", extra
+
+    def test_workers_need_a_range(self, capsys):
+        code, out = run(["classify", "--gens", "3,4,5", "--workers", "4"], capsys)
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "InvalidInput"
+
 
 class TestSearch:
     def test_negative_a_search(self, capsys):
@@ -314,6 +329,21 @@ class TestErrorsAndExitCodes:
             code, out = run(["ideal", "--gens", "3,4,5", "--ideal", text], capsys)
             assert code == 2, text
             assert json.loads(out)["error"]["code"] == "EncodingError", text
+
+    def test_ideal_conductor_guard_refuses_before_the_invariants(
+        self, capsys, monkeypatch
+    ):
+        def check(S, I):
+            raise AssertionError("the invariants ran")
+
+        monkeypatch.setattr(cli, "decomposition_check", check)
+        for text in ("100000", "100000|100000|100003"):
+            code, out = run(["ideal", "--gens", "3,4,5", "--ideal", text], capsys)
+            assert code == 2, text
+            assert json.loads(out)["error"]["code"] == "BoundTooLarge", text
+        monkeypatch.undo()
+        argv = ["ideal", "--gens", "3,4,5", "--ideal", "100000", "--allow-large"]
+        assert run(argv, capsys)[0] == 0
 
 
 class TestParser:

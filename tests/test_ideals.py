@@ -279,6 +279,36 @@ class TestProductLattice:
         assert {x for x in range(lo, top) if x in inter} == A & B
         assert {x for x in range(lo, top) if x in union} == A | B
 
+    @pytest.mark.parametrize("S", [N, S345, from_generators((5, 7, 9))])
+    def test_far_apart_union_and_colon_match_set_oracles(self, S):
+        # The union's raw window runs from the near ideal's minimum to the
+        # far conductor, and all of it above the near conductor is one run
+        # of members that the normal form strips.
+        far = ideal_from_generators(S, (120, 122))
+        top = far.conductor + 5
+        lo = -top
+        far_set = {x for x in range(lo, 2 * top) if x in far}
+        for near in (
+            unit_ideal(S),
+            maximal_ideal(S),
+            ideal_from_generators(S, (-2, 3)),
+        ):
+            near_set = {x for x in range(lo, 2 * top) if x in near}
+            union = ideal_union(near, far)
+            assert union.conductor == near.conductor
+            assert {x for x in range(lo, top) if x in union} == {
+                x for x in near_set | far_set if x < top
+            }
+            for A, B, A_set, B_set in (
+                (near, far, near_set, far_set),
+                (far, near, far_set, near_set),
+                (union, far, near_set | far_set, far_set),
+            ):
+                got = colon(A, B)
+                assert got.conductor <= top
+                want = oracles.colon_set(A_set, B_set, lo, top, top)
+                assert {x for x in range(lo, top) if x in got} == want
+
     def test_parent_mismatch(self):
         T = from_generators((2, 3))
         with pytest.raises(ParentMismatch):

@@ -128,6 +128,73 @@ class TestDecomposition:
                 assert d_invariant(S, bidual(I)) == d_invariant(S, I)
 
 
+class TestRecordAgainstSets:
+    @given(small_semigroup_st(max_genus=6), st.integers(min_value=0, max_value=2))
+    @example(from_generators((1,)), 2)
+    @example(from_generators((3, 4, 5)), 2)
+    @settings(max_examples=40, deadline=None)
+    def test_decomposition_fields_match_set_oracles(self, S, window):
+        c, delta = S.conductor, S.genus
+        ideals = enumerate_ideals(S, window)
+        # Every set is read on [lo, hi); each is full from c + window + 1 on.
+        top = c + window + 1
+        lo, hi = -top, 2 * top
+        A = {x for x in range(lo, hi) if x in S}
+        K = oracles.canonical_set(A, c, hi)
+        ts = oracles.type_sequence_sets(A, c)
+        r = len(oracles.pseudo_frobenius(A, c))
+        members = sorted(A)
+
+        def r_ext(h):
+            return ts[h - 1] if h <= len(ts) else 1
+
+        for E in ideals:
+            I = {x for x in range(lo, hi) if x in E}
+            I_dual = oracles.colon_set(A, I, lo, hi, hi)
+            I_bid = oracles.colon_set(A, I_dual, lo, hi, hi)
+            n_i = E.conductor - delta
+            unmarked = tuple(
+                h for h in range(1, n_i + 1) if members[h - 1] not in I_bid
+            )
+            marked_sum = sum(r_ext(h) for h in range(1, n_i + 1)) - sum(
+                r_ext(h) for h in unmarked
+            )
+            l_quot = len(A - I)
+            l_dual = len(I_dual - A)
+            m = E.min_element
+            want = (
+                l_dual - l_quot,
+                r * l_quot - l_dual,
+                len(set(range(c - E.conductor, hi)) - I_dual) - marked_sum,
+                l_quot,
+                l_dual,
+                len(I_bid - I),
+                unmarked,
+                I_bid == I,
+                oracles.sum_set(K, I, hi) == I,
+                I == {x for x in A if x >= m},
+                I == {m + x for x in A if m + x < hi},
+            )
+            rep = decomposition_check(S, E)
+            got = (
+                rep.a,
+                rep.b,
+                rep.d,
+                rep.l_quotient,
+                rep.l_dual,
+                rep.l_bidual_drop,
+                rep.v_complement,
+                rep.reflexive,
+                rep.omega_stable,
+                rep.integrally_closed,
+                rep.principal,
+            )
+            assert got == want, E.encode()
+        for T in oversemigroups(S):
+            T_set = {x for x in range(lo, hi) if x in T}
+            assert overring_check(S, T).length == len(T_set - A), T.encode()
+
+
 class TestTailGrowth:
     def test_a_constant_b_linear_past_conductor(self):
         for S in semigroups_up_to(6):
@@ -206,8 +273,8 @@ class TestIdealTable:
         r = len(oracles.pseudo_frobenius(A, S.conductor))
         tail = set(range(top, margin))
         sets = {}
-        for row, bid in zip(table.rows, table.biduals):
-            E = row.ideal
+        for row in table.rows:
+            E, bid = row.ideal, row.bidual
             I = {x for x in oracles.ideal_set(E, margin) if x < margin}
             I_dual = oracles.colon_set(A, I, -margin, margin, margin)
             I_bid = oracles.colon_set(A, I_dual, -margin, margin, margin)
