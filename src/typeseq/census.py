@@ -106,7 +106,12 @@ _WINDOW_GUARD = 3
 
 
 def _genus_guard() -> int:
-    return int(os.environ.get("TYPESEQ_MAX_GENUS", str(_DEFAULT_GENUS_GUARD)))
+    text = os.environ.get("TYPESEQ_MAX_GENUS", str(_DEFAULT_GENUS_GUARD))
+    if not text.strip().isdecimal():
+        raise InvalidInput(
+            f"TYPESEQ_MAX_GENUS must be a non-negative integer, got {text!r}"
+        )
+    return int(text)
 
 
 @dataclass(frozen=True)
@@ -162,6 +167,8 @@ class CensusQuery:
             raise InvalidInput("window must be non-negative")
         if self.workers < 1:
             raise InvalidInput("workers must be positive")
+        if self.sample_limit < 1:
+            raise InvalidInput("sample_limit must be positive")
 
     def groups(self) -> tuple[str, ...]:
         if "all" in self.checks:
@@ -187,10 +194,23 @@ class CensusQuery:
 # -- enumeration -----------------------------------------------------------------
 
 
-def _children(S: NumericalSemigroup) -> list[NumericalSemigroup]:
-    """S minus one minimal generator above the Frobenius number, each."""
+def _children(
+    S: NumericalSemigroup,
+    max_genus: int | None,
+    max_conductor: int | None,
+) -> list[NumericalSemigroup]:
+    """S minus one minimal generator above the Frobenius number, each.
+
+    Only children within the bounds are built: each has genus one more
+    than S, and removing x gives conductor x + 1, so the first generator
+    with x + 1 past ``max_conductor`` ends the ascending scan.
+    """
+    if max_genus is not None and S.genus + 1 > max_genus:
+        return []
     out = []
     for x in S.minimal_generators:
+        if max_conductor is not None and x + 1 > max_conductor:
+            break
         if x > S.conductor - 1:
             bits = S.bits_below(x + 1) & ~(1 << x)
             out.append(NumericalSemigroup(x + 1, bits))
@@ -212,7 +232,7 @@ def _subtree(
         if max_conductor is not None and S.conductor > max_conductor:
             continue
         yield S
-        stack.extend(reversed(_children(S)))
+        stack.extend(reversed(_children(S, max_genus, max_conductor)))
 
 
 def enumerate_semigroups(

@@ -30,6 +30,16 @@ def _ones(width: int) -> int:
     return (1 << width) - 1 if width > 0 else 0
 
 
+def _bit_positions(bits: int) -> tuple[int, ...]:
+    """Positions of the set bits of a non-negative ``bits``, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return tuple(out)
+
+
 class NumericalSemigroup:
     """Immutable numerical semigroup in ``(conductor, mask)`` normal form.
 
@@ -53,16 +63,9 @@ class NumericalSemigroup:
             raise InvalidInput("mask must be empty when the conductor is 0")
         self.conductor = conductor
         self.mask = mask
-        small = []
-        bits = mask
-        while bits:
-            low = bits & -bits
-            small.append(low.bit_length() - 1)
-            bits ^= low
-        small.append(conductor)
-        if conductor == 0:
-            small = [0]
-        self.small_elements = tuple(small)
+        self.small_elements = (
+            _bit_positions(mask) + (conductor,) if conductor else (0,)
+        )
         self._mingens: tuple[int, ...] | None = None
         self._pf: tuple[int, ...] | None = None
 
@@ -106,14 +109,15 @@ class NumericalSemigroup:
 
     @property
     def gaps(self) -> tuple[int, ...]:
-        return tuple(
-            x for x in range(self.conductor) if not (self.mask >> x) & 1
-        )
+        return _bit_positions(~self.mask & _ones(self.conductor))
 
     @property
     def pseudo_frobenius(self) -> tuple[int, ...]:
         """Non-members x with x + s a member for every nonzero member s.
 
+        Each nonzero s is a generator g plus a member, so x + g in S for
+        every g suffices: the gap bits below c ANDed with
+        ``bits_below(2c + e) >> g`` for each g (all g are below c + e).
         For S = N the same colon-style definition gives {-1}, matching the
         convention that the valuation ring has type 1.
         """
@@ -121,14 +125,12 @@ class NumericalSemigroup:
             if self.conductor == 0:
                 self._pf = (-1,)
             else:
-                # x + s for s >= conductor is automatically a member, so it
-                # suffices to test the nonzero members below the conductor.
-                small_nonzero = self.small_elements[1:-1]
-                self._pf = tuple(
-                    x
-                    for x in self.gaps
-                    if all(x + s in self for s in small_nonzero)
-                )
+                c = self.conductor
+                members = self.bits_below(2 * c + self.multiplicity)
+                pf = ~self.mask & _ones(c)
+                for g in self.minimal_generators:
+                    pf &= members >> g
+                self._pf = _bit_positions(pf)
         return self._pf
 
     @property
@@ -139,25 +141,23 @@ class NumericalSemigroup:
     def minimal_generators(self) -> tuple[int, ...]:
         """Nonzero members not expressible as a sum of two nonzero members.
 
-        Every member >= conductor + multiplicity splits off a copy of the
-        multiplicity, so candidates live in [1, conductor + multiplicity).
+        With e the multiplicity, B the membership bits below c + e and
+        M = B & ~1: a sum x = a + b with x - e not in S has a and b in the
+        Apery set Ap(S, e), whose nonzero part is the bits of
+        B & ~(B << e) & ~1.  So the generators are the bits of
+        M & ~((M << e) | OR over those w of (M << w)), at most e shifts.
         """
         if self._mingens is None:
             if self.conductor == 0:
                 self._mingens = (1,)
             else:
                 e = self.multiplicity
-                gens = []
-                for x in range(e, self.conductor + e):
-                    if x not in self:
-                        continue
-                    if any(
-                        a in self and (x - a) in self
-                        for a in range(e, x - e + 1)
-                    ):
-                        continue
-                    gens.append(x)
-                self._mingens = tuple(gens)
+                members = self.bits_below(self.conductor + e)
+                nonzero = members & ~1
+                sums = nonzero << e
+                for w in _bit_positions(members & ~(members << e) & ~1):
+                    sums |= nonzero << w
+                self._mingens = _bit_positions(nonzero & ~sums)
         return self._mingens
 
     @property

@@ -18,7 +18,11 @@ from typeseq import (
     verify_theorems,
 )
 
-GENUS_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 7, 5: 12, 6: 23, 7: 39, 8: 67}
+# Semigroups per genus, n_g for g <= 12 (Bras-Amoros, Semigroup Forum 2008).
+GENUS_COUNTS = {
+    0: 1, 1: 1, 2: 2, 3: 4, 4: 7, 5: 12, 6: 23,
+    7: 39, 8: 67, 9: 118, 10: 204, 11: 343, 12: 592,
+}
 
 # Check tallies of CensusQuery(max_genus=7, window=2, checks=(group,)),
 # one group at a time, so a regression names the group that moved.
@@ -149,7 +153,7 @@ GROUP_TALLIES_GENUS_7 = {
 class TestSemigroupEnumeration:
     def test_counts_by_genus(self):
         seen: dict[int, int] = {}
-        for S in enumerate_semigroups(max_genus=8):
+        for S in enumerate_semigroups(max_genus=12):
             seen[S.genus] = seen.get(S.genus, 0) + 1
         assert seen == GENUS_COUNTS
 
@@ -163,6 +167,23 @@ class TestSemigroupEnumeration:
                 for gaps in oracles.gap_set_semigroups(g)
             }
             assert got[g] == want, g
+
+    @pytest.mark.parametrize("c", range(1, 15))
+    def test_pruned_walk_equals_filtered_walk(self, c):
+        # Every semigroup with conductor c has genus at most c - 1.
+        filtered = [
+            S for S in enumerate_semigroups(max_genus=c - 1) if S.conductor <= c
+        ]
+        assert list(enumerate_semigroups(max_conductor=c)) == filtered
+
+    def test_both_bounds_prune_together(self):
+        filtered = [
+            S for S in enumerate_semigroups(max_genus=6) if S.conductor <= 9
+        ]
+        got = list(enumerate_semigroups(max_genus=6, max_conductor=9))
+        assert got == filtered
+        assert 0 < len(got) < len(list(enumerate_semigroups(max_genus=6)))
+        assert len(got) < len(list(enumerate_semigroups(max_conductor=9)))
 
     def test_conductor_bound(self):
         got = sorted(S.encode() for S in enumerate_semigroups(max_conductor=4))

@@ -319,6 +319,20 @@ class TestErrorsAndExitCodes:
         assert code == 2
         assert json.loads(out)["error"]["code"] == "BoundTooLarge"
 
+    def test_malformed_env_guard_is_invalid_input(self, capsys, monkeypatch):
+        for text in ("abc", "", "4.5", "-1"):
+            monkeypatch.setenv("TYPESEQ_MAX_GENUS", text)
+            code, out = run(["census", "--max-genus", "3"], capsys)
+            assert code == 2, text
+            assert json.loads(out)["error"]["code"] == "InvalidInput", text
+
+    def test_nonpositive_sample_limit_is_invalid_input(self, capsys):
+        for limit in ("0", "-5"):
+            argv = ["census", "--max-genus", "3", "--checks", "pairs"]
+            code, out = run(argv + ["--sample-limit", limit], capsys)
+            assert code == 2, limit
+            assert json.loads(out)["error"]["code"] == "InvalidInput", limit
+
 
     def test_ideal_window_is_bounded_before_allocating(self, capsys, monkeypatch):
         def normalize(*args):

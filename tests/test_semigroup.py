@@ -14,6 +14,7 @@ from typeseq import (
     NotCoprime,
     NumericalSemigroup,
     TypeseqError,
+    enumerate_semigroups,
     from_generators,
     from_small_elements,
     is_arf,
@@ -184,6 +185,33 @@ class TestMembership:
         assert list(S.minimal_generators) == oracles.minimal_generators(
             members, c, mult
         )
+
+    def test_core_matches_oracles_on_every_small_conductor(self):
+        for S in enumerate_semigroups(max_conductor=16):
+            c, e = S.conductor, S.multiplicity
+            members = oracles.semigroup_set(S, margin=c + e)
+            want_pf = oracles.pseudo_frobenius(members, c)
+            assert list(S.pseudo_frobenius) == want_pf, S
+            assert S.type == len(want_pf), S
+            assert list(S.minimal_generators) == oracles.minimal_generators(
+                members, c, e
+            ), S
+
+    def test_two_generator_closed_form_from_mask(self):
+        # x = 120a + 121b forces b = x mod 120, so x is a member exactly
+        # when x >= 121 * (x mod 120); the conductor is 119 * 120.
+        c = 119 * 120
+        mask = sum(1 << x for x in range(c) if x >= 121 * (x % 120))
+        S = NumericalSemigroup(c, mask)
+        assert S.minimal_generators == (120, 121)
+        assert S.pseudo_frobenius == (120 * 121 - 241,)
+        assert S.type == 1
+
+    def test_ordinary_closed_form_from_mask(self):
+        S = NumericalSemigroup(300, 1)  # {0} and [300, oo)
+        assert S.minimal_generators == tuple(range(300, 600))
+        assert S.pseudo_frobenius == tuple(range(1, 300))
+        assert S.type == 299
 
     def test_small_element_extends_past_conductor(self):
         S = from_generators((3, 4, 5))
