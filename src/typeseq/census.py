@@ -401,14 +401,7 @@ def _semigroup_group(S: NumericalSemigroup) -> list[Check]:
         )
     if c:
         checks.append(_le("sg_type_bound", r, S.multiplicity - 1))
-    checks.append(
-        Check(
-            "sg_gorenstein_iff_type_one",
-            S.is_gorenstein == (r == 1),
-            int(S.is_gorenstein),
-            int(r == 1),
-        )
-    )
+    checks.append(_eq("sg_gorenstein_iff_type_one", S.is_gorenstein, r == 1))
     arf = is_arf(S)
     acc_a = 0
     acc_b = 0
@@ -522,22 +515,8 @@ def _classification_group(S: NumericalSemigroup) -> tuple[list[Check], str]:
     value_pat = matches_small_b_value_pattern(S)
     ts_pat = matches_small_b_ts_pattern(S)
     small_b = 0 <= b < r - 1
-    checks.append(
-        Check(
-            "class_b_lt_value_set",
-            small_b == value_pat,
-            int(small_b),
-            int(value_pat),
-        )
-    )
-    checks.append(
-        Check(
-            "class_b_lt_type_seq",
-            small_b == ts_pat,
-            int(small_b),
-            int(ts_pat),
-        )
-    )
+    checks.append(_eq("class_b_lt_value_set", small_b, value_pat))
+    checks.append(_eq("class_b_lt_type_seq", small_b, ts_pat))
     if S.conductor and not S.is_gorenstein:
         if b == r - 1:
             case1 = value_pat or (

@@ -62,10 +62,6 @@ class RingClassification:
         return all(c.passed for c in self.checks)
 
 
-def _bool_eq(cid: str, lhs: bool, rhs: bool) -> Check:
-    return Check(cid, lhs == rhs, int(lhs), int(rhs))
-
-
 def ring_classification(
     S: NumericalSemigroup,
     window: int = 2,
@@ -103,10 +99,10 @@ def ring_classification(
     ml_ts = all(v == r for v in ts)
 
     checks: list[Check] = [
-        _bool_eq("almost_symmetric_product_vs_count", ag_product, ag_numeric),
-        _bool_eq("almost_symmetric_type_seq_vs_count", ag_ts, ag_numeric),
-        _bool_eq("maximal_length_type_seq_vs_count", ml_ts, ml_numeric),
-        _bool_eq("symmetric_iff_canonical_trivial", gor, K == unit),
+        _eq("almost_symmetric_product_vs_count", ag_product, ag_numeric),
+        _eq("almost_symmetric_type_seq_vs_count", ag_ts, ag_numeric),
+        _eq("maximal_length_type_seq_vs_count", ml_ts, ml_numeric),
+        _eq("symmetric_iff_canonical_trivial", gor, K == unit),
     ]
 
     non_principal = [I for I in table.rows if not is_principal(I.ideal)]
@@ -134,14 +130,14 @@ def ring_classification(
         ("equiv_a_reflexive_defect", cond_a_formula),
         ("equiv_canonical_stable_max_ideal", ag_product),
     ):
-        checks.append(_bool_eq(cid, cond, ag_numeric))
+        checks.append(_eq(cid, cond, ag_numeric))
 
     # Maximal length happens exactly when b dies on every ideal above the tail.
     ml_by_b = all(I.b == 0 for I in table.rows if I.ideal.conductor == c)
-    checks.append(_bool_eq("maximal_length_iff_b_dies_above_tail", ml_by_b, ml_numeric))
+    checks.append(_eq("maximal_length_iff_b_dies_above_tail", ml_by_b, ml_numeric))
     # Symmetric rings are exactly those with a = 0 everywhere.
     a_everywhere_zero = all(I.a == 0 for I in table.rows)
-    checks.append(_bool_eq("symmetric_iff_a_vanishes", a_everywhere_zero, gor))
+    checks.append(_eq("symmetric_iff_a_vanishes", a_everywhere_zero, gor))
 
     return RingClassification(
         semigroup=S.encode(),
@@ -397,8 +393,8 @@ def classify_b(S: NumericalSemigroup) -> ClassificationOutcome:
         ts = type_sequence(S).values
         value_ok = matches_small_b_value_pattern(S)
         ts_ok = matches_small_b_ts_pattern(S)
-        checks.append(Check("classify_value_pattern", value_ok, int(value_ok), 1))
-        checks.append(Check("classify_ts_pattern", ts_ok, int(ts_ok), 1))
+        checks.append(_eq("classify_value_pattern", value_ok, True))
+        checks.append(_eq("classify_ts_pattern", ts_ok, True))
         checks.append(_eq("classify_quotient_length", quotient_length(S), 1))
         checks.append(_eq("classify_conductor_value", c, (p + 1) * e - b))
         checks.append(_eq("classify_type_value", r, e - 1))
@@ -410,17 +406,10 @@ def classify_b(S: NumericalSemigroup) -> ClassificationOutcome:
             mult_ok, p = _multiples_then_tail(S)
             params["p"] = p
             ts = type_sequence(S).values
-            checks.append(
-                Check("classify_value_pattern", mult_ok and c == p * e + 2, int(mult_ok and c == p * e + 2), 1)
-            )
-            checks.append(
-                Check(
-                    "classify_ts_pattern",
-                    _head_constant_ts(S, e - 1) and ts[-1] == 1,
-                    int(_head_constant_ts(S, e - 1) and ts[-1] == 1),
-                    1,
-                )
-            )
+            value_ok = mult_ok and c == p * e + 2
+            ts_ok = _head_constant_ts(S, e - 1) and ts[-1] == 1
+            checks.append(_eq("classify_value_pattern", value_ok, True))
+            checks.append(_eq("classify_ts_pattern", ts_ok, True))
             checks.append(_eq("classify_quotient_length", quotient_length(S), 1))
             return ClassificationOutcome(
                 S.encode(), TAG_B_EQ_RM1_CASE1, params, tuple(checks)
@@ -443,11 +432,11 @@ def classify_b(S: NumericalSemigroup) -> ClassificationOutcome:
                 fam = {"family": "middle_member", "e": e, "y": y}
                 ts_ok = len(ts) == 3 and ts[0] == e - 2 and ts[1] + ts[2] == e - 1
         if fam is None:
-            checks.append(Check("classify_value_pattern", False, 0, 1))
+            checks.append(_eq("classify_value_pattern", False, True))
         else:
             params.update(fam)
-            checks.append(Check("classify_value_pattern", True, 1, 1))
-            checks.append(Check("classify_ts_pattern", ts_ok, int(ts_ok), 1))
+            checks.append(_eq("classify_value_pattern", True, True))
+            checks.append(_eq("classify_ts_pattern", ts_ok, True))
         checks.append(_eq("classify_quotient_length", quotient_length(S), 2))
         return ClassificationOutcome(
             S.encode(), TAG_B_EQ_RM1_CASE2, params, tuple(checks)
@@ -463,7 +452,7 @@ def classify_b(S: NumericalSemigroup) -> ClassificationOutcome:
                 S.encode(), TAG_B_EQ_R_G, params, tuple(checks)
             )
         in_j = S in case_j_semigroups()
-        checks.append(Check("classify_value_pattern", in_j, int(in_j), 1))
+        checks.append(_eq("classify_value_pattern", in_j, True))
         checks.append(_eq("classify_type_value", r, 2))
         checks.append(_eq("classify_multiplicity_value", e, 5))
         checks.append(_eq("classify_quotient_length", quotient_length(S), 3))

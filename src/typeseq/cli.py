@@ -47,7 +47,9 @@ from .invariants import (
     sigma,
     type_sequence,
 )
-from .semigroup import NumericalSemigroup, from_generators, from_small_elements, oversemigroups
+from .semigroup import (
+    NumericalSemigroup, from_generators, from_small_elements, oversemigroups, schur_bound
+)
 
 
 # Largest conductor bound a single-semigroup command accepts without
@@ -75,8 +77,7 @@ def _semigroup_from_args(args) -> NumericalSemigroup:
             raise InvalidInput("--gens conflicts with --elements/--conductor")
         gens = _parse_int_list(args.gens)
         if gens and min(gens) > 0 and math.gcd(*gens) == 1:
-            # Schur: the conductor is at most (min g - 1)(max g - 1).
-            _guard_conductor((min(gens) - 1) * (max(gens) - 1), args)
+            _guard_conductor(schur_bound(gens), args)
         return from_generators(gens)
     if args.elements is not None:
         if args.conductor is None:

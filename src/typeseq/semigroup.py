@@ -219,13 +219,19 @@ class NumericalSemigroup:
         return (NumericalSemigroup, (self.conductor, self.mask))
 
 
+def schur_bound(generators) -> int:
+    """Schur's bound (min g - 1)(max g - 1) on the conductor (Brauer 1942)."""
+    return (min(generators) - 1) * (max(generators) - 1)
+
+
 def from_generators(generators) -> NumericalSemigroup:
     """Semigroup generated by a coprime set of positive integers.
 
-    The sieve grows a membership table by repeated shifted-or until it finds
-    ``min(generators)`` consecutive members starting at some t; from there on
-    every integer is a member by induction (subtract the smallest generator),
-    so the conductor is one past the largest gap below t.
+    S is the sum of the monoids gN, so the sieve adds the multiples of
+    each generator in turn, doubling the shift: mask |= mask << g, << 2g,
+    << 4g, ...  The table covers the Schur bound plus min(generators)
+    bits, so every gap lies inside it and the conductor is one past the
+    largest non-member found; one sieve suffices.
     """
     gens = sorted({int(g) for g in generators})
     if not gens:
@@ -234,25 +240,16 @@ def from_generators(generators) -> NumericalSemigroup:
         raise InvalidInput("generators must be positive")
     if math.gcd(*gens) != 1:
         raise NotCoprime(f"gcd({', '.join(map(str, gens))}) != 1")
-    lo = gens[0]
-    bound = max(2 * gens[-1] * gens[-1], lo + gens[-1] + 1, 4)
-    while True:
-        full = _ones(bound)
-        mask = 1
-        while True:
-            grown = mask
-            for g in gens:
-                grown |= mask << g
-            grown &= full
-            if grown == mask:
-                break
-            mask = grown
-        gap_bits = ~mask & full
-        t = gap_bits.bit_length()  # one past the largest gap found
-        if t + lo <= bound:
-            # [t, t + lo) are members, certifying the conductor t.
-            return NumericalSemigroup(t, mask & _ones(t))
-        bound *= 2
+    width = schur_bound(gens) + gens[0]
+    full = _ones(width)
+    mask = 1
+    for g in gens:
+        step = g
+        while step < width:
+            mask |= (mask << step) & full
+            step *= 2
+    t = (~mask & full).bit_length()  # one past the largest gap
+    return NumericalSemigroup(t, mask & _ones(t))
 
 
 def from_small_elements(elements, conductor: int) -> NumericalSemigroup:

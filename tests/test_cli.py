@@ -306,6 +306,12 @@ class TestErrorsAndExitCodes:
         assert code == 0
         assert json.loads(out)["semigroup"]["conductor"] == 14280
 
+    def test_schur_bound_at_the_guard_is_built(self, capsys):
+        # Schur bound 1 * 20,000: admitted, and sieved once on that window.
+        code, out = run(["info", "--gens", "2,20001", "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["semigroup"]["conductor"] == 20000
+
     def test_allow_large_lifts_conductor_guard(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_CONDUCTOR_GUARD", 10)
         code, _ = run(["info", "--gens", "5,7"], capsys)

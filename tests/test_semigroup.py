@@ -1,7 +1,7 @@
 """Core semigroup model: constructors, codec, invariants, predicates."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import oracles
 from conftest import generator_tuples, negative_a_semigroup, semigroups_up_to
@@ -157,6 +157,7 @@ class TestCodec:
 
 class TestMembership:
     @given(generator_tuples())
+    @example((6, 10, 15))  # min and max share the factor 3
     @settings(max_examples=120, deadline=None)
     def test_members_match_sieve(self, gens):
         S = from_generators(gens)
@@ -170,6 +171,7 @@ class TestMembership:
         assert got == want
 
     @given(generator_tuples())
+    @example((6, 10, 15))
     @settings(max_examples=80, deadline=None)
     def test_pseudo_frobenius_matches_oracle(self, gens):
         S = from_generators(gens)
@@ -178,6 +180,7 @@ class TestMembership:
         assert S.type == len(S.pseudo_frobenius)
 
     @given(generator_tuples())
+    @example((6, 10, 15))
     @settings(max_examples=80, deadline=None)
     def test_minimal_generators_match_oracle(self, gens):
         S = from_generators(gens)
@@ -185,6 +188,15 @@ class TestMembership:
         assert list(S.minimal_generators) == oracles.minimal_generators(
             members, c, mult
         )
+
+    def test_sieve_at_the_schur_bound(self):
+        # The set oracle's 2 * max(g)**2 margin is out of reach for
+        # <2, 20001>; Sylvester's count decides it: the members below the
+        # conductor (2 - 1)(20001 - 1) are the even numbers.
+        S = from_generators((2, 20001))
+        assert S.conductor == 20000
+        assert S.small_elements == tuple(range(0, 20001, 2))
+        assert S.minimal_generators == (2, 20001)
 
     def test_core_matches_oracles_on_every_small_conductor(self):
         for S in enumerate_semigroups(max_conductor=16):

@@ -69,10 +69,11 @@ class TestAggregateLaws:
         assert list(type_sequence(S).values) == want
 
     def test_two_generator_wide_window_is_all_ones(self):
-        # <40, 41> is symmetric with conductor 39 * 40 = 1560.
-        S = from_generators((40, 41))
-        assert S.conductor == 1560
-        assert type_sequence(S).values == (1,) * 780
+        # <e, e + 1> is symmetric with conductor (e - 1) * e.
+        for e in (40, 80, 120):
+            S = from_generators((e, e + 1))
+            assert S.conductor == (e - 1) * e
+            assert type_sequence(S).values == (1,) * ((e - 1) * e // 2), e
 
     def test_all_ones_iff_gorenstein(self):
         for S in semigroups_up_to(7):
@@ -102,9 +103,11 @@ class TestExtension:
             extended_type_sequence(S, S.n - 1)
 
     def test_extension_prefix_is_the_type_sequence(self):
-        for S in semigroups_up_to(6):
-            values = type_sequence(S).values
-            assert extended_type_sequence(S, S.n + 3)[: S.n] == values
+        for S in semigroups_up_to(7):
+            members = oracles.semigroup_set(S, 2 * S.conductor + 4)
+            want = oracles.type_sequence_sets(members, S.conductor)
+            got = extended_type_sequence(S, S.n + 3)
+            assert got == tuple(want) + (1, 1, 1), S.encode()
 
 
 class TestSigma:
