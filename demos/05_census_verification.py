@@ -11,7 +11,8 @@ print(f"per genus: {rep.semigroups_per_genus}")
 print(f"distinct checks: {len(rep.check_tallies)}  violations: {len(rep.violations)}")
 assert rep.passed
 
-# the same run is byte-identical no matter how many workers split the tree
+# the same run is byte-identical no matter how many workers share it:
+# worker i of w censuses every w-th semigroup of the walk, from the i-th on
 parallel = verify_theorems(CensusQuery(max_genus=7, window=2, workers=4))
 assert rep.to_json() == parallel.to_json()
 print("parallel run byte-identical: yes")

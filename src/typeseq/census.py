@@ -26,12 +26,16 @@ reads the one-row table of each conductor ideal S - T.
 
 ``verify_theorems`` runs named groups of checks over every enumerated
 semigroup (and ideal family); violations are collected, never raised, so
-a census documents exactly which identities hold on which range.
+a census documents exactly which identities hold on which range.  With w
+workers the selected semigroups are dealt out in turn: worker i walks the
+tree itself and censuses the i-th, (i + w)-th, ... of them.  The parts
+merge into one order-normalized report, so its bytes do not depend on w;
+a serial run is share 0 of 1.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import itertools
 import json
 import os
 import random
@@ -61,8 +65,10 @@ from .ideals import (
     ideal_intersection,
     ideal_product,
     ideal_union,
+    integral_closure,
     length_between,
     maximal_ideal,
+    principal_ideal,
     tail_ideal,
 )
 from .invariants import (
@@ -70,7 +76,6 @@ from .invariants import (
     IdealTable,
     _eq,
     _le,
-    _tail_members_ideal,
     ab_invariants,
     decomposition_check,
     extended_type_sequence,
@@ -103,6 +108,7 @@ _CLASS_TAGS_TRACKED = (
 _DEFAULT_GENUS_GUARD = 12
 _CONDUCTOR_GUARD = 30
 _WINDOW_GUARD = 3
+_WORKERS_GUARD = 64  # a pool forks all its workers at once
 
 
 def _genus_guard() -> int:
@@ -163,6 +169,10 @@ class CensusQuery:
                 raise WindowTooLarge(
                     f"window {self.window} above guard {_WINDOW_GUARD}"
                 )
+            if self.workers > _WORKERS_GUARD:
+                raise BoundTooLarge(
+                    f"workers {self.workers} above guard {_WORKERS_GUARD}"
+                )
         if self.window < 0:
             raise InvalidInput("window must be non-negative")
         if self.workers < 1:
@@ -218,13 +228,14 @@ def _children(
     return out
 
 
-def _subtree(
-    root: NumericalSemigroup,
-    max_genus: int | None,
-    max_conductor: int | None,
+def enumerate_semigroups(
+    max_genus: int | None = None,
+    max_conductor: int | None = None,
 ):
-    """Depth-first stream of root and its descendants within the bounds."""
-    stack = [root]
+    """Depth-first stream of all semigroups within the given bounds."""
+    if max_genus is None and max_conductor is None:
+        raise InvalidInput("a genus or conductor bound is required")
+    stack = [NumericalSemigroup(0, 0)]
     while stack:
         S = stack.pop()
         if max_genus is not None and S.genus > max_genus:
@@ -233,16 +244,6 @@ def _subtree(
             continue
         yield S
         stack.extend(reversed(_children(S, max_genus, max_conductor)))
-
-
-def enumerate_semigroups(
-    max_genus: int | None = None,
-    max_conductor: int | None = None,
-):
-    """Depth-first stream of all semigroups within the given bounds."""
-    if max_genus is None and max_conductor is None:
-        raise InvalidInput("a genus or conductor bound is required")
-    yield from _subtree(NumericalSemigroup(0, 0), max_genus, max_conductor)
 
 
 def enumerate_ideals(S: NumericalSemigroup, window: int) -> list[RelativeIdeal]:
@@ -403,13 +404,17 @@ def _semigroup_group(S: NumericalSemigroup) -> list[Check]:
         checks.append(_le("sg_type_bound", r, S.multiplicity - 1))
     checks.append(_eq("sg_gorenstein_iff_type_one", S.is_gorenstein, r == 1))
     arf = is_arf(S)
+    # R_i, the members of S from s_i on, for i = 1, ..., n
+    chain = [
+        integral_closure(principal_ideal(S, s)) for s in S.small_elements[1 : n + 1]
+    ]
     acc_a = 0
     acc_b = 0
     for i in range(1, n + 1):
         acc_a += ts.values[i - 1] - 1
         acc_b += r - ts.values[i - 1]
         s_i = S.small_elements[i]
-        a_i, b_i = ab_invariants(S, _tail_members_ideal(S, s_i))
+        a_i, b_i = ab_invariants(S, chain[i - 1])
         checks.append(_eq("sg_chain_a_partial", a_i, acc_a))
         checks.append(_eq("sg_chain_b_partial", b_i, acc_b))
         if arf:
@@ -434,7 +439,7 @@ def _semigroup_group(S: NumericalSemigroup) -> list[Check]:
         # second computation path: r_i as the growth of the K-products
         p_prev = K
         for i in range(1, n + 1):
-            p_cur = ideal_product(K, _tail_members_ideal(S, S.small_elements[i]))
+            p_cur = ideal_product(K, chain[i - 1])
             checks.append(
                 _eq(
                     "sg_ts_two_paths",
@@ -592,24 +597,22 @@ def _run_semigroup(
     return len(ideals), tag
 
 
-def _filtered(S: NumericalSemigroup, query: CensusQuery) -> bool:
-    if query.multiplicity_range is not None:
-        lo, hi = query.multiplicity_range
-        if not lo <= S.multiplicity <= hi:
-            return False
-    if query.gorenstein_only and not S.is_gorenstein:
-        return False
-    if query.non_gorenstein_only and S.is_gorenstein:
-        return False
-    return True
-
-
-def _population(query: CensusQuery):
+def _selected(query: CensusQuery):
+    """The queried semigroups that pass the query's filters, in walk order."""
     if query.semigroups is not None:
-        for enc in query.semigroups:
-            yield NumericalSemigroup.decode(enc)
-        return
-    yield from enumerate_semigroups(query.max_genus, query.max_conductor)
+        population = map(NumericalSemigroup.decode, query.semigroups)
+    else:
+        population = enumerate_semigroups(query.max_genus, query.max_conductor)
+    for S in population:
+        if query.multiplicity_range is not None:
+            lo, hi = query.multiplicity_range
+            if not lo <= S.multiplicity <= hi:
+                continue
+        if query.gorenstein_only and not S.is_gorenstein:
+            continue
+        if query.non_gorenstein_only and S.is_gorenstein:
+            continue
+        yield S
 
 
 def _census_part(query: CensusQuery, population) -> CensusReport:
@@ -618,8 +621,6 @@ def _census_part(query: CensusQuery, population) -> CensusReport:
     col = _Collector()
     report = CensusReport(query=query.to_dict())
     for S in population:
-        if not _filtered(S, query):
-            continue
         report.semigroups_per_genus[S.genus] = (
             report.semigroups_per_genus.get(S.genus, 0) + 1
         )
@@ -664,35 +665,19 @@ def _merge(query: CensusQuery, parts) -> CensusReport:
     return report
 
 
-_SPLIT_GENUS = 4
-
-
-def _subtree_part(query: CensusQuery, root: NumericalSemigroup) -> CensusReport:
+def _share(query: CensusQuery, i: int) -> CensusReport:
+    """The census of every workers-th selected semigroup, from the i-th on."""
     return _census_part(
-        query, _subtree(root, query.max_genus, query.max_conductor)
+        query, itertools.islice(_selected(query), i, None, query.workers)
     )
 
 
 def _census_parts(query: CensusQuery) -> list[CensusReport]:
-    """The census split into parts: one part for a serial run.
-
-    A parallel run splits the tree at a fixed genus: the nodes below it
-    form one part, run here, and each node at it roots a subtree that a
-    pool worker censuses.
-    """
-    if query.workers == 1 or query.semigroups is not None:
-        return [_census_part(query, _population(query))]
-    split = _SPLIT_GENUS
-    if query.max_genus is not None:
-        split = min(split, query.max_genus)
-    top = list(enumerate_semigroups(split, query.max_conductor))
-    near = [S for S in top if S.genus < _SPLIT_GENUS]
-    roots = [S for S in top if S.genus == _SPLIT_GENUS]
-    parts = [_census_part(query, near)]
-    worker_query = dataclasses.replace(query, workers=1)
+    """One share per worker; a serial run is share 0 of 1."""
+    if query.workers == 1:
+        return [_share(query, 0)]
     with ProcessPoolExecutor(max_workers=query.workers) as pool:
-        parts.extend(pool.map(_subtree_part, [worker_query] * len(roots), roots))
-    return parts
+        return list(pool.map(_share, [query] * query.workers, range(query.workers)))
 
 
 def verify_theorems(query: CensusQuery) -> CensusReport:
@@ -746,9 +731,7 @@ class SearchReport:
 def search_negative_a(query: CensusQuery) -> SearchReport:
     """Collect ideals with a < 0 over the queried range."""
     report = SearchReport(query=query.to_dict())
-    for S in _population(query):
-        if not _filtered(S, query):
-            continue
+    for S in _selected(query):
         report.semigroup_count += 1
         table = IdealTable(S, enumerate_ideals(S, query.window))
         report.ideal_count += len(table.rows)

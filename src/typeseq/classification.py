@@ -202,8 +202,7 @@ def window_profile(S: NumericalSemigroup) -> WindowProfile:
     late = tuple(h for h in range(1, n + 1) if small[h] > z)
     early = tuple(h for h in range(1, n + 1) if small[h] <= z)
 
-    enlarged = ideal_union(gamma, principal_ideal(S, e))
-    l_quot = length_between(unit, enlarged)
+    l_quot = quotient_length(S)
     # Independent count: members below c whose difference with e is a gap.
     direct = sum(1 for s in small[:-1] if s - e not in S)
     socle = ideal_intersection(colon(gamma, maximal_ideal(S)), unit)

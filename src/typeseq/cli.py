@@ -3,7 +3,7 @@
 Subcommands::
 
     typeseq info       --gens 3,4,5
-    typeseq ideal      --gens 14,21,23 --ideal 38,44,50
+    typeseq ideal      --gens 9,15,17,23,25,29,31 --ideal 38,44,50
     typeseq overrings  --gens 3,4,5
     typeseq census     --max-genus 8 --window 2 --checks all
     typeseq classify   --max-conductor 30
@@ -212,14 +212,10 @@ def _cmd_classify(args) -> dict:
     if args.workers != 1:
         raise InvalidInput("--workers needs --max-conductor")
     S = _semigroup_from_args(args)
-    outcome = classify_b(S)
     return {
         "semigroup": _semigroup_payload(S),
-        "classification": {
-            "tag": outcome.tag,
-            "parameters": dict(outcome.parameters),
-        },
-        "checks": _check_rows(outcome.checks),
+        "classification": _classification_payload(S),
+        "checks": _check_rows(classify_b(S).checks),
     }
 
 

@@ -109,13 +109,6 @@ class TypeSequence:
         return iter(self.values)
 
 
-def _tail_members_ideal(S: NumericalSemigroup, s: int) -> RelativeIdeal:
-    """R_i = members of S at or above the member s."""
-    if s >= S.conductor:
-        return tail_ideal(S, s)
-    return RelativeIdeal(S, s, S.conductor, (S.mask >> s) & _ones(S.conductor - s))
-
-
 def _require(holds: bool, message: str) -> None:
     if not holds:
         raise InternalInconsistency(message)

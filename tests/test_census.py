@@ -1,6 +1,7 @@
 """Exhaustive enumeration, the theorem census, and the negative-a search."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -8,6 +9,7 @@ import oracles
 from typeseq import (
     BoundTooLarge,
     CensusQuery,
+    NumericalSemigroup,
     WindowTooLarge,
     classification_census,
     enumerate_ideals,
@@ -16,6 +18,17 @@ from typeseq import (
     search_negative_a,
     tail_ideal,
     verify_theorems,
+)
+from typeseq import census
+
+# Explicit encodings of several genera, for the semigroups= selector.
+EXPLICIT = (
+    "0,3|3",
+    "0,2,4,6,8,10|10",
+    "0,3,6,8|8",
+    "0,4,5,8,9,10,12|12",
+    "0,6|6",
+    "0,3,5|5",
 )
 
 # Semigroups per genus, n_g for g <= 12 (Bras-Amoros, Semigroup Forum 2008).
@@ -293,10 +306,38 @@ class TestVerifyTheorems:
             if S.multiplicity == 3
         )
 
-    def test_parallel_report_is_byte_identical(self):
-        q1 = CensusQuery(max_genus=7, window=2, workers=1)
-        q2 = CensusQuery(max_genus=7, window=2, workers=4)
-        assert verify_theorems(q1).to_json() == verify_theorems(q2).to_json()
+    @pytest.mark.parametrize(
+        "selection, workers",
+        [
+            (dict(max_genus=7, window=2), 3),
+            (dict(max_conductor=16, window=0, checks=("classification",)), 2),
+            (dict(semigroups=EXPLICIT), 2),
+            (dict(max_genus=7, gorenstein_only=True), 2),
+            (dict(max_genus=6, multiplicity_range=(3, 4)), 2),
+            (dict(max_genus=1), 3),  # two semigroups: one share is empty
+        ],
+        ids=[
+            "genus7",
+            "conductor16",
+            "explicit",
+            "gorenstein",
+            "multiplicity",
+            "empty_share",
+        ],
+    )
+    def test_parallel_report_is_byte_identical(self, selection, workers):
+        query = CensusQuery(**selection)
+        serial = verify_theorems(query)
+        parallel = verify_theorems(CensusQuery(workers=workers, **selection))
+        assert serial.semigroup_count == len(list(census._selected(query))) > 0
+        assert parallel.to_json() == serial.to_json()
+
+    def test_shares_deal_the_selection_in_turn(self):
+        query = CensusQuery(semigroups=EXPLICIT, checks=("semigroup",), workers=4)
+        for i in range(4):
+            genera = [NumericalSemigroup.decode(e).genus for e in EXPLICIT[i::4]]
+            share = census._share(query, i)
+            assert share.semigroups_per_genus == dict(Counter(genera)), i
 
     def test_report_json_is_canonical(self):
         rep = verify_theorems(CensusQuery(max_genus=4, window=1))
@@ -400,3 +441,8 @@ class TestGuards:
     def test_worker_count_positive(self):
         with pytest.raises(ValueError):
             CensusQuery(max_genus=5, workers=0)
+
+    def test_worker_guard(self):
+        with pytest.raises(BoundTooLarge):
+            CensusQuery(max_genus=2, workers=65)
+        assert CensusQuery(max_genus=2, workers=64).workers == 64

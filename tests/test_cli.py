@@ -1,12 +1,15 @@
 """Command line interface: schemas, exit codes, determinism."""
 
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
-from typeseq import InternalInconsistency, cli, ideals
+from typeseq import InternalInconsistency, census, cli, ideals
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(argv, capsys):
@@ -155,6 +158,19 @@ class TestCensus:
         code, out = run(["census", "--max-genus", "44"], capsys)
         assert code == 2
         assert json.loads(out)["error"]["code"] == "BoundTooLarge"
+
+    def test_worker_guard_refuses_before_forking(self, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(census, "ProcessPoolExecutor", no_pool)
+        for argv in (
+            ["census", "--max-genus", "2", "--workers", "65"],
+            ["classify", "--max-conductor", "8", "--workers", "65"],
+        ):
+            code, out = run(argv, capsys)
+            assert code == 2, argv
+            assert json.loads(out)["error"]["code"] == "BoundTooLarge"
 
     def test_out_writes_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -378,6 +394,32 @@ class TestParser:
         # Neither --format csv nor --gorenstein-only carries over: 8 of genus <= 3.
         assert run(census, capsys)[1].startswith("semigroups: 8\n")
         assert cli.build_parser.cache_info().misses == 1
+
+
+class TestDocumentedExamples:
+    @staticmethod
+    def _examples(text: str) -> list[list[str]]:
+        """Argument lists of the single-semigroup `typeseq` lines in text."""
+        found = []
+        for line in text.splitlines():
+            words = line.split()
+            if words[:1] == ["typeseq"] and words[1:2] in (
+                ["info"], ["ideal"], ["overrings"]
+            ):
+                found.append(words[1:])
+        return found
+
+    @pytest.mark.parametrize("source", ["cli docstring", "README"])
+    def test_examples_exit_zero(self, source, capsys):
+        if source == "README":
+            text = README.read_text().split("## CLI", 1)[1].split("```", 2)[1]
+        else:
+            text = cli.__doc__
+        examples = self._examples(text)
+        assert len(examples) == 3
+        for argv in examples:
+            code, _ = run(argv, capsys)
+            assert code == 0, argv
 
 
 class TestInstalledEntryPoint:
