@@ -370,10 +370,11 @@ class _Collector:
         self.violations: list[Violation] = []
 
     def add(self, sg: str, ideal: str, checks) -> None:
-        for c in checks:
-            self.tallies[c.id] = self.tallies.get(c.id, 0) + 1
-            if not c.passed:
-                self.violations.append(Violation(sg, ideal, c.id, c.lhs, c.rhs))
+        tallies = self.tallies
+        for cid, passed, lhs, rhs in checks:
+            tallies[cid] = tallies.get(cid, 0) + 1
+            if not passed:
+                self.violations.append(Violation(sg, ideal, cid, lhs, rhs))
 
 
 # -- per-semigroup check groups ----------------------------------------------------
@@ -729,7 +730,9 @@ class SearchReport:
 
 
 def search_negative_a(query: CensusQuery) -> SearchReport:
-    """Collect ideals with a < 0 over the queried range."""
+    """Collect ideals with a < 0 over the queried range (serial only)."""
+    if query.workers != 1:
+        raise InvalidInput("search_negative_a runs serially; workers must be 1")
     report = SearchReport(query=query.to_dict())
     for S in _selected(query):
         report.semigroup_count += 1

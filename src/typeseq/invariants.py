@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     InternalInconsistency,
@@ -64,9 +65,8 @@ from .ideals import (
 from .semigroup import NumericalSemigroup, _ones, is_arf
 
 
-@dataclass(frozen=True)
-class Check:
-    """One verified relation with both evaluated sides."""
+class Check(NamedTuple):
+    """One verified relation with both evaluated sides, as an immutable tuple."""
 
     id: str
     passed: bool

@@ -9,6 +9,7 @@ import oracles
 from typeseq import (
     BoundTooLarge,
     CensusQuery,
+    InvalidInput,
     NumericalSemigroup,
     WindowTooLarge,
     classification_census,
@@ -19,7 +20,8 @@ from typeseq import (
     tail_ideal,
     verify_theorems,
 )
-from typeseq import census
+from typeseq import Violation, census, cli
+from typeseq.invariants import _eq, _le
 
 # Explicit encodings of several genera, for the semigroups= selector.
 EXPLICIT = (
@@ -339,6 +341,32 @@ class TestVerifyTheorems:
             share = census._share(query, i)
             assert share.semigroups_per_genus == dict(Counter(genera)), i
 
+    def test_violations_keep_both_sides(self, monkeypatch):
+        def failing(S):
+            return [_eq("t_num", 3, 5), _eq("t_bool", True, False), _le("t_ok", 1, 2)]
+
+        monkeypatch.setattr(census, "_semigroup_group", failing)
+        query = dict(max_genus=2, checks=("semigroup",))
+        serial = verify_theorems(CensusQuery(**query))
+        parallel = verify_theorems(CensusQuery(workers=2, **query))
+        encs = sorted(S.encode() for S in enumerate_semigroups(max_genus=2))
+        assert serial.check_tallies == {"t_num": 4, "t_bool": 4, "t_ok": 4}
+        assert serial.violations == [
+            v
+            for enc in encs
+            for v in (
+                Violation(enc, "", "t_bool", 1, 0),
+                Violation(enc, "", "t_num", 3, 5),
+            )
+        ]
+        assert all(
+            type(v.lhs) is int and type(v.rhs) is int for v in serial.violations
+        )
+        text = serial.to_json()
+        assert '"lhs": 1,' in text and '"lhs": true' not in text
+        assert parallel.to_json() == text
+        assert cli.main(["census", "--max-genus", "2", "--checks", "semigroup"]) == 1
+
     def test_report_json_is_canonical(self):
         rep = verify_theorems(CensusQuery(max_genus=4, window=1))
         text = rep.to_json()
@@ -406,6 +434,14 @@ class TestNegativeASearch:
         assert rep.examples == []
         # the search counts the filtered population, as the census does
         assert rep.semigroup_count == verify_theorems(query).semigroup_count
+
+    def test_workers_are_refused(self, monkeypatch):
+        def no_walk(query):
+            raise AssertionError("the tree was walked")
+
+        monkeypatch.setattr(census, "_selected", no_walk)
+        with pytest.raises(InvalidInput):
+            search_negative_a(CensusQuery(max_genus=8, workers=2))
 
 
 class TestGuards:

@@ -1,6 +1,7 @@
 """The a, b, d invariants, their decomposition, and overring lengths."""
 
 import itertools
+import pickle
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from conftest import negative_a_semigroup, semigroups_up_to, small_semigroup_st
 from typeseq import (
+    Check,
     IdealTable,
     NotIntegralProper,
     NotOversemigroup,
@@ -32,6 +34,7 @@ from typeseq import (
     tail_ideal,
     unit_ideal,
 )
+from typeseq.invariants import _eq, _ge, _le
 
 
 def brute_ab(S, I):
@@ -44,6 +47,21 @@ def brute_ab(S, I):
     l_dual = len([x for x in dual_set if x < S.conductor and x not in A])
     l_quot = len([x for x in A if x < I.conductor and x not in B])
     return l_dual - l_quot, S.type * l_quot - l_dual
+
+
+class TestCheckRecord:
+    def test_record_contract(self):
+        c = Check("x", True, 1, 1)
+        assert (c.id, c.passed, c.lhs, c.rhs) == ("x", True, 1, 1)
+        with pytest.raises(AttributeError):
+            c.passed = False
+        assert repr(c) == "Check(id='x', passed=True, lhs=1, rhs=1)"
+        back = pickle.loads(pickle.dumps(c))
+        assert type(back) is Check and back == c
+        for make, passed in ((_eq, False), (_le, False), (_ge, True)):
+            rec = make("b", True, False)
+            assert rec == Check("b", passed, 1, 0)
+            assert type(rec.lhs) is int and type(rec.rhs) is int, make
 
 
 class TestFrozenValues:
