@@ -12,17 +12,21 @@ depth-first walk over the members of S in [1, c_E) in which including x
 forces every x + s that lands below c_E, and c_E - 1 is never allowed in
 (that keeps the stored conductor tight, so each ideal appears once).
 
-The ideals, pairs and equivalences groups, and the negative-a search,
-read one ``IdealTable`` per semigroup, built whenever the ideals are
-enumerated; each row is the one record of its ideal's invariants, and
-the ideals group hands each row to ``decomposition_check``.  The rows hold
-membership bits of I, I*, I** and K.I on one absolute window: bit k is
-the integer k - offset, and offset and top are both c + window + 1, where
-c is S's conductor.  Every ideal here is proper and integral with
-conductor at most c + window, so I* starts no lower than -(c + window)
-and every set a row reads is full from c + window on; a subset test is
-then one AND and a length one popcount difference.  The overrings group
-reads the one-row table of each conductor ideal S - T.
+The ideals, pairs, colon_growth and equivalences groups, and the
+negative-a search, read one ``IdealTable`` per semigroup, built whenever
+the ideals are enumerated; each row is the one record of its ideal's
+invariants, and the ideals group hands each row to
+``decomposition_check``.  The rows hold membership bits of I, I*, I**
+and K.I on one absolute window: bit k is the integer k - offset, and
+offset and top are both c + window + 1, where c is S's conductor.  Every
+ideal here is proper and integral with conductor at most c + window, so
+I* starts no lower than -(c + window) and every set a row reads is full
+from c + window on; a subset test is then one AND, a length one popcount
+difference, and a colon J - X one call of the table's colon kernel.  The
+colon_growth group samples rows and takes its intersections, unions and
+colons on these bits.  The overrings group reads a second table per
+semigroup, over all its conductor ideals S - T, and hands each row to
+``overring_check``.
 
 ``verify_theorems`` runs named groups of checks over every enumerated
 semigroup (and ideal family); violations are collected, never raised, so
@@ -60,14 +64,10 @@ from .errors import BoundTooLarge, InvalidInput, WindowTooLarge
 from .ideals import (
     RelativeIdeal,
     canonical_ideal,
-    colon,
     dedekind_different,
-    ideal_intersection,
     ideal_product,
-    ideal_union,
     integral_closure,
     length_between,
-    maximal_ideal,
     principal_ideal,
     tail_ideal,
 )
@@ -77,6 +77,7 @@ from .invariants import (
     _eq,
     _le,
     ab_invariants,
+    conductor_ideal,
     decomposition_check,
     extended_type_sequence,
     overring_check,
@@ -491,23 +492,25 @@ def _pairs_group(
 
 def _colon_growth_group(
     S: NumericalSemigroup,
-    ideals: list[RelativeIdeal],
+    table: IdealTable,
     sample_limit: int,
 ) -> list[Check]:
-    if not ideals:
+    rows = table.rows
+    if not rows:
         return []
     rng = random.Random("colon:" + S.encode())
-    M = maximal_ideal(S)
+    colon = table.colon
+    maximal = table.unit & ~(1 << table.offset)  # S without 0
     checks: list[Check] = []
-    for _ in range(min(sample_limit, len(ideals) ** 2)):
-        J = rng.choice(ideals)
-        X = rng.choice(ideals)
-        Y = rng.choice(ideals)
-        inner = ideal_intersection(X, Y)
-        outer = ideal_union(X, Y)
-        t_j = length_between(colon(J, M), J)
-        lhs = length_between(colon(J, inner), colon(J, outer))
-        rhs = t_j * length_between(outer, inner)
+    for _ in range(min(sample_limit, len(rows) ** 2)):
+        J = rng.choice(rows)
+        X = rng.choice(rows)
+        Y = rng.choice(rows)
+        inner = X.bits & Y.bits
+        outer = X.bits | Y.bits
+        t_j = colon(J.bits, maximal).bit_count() - J.length
+        lhs = colon(J.bits, inner).bit_count() - colon(J.bits, outer).bit_count()
+        rhs = t_j * (outer.bit_count() - inner.bit_count())
         checks.append(_le("colon_growth_bound", lhs, rhs))
     return checks
 
@@ -582,14 +585,14 @@ def _run_semigroup(
     if "pairs" in groups:
         col.add(enc, "", _pairs_group(S, table, sample_limit))
     if "colon_growth" in groups:
-        col.add(enc, "", _colon_growth_group(S, ideals, sample_limit))
+        col.add(enc, "", _colon_growth_group(S, table, sample_limit))
     if "equivalences" in groups:
         col.add(enc, "", ring_classification(S, window, table).checks)
     if "overrings" in groups:
-        for T in oversemigroups(S):
-            if T == S:
-                continue
-            col.add(enc, T.encode(), overring_check(S, T).checks)
+        overs = oversemigroups(S)[1:]  # S itself comes first
+        conductors = IdealTable(S, [conductor_ideal(S, T) for T in overs])
+        for T, row in zip(overs, conductors.rows):
+            col.add(enc, T.encode(), overring_check(S, T, row).checks)
     if "profile" in groups and S.conductor:
         col.add(enc, "", window_profile(S).checks)
     if "classification" in groups:

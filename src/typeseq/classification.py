@@ -17,6 +17,7 @@ than an exception.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import DegenerateDVR
@@ -27,7 +28,6 @@ from .ideals import (
     ideal_intersection,
     ideal_product,
     ideal_union,
-    is_principal,
     length_between,
     maximal_ideal,
     principal_ideal,
@@ -105,15 +105,21 @@ def ring_classification(
         _eq("symmetric_iff_canonical_trivial", gor, K == unit),
     ]
 
-    non_principal = [I for I in table.rows if not is_principal(I.ideal)]
+    non_principal = [I for I in table.rows if not I.principal]
     reflexive_np = [I for I in non_principal if I.bidual == I.bits]
 
     cond_omega_bidual = all(I.omega == I.bidual for I in non_principal)
-    cond_length_sym = all(
-        I.length - J.length == J.dual_length - I.dual_length
-        for I in reflexive_np
-        for J in reflexive_np
-        if J is not I and J.bits & ~I.bits == 0
+    # l(I/J) = l(J*/I*) for J inside I says a(I) = a(J), since every row
+    # has length + dual_length = 2 * unit_length + a; so the condition
+    # fails exactly on a comparable pair from two different a-classes.
+    a_classes: dict[int, list[int]] = {}
+    for I in reflexive_np:
+        a_classes.setdefault(I.a, []).append(I.bits)
+    cond_length_sym = not any(
+        x & ~y == 0 or y & ~x == 0
+        for xs, ys in itertools.combinations(a_classes.values(), 2)
+        for x in xs
+        for y in ys
     )
     cond_tail_dual = all(
         I.length - table.tail_length(I.ideal.conductor)

@@ -40,7 +40,9 @@ from .classification import classify_b, window_profile
 from .errors import BoundTooLarge, InternalInconsistency, InvalidInput, TypeseqError
 from .ideals import RelativeIdeal, ideal_from_generators, tail_ideal
 from .invariants import (
+    IdealTable,
     ab_invariants,
+    conductor_ideal,
     d_invariant,
     decomposition_check,
     overring_check,
@@ -55,6 +57,9 @@ from .semigroup import (
 # Largest conductor bound a single-semigroup command accepts without
 # --allow-large; checked before any membership table is allocated.
 _CONDUCTOR_GUARD = 20_000
+# Most oversemigroups ``overrings`` lists without --allow-large; their
+# number grows exponentially with the genus, so the walk stops once past it.
+_OVERSEMIGROUP_GUARD = 10_000
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -171,11 +176,12 @@ def _cmd_ideal(args) -> dict:
 
 def _cmd_overrings(args) -> dict:
     S = _semigroup_from_args(args)
+    limit = None if args.allow_large else _OVERSEMIGROUP_GUARD
+    overs = oversemigroups(S, limit)[1:]  # S itself comes first
+    table = IdealTable(S, [conductor_ideal(S, T) for T in overs])
     rows = []
-    for T in oversemigroups(S):
-        if T == S:
-            continue
-        rep = overring_check(S, T)
+    for T, row in zip(overs, table.rows):
+        rep = overring_check(S, T, row)
         rows.append(
             {
                 "overring": T.encode(),

@@ -229,12 +229,33 @@ def ideal_from_generators(S: NumericalSemigroup, generators) -> RelativeIdeal:
 # -- arithmetic ----------------------------------------------------------------
 
 
+def colon_bits(a_bits: int, b_bits: int, e: int) -> int:
+    """The translate intersection behind every colon: AND of a_bits >> g.
+
+    g runs over the bit positions of ``b_bits`` that hold the least member
+    of their residue class mod e.  With e the multiplicity these generate
+    B (e is in S), so bit i of the result says i + g is in A for every g
+    of B, which is A - B on the caller's layout.  ``b_bits`` must reach
+    B's conductor + e, so that every class has its least member there,
+    and ``a_bits`` must be exact up to every bit the shifts read.
+    ``colon`` and ``IdealTable.colon`` both call it.
+    """
+    gens = b_bits & ~(b_bits << e)
+    acc = -1
+    while gens:
+        low = gens & -gens
+        acc &= a_bits >> (low.bit_length() - 1)
+        gens ^= low
+    return acc
+
+
 def colon(A: RelativeIdeal, B: RelativeIdeal) -> RelativeIdeal:
     """The ideal quotient A - B = {z : z + B inside A}.
 
     Generators: with e the multiplicity, the least member of B in each
     residue class mod e generates B (e is in S), so A - B is the
-    intersection of the translates A - g over these at most e members g.
+    intersection of the translates A - g over these at most e members g;
+    ``colon_bits`` is that intersection, shared with ``IdealTable``.
 
     Window: z >= conductor(A) - min(B) shifts all of B into the tail of A,
     and z < min(A) - min(B) sends min(B) below min(A); so the window
@@ -245,17 +266,11 @@ def colon(A: RelativeIdeal, B: RelativeIdeal) -> RelativeIdeal:
     lo = A.min_element - B.min_element
     hi = A.conductor - B.min_element
     e = A.parent.multiplicity
+    # Bit j of b is min(B) + j; bit idx of a_bits is min(A) + idx, so
+    # z = lo + idx needs bit idx + j for every generator offset j.
     b = B.bits_below(B.conductor + e)
-    gens = b & ~(b << e)
-    # Bit i of a_bits is min(A) + i; z = lo + idx needs bit idx + j for
-    # every generator offset j = g - min(B).
-    a_bits = A.bits_below(A.min_element + gens.bit_length() + hi - lo)
-    acc = a_bits
-    while gens:
-        low = gens & -gens
-        acc &= a_bits >> (low.bit_length() - 1)
-        gens ^= low
-    return _normalized(A.parent, lo, hi, acc)
+    a_bits = A.bits_below(A.min_element + b.bit_length() + hi - lo)
+    return _normalized(A.parent, lo, hi, colon_bits(a_bits, b, e))
 
 
 def dual(E: RelativeIdeal) -> RelativeIdeal:

@@ -50,13 +50,11 @@ from .errors import (
 )
 from .ideals import (
     RelativeIdeal,
-    bidual,
     canonical_ideal,
+    colon_bits,
     dedekind_different,
     dual,
     ideal_product,
-    is_integrally_closed,
-    is_principal,
     length_between,
     require_proper,
     tail_ideal,
@@ -179,16 +177,19 @@ class IdealRow:
     """One ideal of an ``IdealTable``: the one record of its invariants.
 
     I and I* (``bits``, ``dual``) with their popcounts, l(S/I), l(I*/S),
-    a and b are set when the row is built.  I**, K.I, the unmarked
-    indices and d, which only the decomposition and some equivalences
-    read, are computed on first use.
+    a and b are set when the row is built; I* is the table's colon S - I.
+    These are computed on first use and cached, each from the row's bits:
+    I** (``bidual``, the colon S - I*) and its conductor
+    (``bidual_conductor``), K.I (``omega``), the flags ``principal``
+    (I = min(I) + S) and ``closed`` (I = S from min(I) on), the
+    unmarked indices and d.
     """
 
     def __init__(self, table: IdealTable, ideal: RelativeIdeal):
         self.table = table
         self.ideal = ideal
         self.bits = table.bits_of(ideal)
-        self.dual = table.bits_of(dual(ideal))
+        self.dual = table.colon(table.unit, self.bits)
         self.length = self.bits.bit_count()
         self.dual_length = self.dual.bit_count()
         self.l_quotient = table.unit_length - self.length
@@ -199,12 +200,18 @@ class IdealRow:
     @functools.cached_property
     def bidual(self) -> int:
         """I** bits."""
-        return self.table.bits_of(bidual(self.ideal))
+        return self.table.colon(self.table.unit, self.dual)
 
     @functools.cached_property
     def bidual_drop(self) -> int:
         """l(I**/I)."""
         return self.bidual.bit_count() - self.length
+
+    @functools.cached_property
+    def bidual_conductor(self) -> int:
+        """The conductor of I**: one past its last non-member in the window."""
+        table = self.table
+        return (self.bidual ^ table.window).bit_length() - table.offset
 
     @functools.cached_property
     def omega(self) -> int:
@@ -213,16 +220,51 @@ class IdealRow:
         return self.table.bits_of(ideal_product(K, self.ideal))
 
     @functools.cached_property
-    def unmarked(self) -> tuple[int, ...]:
-        """The h in [1, n_I] with s_{h-1} outside I**; the others are marked."""
-        S = self.table.S
-        # Character x is 1 when x is in I**: one conversion, not a shift per h.
-        flags = format(self.bidual >> self.table.offset, "b")[::-1]
-        return tuple(
-            h
-            for h in range(1, self.ideal.conductor - S.genus + 1)
-            if flags[S.small_element(h - 1)] == "0"
+    def principal(self) -> bool:
+        """Whether I is the translate min(I) + S.
+
+        The translate has conductor min(I) + c; below that conductor it
+        fits the window, where it is S's bits shifted by min(I).
+        """
+        table, m = self.table, self.ideal.min_element
+        return (
+            self.ideal.conductor == m + table.S.conductor
+            and self.bits == (table.unit << m) & table.window
         )
+
+    @functools.cached_property
+    def closed(self) -> bool:
+        """Whether I is integrally closed: the members of S from min(I) on."""
+        table = self.table
+        return self.bits == table.unit & table.tail_mask(self.ideal.min_element)
+
+    @functools.cached_property
+    def unmarked(self) -> tuple[int, ...]:
+        """The h in [1, n_I] with s_{h-1} outside I**; the others are marked.
+
+        s_{h-1} runs over the set bits x of S & ~I** below c_I, and h - 1
+        counts the members of S below x: a running count along the small
+        elements below c, and x - genus from c on.  The bits are found in
+        their text, read from the low end, so the walk stays linear in c_I.
+        """
+        table = self.table
+        small, genus = table.S.small_elements, table.S.genus
+        todo = (table.unit & ~self.bidual) >> table.offset
+        flags = bin(todo & _ones(self.ideal.conductor))
+        end = len(flags) - 1  # bit x is character end - x
+        out = []
+        below = 0
+        p = flags.rfind("1", 2)
+        while p > 1:
+            x = end - p
+            if x < small[-1]:
+                while small[below] < x:
+                    below += 1
+                out.append(below + 1)
+            else:
+                out.append(x - genus + 1)
+            p = flags.rfind("1", 2, p)
+        return tuple(out)
 
     @functools.cached_property
     def unmarked_sum(self) -> int:
@@ -252,25 +294,30 @@ class IdealTable:
     """Proper integral ideals of S as membership bits on one absolute window.
 
     Bit k of a row stands for the integer k - offset, for k below
-    offset + top, and every integer >= top is a member.  With both set to
-    one past the largest conductor of S and the ideals, the window holds
-    every set a row or the decomposition reads: I <= I** <= S and
-    I <= K.I (minimum min(I), conductor at most c_I); I*, S and the
-    different theta = S - K (each contains S or its tail, so has
-    conductor at most S's; z in I* has z + min(I) >= 0, and theta is
-    inside S); the chain duals S - R_i for s_i <= min(I) (they contain S
-    and start at -s_i or above); and the tail from any t >= -offset, whose
-    window bits are ``tail_mask(t)``.  On this layout E is inside F
-    exactly when ``E & ~F == 0``, and l(F/E) is then the difference of
-    the popcounts.  Building the table computes each dual once, through
-    the ``dual`` cache; everything else is computed on first use.
+    offset + top (``window`` has these bits set), and every integer >= top
+    is a member.  With both set to one past the largest conductor of S and
+    the ideals, the window holds every set a row or the decomposition
+    reads: I <= I** <= S and I <= K.I (minimum min(I), conductor at most
+    c_I); I*, S (``unit``) and the different theta = S - K (each contains
+    S or its tail, so has conductor at most S's; z in I* has
+    z + min(I) >= 0, and theta is inside S); the chain duals S - R_i for
+    s_i <= min(I) (they contain S and start at -s_i or above); the tail
+    from any t >= -offset, whose window bits are ``tail_mask(t)``; and
+    J - X for rows J and X (it starts above -offset and is full from top
+    on).  On this layout E is inside F exactly when ``E & ~F == 0``, and
+    l(F/E) is then the difference of the popcounts.  ``colon`` takes
+    these colons on the window through ``ideals.colon_bits``, the kernel
+    of ``ideals.colon``.  Building the table computes each dual once;
+    everything else is computed on first use, row by row.
     """
 
     def __init__(self, S: NumericalSemigroup, ideals):
         self.S = S
         self.top = max([S.conductor] + [E.conductor for E in ideals]) + 1
         self.offset = self.top
-        self.unit_length = self.bits_of(unit_ideal(S)).bit_count()
+        self.window = _ones(self.offset + self.top)
+        self.unit = self.bits_of(unit_ideal(S))
+        self.unit_length = self.unit.bit_count()
         self.rows: list[IdealRow] = []
         for E in ideals:
             if E.parent != S:
@@ -281,6 +328,18 @@ class IdealTable:
     def bits_of(self, E: RelativeIdeal) -> int:
         """E's members below top, placed on the absolute window."""
         return E.bits_below(self.top) << (E.min_element + self.offset)
+
+    def colon(self, A: int, B: int) -> int:
+        """Window bits of A - B, for window sets A and B whose colon fits.
+
+        A is shifted up by offset, so that its bit k + j is the integer
+        z + g for z at bit k of the result and g at bit j of B; the bits
+        past the window, members of both, are filled in as far as the
+        shifts read them (B to its conductor + e).
+        """
+        e, span = self.S.multiplicity, self.offset + self.top
+        a = (A | _ones(self.top + e) << span) << self.offset
+        return colon_bits(a, B | _ones(e) << span, e) & self.window
 
     def tail_length(self, start: int) -> int:
         """Window members of the tail from ``start``."""
@@ -404,12 +463,12 @@ def decomposition_check(
     l_bid_gamma = bid_length - table.tail_length(c_i)
     l_omega_growth = omega_length - row.length
     refl = row.bidual == row.bits
-    closed = is_integrally_closed(I)
+    closed = row.closed
     stable = row.omega == row.bits
     # Translates of S stand in for the ring itself, whose d depends on
     # the embedding; statements about almost-symmetric parents quantify
     # over the non-trivial ideals only.
-    principal = is_principal(I)
+    principal = row.principal
     i0 = S.small_index(I.min_element)
 
     # The two headline decompositions.
@@ -451,7 +510,7 @@ def decomposition_check(
     checks.append(
         _eq("d_via_omega_product", d, omega_length - bid_length - excess_marked)
     )
-    checks.append(_eq("d_bidual_invariant", d, row.d_for(bidual(I).conductor)))
+    checks.append(_eq("d_bidual_invariant", d, row.d_for(row.bidual_conductor)))
     if row.bits & ~table.theta == 0:
         checks.append(_eq("d_inside_different", d, omega_length - bid_length))
     if stable:
@@ -550,29 +609,48 @@ class OverringReport:
         return all(c.passed for c in self.checks)
 
 
-def overring_check(S: NumericalSemigroup, T: NumericalSemigroup) -> OverringReport:
+def conductor_ideal(S: NumericalSemigroup, T: NumericalSemigroup) -> RelativeIdeal:
+    """S - T for an oversemigroup T of S: the largest T-module inside S."""
+    E_t = RelativeIdeal(S, 0, T.conductor, T.mask)
+    if not unit_ideal(S).is_subset_of(E_t):
+        raise NotOversemigroup(f"{T.encode()} does not contain {S.encode()}")
+    return dual(E_t)
+
+
+def overring_check(
+    S: NumericalSemigroup, T: NumericalSemigroup, row: IdealRow | None = None
+) -> OverringReport:
     """Verify the formulas for l(T/S) via the conductor ideal I = S - T.
 
-    T = S is allowed and yields the all-zeros record: the conductor ideal
-    would be S itself, which is not proper, and every formula degenerates.
+    ``row`` is I's row in an ``IdealTable`` of S, as the census and the
+    CLI pass it from one table over all of S's conductor ideals; without
+    it a one-row table is built.  The row is checked against T by one
+    colon on its table.  T = S is allowed without a row and yields the
+    all-zeros record: the conductor ideal would be S itself, which is not
+    proper, and every formula degenerates.
     """
-    E_t = RelativeIdeal(S, 0, T.conductor, T.mask)
-    unit = unit_ideal(S)
-    if not unit.is_subset_of(E_t):
-        raise NotOversemigroup(f"{T.encode()} does not contain {S.encode()}")
-    if T == S:
-        return OverringReport(
-            semigroup=S.encode(),
-            oversemigroup=T.encode(),
-            conductor_ideal="",
-            length=0,
-            min_index=0,
-            checks=(),
-        )
-    I = dual(E_t)
-    row = IdealTable(S, [I]).rows[0]
+    if row is None:
+        I = conductor_ideal(S, T)
+        if T == S:
+            return OverringReport(
+                semigroup=S.encode(),
+                oversemigroup=T.encode(),
+                conductor_ideal="",
+                length=0,
+                min_index=0,
+                checks=(),
+            )
+        row = IdealTable(S, [I]).rows[0]
+    elif row.table.S != S:
+        raise ParentMismatch("the row belongs to another semigroup")
     table = row.table
-    t_length = table.bits_of(E_t).bit_count()
+    t_bits = T.bits_below(table.top) << table.offset
+    if table.unit & ~t_bits:
+        raise NotOversemigroup(f"{T.encode()} does not contain {S.encode()}")
+    if table.colon(table.unit, t_bits) != row.bits:
+        raise InvalidInput(f"the row is not S - T for T = {T.encode()}")
+    I = row.ideal
+    t_length = t_bits.bit_count()
     L = t_length - table.unit_length
     # T** = S - (S - T) is I*.
     l_t_growth = row.dual_length - t_length

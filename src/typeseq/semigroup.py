@@ -16,6 +16,7 @@ import math
 from bisect import bisect_left
 
 from .errors import (
+    BoundTooLarge,
     ConductorNotTight,
     EmptyGenerators,
     EncodingError,
@@ -314,13 +315,17 @@ def _add_gap(S: NumericalSemigroup, g: int) -> NumericalSemigroup:
     return NumericalSemigroup(new_c, S.mask & _ones(new_c))
 
 
-def oversemigroups(S: NumericalSemigroup) -> list[NumericalSemigroup]:
+def oversemigroups(
+    S: NumericalSemigroup, limit: int | None = None
+) -> list[NumericalSemigroup]:
     """All numerical semigroups containing S, including S and N.
 
     A minimal step up fills a pseudo-Frobenius gap g with 2g a member (these
     are exactly the gaps whose addition keeps the set closed), and any
     strictly larger semigroup contains such a step: its largest extra member
-    works.  The search therefore reaches everything.
+    works.  The search therefore reaches everything.  Their number grows
+    exponentially with the genus, so with a ``limit`` the search raises
+    ``BoundTooLarge`` as soon as it has found more than ``limit``.
 
     Ordered by descending genus and then by small elements, so S comes
     first and N last.
@@ -335,4 +340,8 @@ def oversemigroups(S: NumericalSemigroup) -> list[NumericalSemigroup]:
                 if T2 not in seen:
                     seen.add(T2)
                     stack.append(T2)
+        if limit is not None and len(seen) > limit:
+            raise BoundTooLarge(
+                f"more than {limit} oversemigroups (genus {S.genus})"
+            )
     return sorted(seen, key=lambda T: (-T.genus, T.small_elements))

@@ -5,12 +5,15 @@ import pytest
 from conftest import negative_a_semigroup, semigroups_up_to
 from typeseq import (
     DegenerateDVR,
+    IdealTable,
     NumericalSemigroup,
     b_of_tail,
     case_j_semigroups,
     classify_b,
+    enumerate_ideals,
     from_generators,
     gamma_invariants,
+    is_principal,
     quotient_length,
     ring_classification,
     window_profile,
@@ -147,6 +150,28 @@ class TestRingClassification:
             rc = ring_classification(S)
             assert all(c.passed for c in rc.checks), S.encode()
             assert set(rc.equivalences.values()) <= {rc.almost_gorenstein}
+
+
+    def test_length_symmetry_by_a_classes_matches_the_pair_loop(self):
+        outcomes = set()
+        for S in semigroups_up_to(9):
+            table = IdealTable(S, enumerate_ideals(S, window=2))
+            reflexive_np = [
+                I
+                for I in table.rows
+                if not is_principal(I.ideal) and I.bidual == I.bits
+            ]
+            # Every ordered pair of distinct rows with J inside I.
+            pair_loop = all(
+                I.length - J.length == J.dual_length - I.dual_length
+                for I in reflexive_np
+                for J in reflexive_np
+                if J is not I and J.bits & ~I.bits == 0
+            )
+            rc = ring_classification(S, ideals=table)
+            assert rc.equivalences["length_symmetry"] == pair_loop, S.encode()
+            outcomes.add(pair_loop)
+        assert outcomes == {True, False}
 
 
 class TestWindowProfile:

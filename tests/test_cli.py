@@ -4,6 +4,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -128,6 +129,29 @@ class TestOverrings:
         assert all(
             c["pass"] for o in d["overrings"] for c in o["checks"]
         )
+
+
+    def test_oversemigroup_guard_refuses_during_the_walk(self, capsys):
+        # Conductor 140 and genus 75: far inside the conductor guard, but
+        # the oversemigroups never end.  The walk stops past 10,000.
+        start = time.perf_counter()
+        code, out = run(["overrings", "--gens", "16,21,26,31"], capsys)
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "BoundTooLarge"
+
+    def test_oversemigroup_guard_admits_the_showcase(self, capsys):
+        argv = ["overrings", "--gens", "9,15,17,23,25,29,31", "--format", "json"]
+        code, out = run(argv, capsys)
+        assert code == 0
+        assert len(json.loads(out)["overrings"]) == 521
+
+    def test_allow_large_lifts_oversemigroup_guard(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_OVERSEMIGROUP_GUARD", 2)
+        code, _ = run(["overrings", "--gens", "3,4,5"], capsys)
+        assert code == 2
+        code, _ = run(["overrings", "--gens", "3,4,5", "--allow-large"], capsys)
+        assert code == 0
 
 
 class TestCensus:

@@ -2,6 +2,7 @@
 
 import itertools
 import pickle
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,6 +12,7 @@ from conftest import negative_a_semigroup, semigroups_up_to, small_semigroup_st
 from typeseq import (
     Check,
     IdealTable,
+    InvalidInput,
     NotIntegralProper,
     NotOversemigroup,
     NumericalSemigroup,
@@ -27,6 +29,8 @@ from typeseq import (
     from_generators,
     gamma_invariants,
     ideal_from_generators,
+    is_integrally_closed,
+    is_principal,
     is_reflexive,
     length_between,
     overring_check,
@@ -34,7 +38,7 @@ from typeseq import (
     tail_ideal,
     unit_ideal,
 )
-from typeseq.invariants import _eq, _ge, _le
+from typeseq.invariants import _eq, _ge, _le, conductor_ideal
 
 
 def brute_ab(S, I):
@@ -213,6 +217,70 @@ class TestRecordAgainstSets:
             assert overring_check(S, T).length == len(T_set - A), T.encode()
 
 
+def _bit_route_cases():
+    """(S, ideals of conductor up to c + 3) for genus <= 7, and one wide ideal."""
+    for S in semigroups_up_to(7):
+        yield S, enumerate_ideals(S, window=3)
+    S = negative_a_semigroup()
+    yield S, [ideal_from_generators(S, (38, 44, 50))]
+
+
+class TestBitRoute:
+    """The rows' bit-level flags, marks and colons against objects and sets."""
+
+    def test_flags_and_marks_match_object_route_and_sets(self):
+        for S, ideals in _bit_route_cases():
+            c, delta = S.conductor, S.genus
+            # Every set is read on [lo, hi) and is full from top on.
+            top = max(E.conductor for E in ideals) + 1
+            lo, hi = -top, 2 * top
+            A = {x for x in range(lo, hi) if x in S}
+            members = sorted(A)
+            want = {}
+            for E in ideals:
+                I = {x for x in range(lo, hi) if x in E}
+                I_bid = oracles.colon_set(
+                    A, oracles.colon_set(A, I, lo, hi, hi), lo, hi, hi
+                )
+                n_i = E.conductor - delta
+                unmarked = tuple(
+                    h for h in range(1, n_i + 1) if members[h - 1] not in I_bid
+                )
+                want[E] = (
+                    is_principal(E),
+                    is_integrally_closed(E),
+                    bidual(E).conductor,
+                    unmarked,
+                )
+            for window in range(4):
+                family = [E for E in ideals if E.conductor <= c + window] or ideals
+                for row in IdealTable(S, family).rows:
+                    got = (row.principal, row.closed, row.bidual_conductor, row.unmarked)
+                    assert got == want[row.ideal], (window, row.ideal.encode())
+
+    def test_table_colon_matches_set_oracle(self):
+        for S, ideals in _bit_route_cases():
+            rng = random.Random("table colon:" + S.encode())
+            for window in range(4):
+                family = [E for E in ideals if E.conductor <= S.conductor + window]
+                if not family:
+                    continue
+                table = IdealTable(S, family)
+                # J - X starts above -top and is full from top on; the sets
+                # are read below 3 * top, past which J holds everything.
+                top = table.top
+                for _ in range(6):
+                    J, X = rng.choice(table.rows), rng.choice(table.rows)
+                    J_set, X_set = (
+                        {x for x in range(-top, 3 * top) if x in E.ideal}
+                        for E in (J, X)
+                    )
+                    want = oracles.colon_set(J_set, X_set, -top, top, 3 * top)
+                    got = table.colon(J.bits, X.bits)
+                    assert got.bit_count() == len(want), (J.ideal, X.ideal)
+                    assert _window_set(table, got) == want, (J.ideal, X.ideal)
+
+
 class TestTailGrowth:
     def test_a_constant_b_linear_past_conductor(self):
         for S in semigroups_up_to(6):
@@ -259,6 +327,33 @@ class TestOverrings:
                     S.encode(),
                     T.encode(),
                 )
+
+
+    def test_row_route_matches_one_row_tables(self):
+        for S in semigroups_up_to(8):
+            overs = oversemigroups(S)[1:]
+            table = IdealTable(S, [conductor_ideal(S, T) for T in overs])
+            for T, row in zip(overs, table.rows):
+                assert overring_check(S, T, row) == overring_check(S, T), (
+                    S.encode(),
+                    T.encode(),
+                )
+
+    def test_row_must_be_the_conductor_ideal_of_t(self):
+        S = from_generators((4, 5, 7))
+        overs = oversemigroups(S)[1:]
+        rows = IdealTable(S, [conductor_ideal(S, T) for T in overs]).rows
+        T = overs[0]
+        assert rows[0].bits != rows[-1].bits
+        with pytest.raises(InvalidInput):
+            overring_check(S, T, rows[-1])
+        with pytest.raises(InvalidInput):
+            overring_check(S, S, rows[0])
+        with pytest.raises(NotOversemigroup):
+            overring_check(S, from_generators((5, 6, 7, 8, 9)), rows[0])
+        foreign = IdealTable(T, [conductor_ideal(T, from_generators((1,)))])
+        with pytest.raises(ParentMismatch):
+            overring_check(S, T, foreign.rows[0])
 
 
 class TestDomainErrors:

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 import oracles
 from conftest import generator_tuples, negative_a_semigroup, semigroups_up_to
 from typeseq import (
+    BoundTooLarge,
     ConductorNotTight,
     EmptyGenerators,
     EncodingError,
@@ -289,3 +290,9 @@ class TestOversemigroups:
     def test_whole_numbers_has_only_itself(self):
         N = from_generators((1,))
         assert [T.encode() for T in oversemigroups(N)] == ["0|0"]
+
+    def test_limit_stops_the_walk_past_it(self):
+        S = from_generators((3, 4, 5))
+        assert oversemigroups(S, limit=3) == oversemigroups(S)
+        with pytest.raises(BoundTooLarge):
+            oversemigroups(S, limit=2)
