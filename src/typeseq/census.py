@@ -15,18 +15,20 @@ forces every x + s that lands below c_E, and c_E - 1 is never allowed in
 The ideals, pairs, colon_growth and equivalences groups, and the
 negative-a search, read one ``IdealTable`` per semigroup, built whenever
 the ideals are enumerated; each row is the one record of its ideal's
-invariants, and the ideals group hands each row to
-``decomposition_check``.  The rows hold membership bits of I, I*, I**
-and K.I on one absolute window: bit k is the integer k - offset, and
-offset and top are both c + window + 1, where c is S's conductor.  Every
-ideal here is proper and integral with conductor at most c + window, so
+invariants, and the ideals group tallies the check tuple that
+``decomposition_checks`` produces from each row.  The rows hold
+membership bits of I, I*, I** and K.I on one absolute window: bit k is
+the integer k - offset, and offset and top are both c + window + 1,
+where c is S's conductor.  Every ideal here is proper and integral with conductor at most c + window, so
 I* starts no lower than -(c + window) and every set a row reads is full
 from c + window on; a subset test is then one AND, a length one popcount
 difference, and a colon J - X one call of the table's colon kernel.  The
 colon_growth group samples rows and takes its intersections, unions and
 colons on these bits.  The overrings group reads a second table per
-semigroup, over all its conductor ideals S - T, and hands each row to
-``overring_check``.
+semigroup, over all its conductor ideals S - T, and tallies the tuple
+``overring_checks`` produces from each row.  No report is built on the
+way: an ideal or oversemigroup is encoded only when one of its checks
+fails, to name it in the violation.
 
 ``verify_theorems`` runs named groups of checks over every enumerated
 semigroup (and ideal family); violations are collected, never raised, so
@@ -43,8 +45,10 @@ import itertools
 import json
 import os
 import random
+from collections import _count_elements
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .classification import (
     TAG_B_EQ_R_G,
@@ -78,9 +82,9 @@ from .invariants import (
     _le,
     ab_invariants,
     conductor_ideal,
-    decomposition_check,
+    decomposition_checks,
     extended_type_sequence,
-    overring_check,
+    overring_checks,
     sigma,
     type_sequence,
 )
@@ -363,6 +367,10 @@ class CensusReport:
         )
 
 
+_ids = itemgetter(0)
+_passes = itemgetter(1)
+
+
 class _Collector:
     """Accumulates tallies and violations from named checks."""
 
@@ -370,12 +378,21 @@ class _Collector:
         self.tallies: dict[str, int] = {}
         self.violations: list[Violation] = []
 
-    def add(self, sg: str, ideal: str, checks) -> None:
-        tallies = self.tallies
-        for cid, passed, lhs, rhs in checks:
-            tallies[cid] = tallies.get(cid, 0) + 1
-            if not passed:
-                self.violations.append(Violation(sg, ideal, cid, lhs, rhs))
+    def add(self, sg: str, obj, checks) -> None:
+        """Tally a sequence of checks on ``obj``: an ideal, a semigroup or "".
+
+        The ids are counted at C speed; ``obj`` is encoded only when one of
+        the checks failed.
+        """
+        _count_elements(self.tallies, map(_ids, checks))
+        if all(map(_passes, checks)):
+            return
+        name = obj if isinstance(obj, str) else obj.encode()
+        self.violations.extend(
+            Violation(sg, name, cid, lhs, rhs)
+            for cid, passed, lhs, rhs in checks
+            if not passed
+        )
 
 
 # -- per-semigroup check groups ----------------------------------------------------
@@ -580,8 +597,7 @@ def _run_semigroup(
         col.add(enc, "", _semigroup_group(S))
     if "ideals" in groups:
         for row in table.rows:
-            report = decomposition_check(S, row)
-            col.add(enc, report.ideal, report.checks)
+            col.add(enc, row.ideal, decomposition_checks(row))
     if "pairs" in groups:
         col.add(enc, "", _pairs_group(S, table, sample_limit))
     if "colon_growth" in groups:
@@ -592,7 +608,7 @@ def _run_semigroup(
         overs = oversemigroups(S)[1:]  # S itself comes first
         conductors = IdealTable(S, [conductor_ideal(S, T) for T in overs])
         for T, row in zip(overs, conductors.rows):
-            col.add(enc, T.encode(), overring_check(S, T, row).checks)
+            col.add(enc, T, overring_checks(S, T, row))
     if "profile" in groups and S.conductor:
         col.add(enc, "", window_profile(S).checks)
     if "classification" in groups:

@@ -23,14 +23,18 @@ invariants are
     b(I) = type * l(S/I) - l((S - I)/S)
     d(I) = l(tail(c - c_I) / (S - I)) - sum of r_h over marked h <= n_I
 
-and ``decomposition_check`` re-derives a and b from the type sequence
+and ``decomposition_checks`` re-derives a and b from the type sequence
 through the marked-index bookkeeping, together with every bound and
-identity the theory provides, reporting each as a named check with both
-sides evaluated.
+identity the theory provides, returning each as a named check with both
+sides evaluated.  ``decomposition_check`` is the report over one ideal:
+a view of its row and of that tuple of checks.  ``overring_checks`` and
+the ``overring_check`` report stand in the same relation.
 
 The row of an ``IdealTable`` is the one record of these per-ideal
 quantities: a and b, the lengths, I**, K.I, the marks and d are computed
-there and nowhere else.  ``ab_invariants``, ``d_invariant``,
+there and nowhere else, the lazy ones on first read, stored in the row
+without a lock.  K.I is the union of K's window bits shifted to I's
+least member in each residue class.  ``ab_invariants``, ``d_invariant``,
 ``decomposition_check`` and ``overring_check`` read the row of a one-row
 table built for their ideal; the census builds one table per semigroup
 and hands its rows to the ideals, pairs and equivalences groups.
@@ -54,7 +58,6 @@ from .ideals import (
     colon_bits,
     dedekind_different,
     dual,
-    ideal_product,
     length_between,
     require_proper,
     tail_ideal,
@@ -72,16 +75,21 @@ class Check(NamedTuple):
     rhs: int
 
 
+# The checks are built straight from a tuple: the NamedTuple's generated
+# ``__new__`` costs about twice as much per record.
+_new = tuple.__new__
+
+
 def _eq(cid: str, lhs: int, rhs: int) -> Check:
-    return Check(cid, lhs == rhs, int(lhs), int(rhs))
+    return _new(Check, (cid, lhs == rhs, int(lhs), int(rhs)))
 
 
 def _le(cid: str, lhs: int, rhs: int) -> Check:
-    return Check(cid, lhs <= rhs, int(lhs), int(rhs))
+    return _new(Check, (cid, lhs <= rhs, int(lhs), int(rhs)))
 
 
 def _ge(cid: str, lhs: int, rhs: int) -> Check:
-    return Check(cid, lhs >= rhs, int(lhs), int(rhs))
+    return _new(Check, (cid, lhs >= rhs, int(lhs), int(rhs)))
 
 
 @dataclass(frozen=True)
@@ -167,6 +175,26 @@ def extended_type_sequence(S: NumericalSemigroup, m: int) -> tuple[int, ...]:
     return tuple(L[i] - L[i - 1] for i in range(1, m + 1))
 
 
+class _lazy:
+    """A property computed on first read and stored in the instance dict.
+
+    Later reads find the value there, before this non-data descriptor;
+    unlike ``functools.cached_property`` on Python 3.11, no lock is taken.
+    """
+
+    def __init__(self, fn):
+        self.fn, self.__doc__ = fn, fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 def ab_invariants(S: NumericalSemigroup, I: RelativeIdeal) -> tuple[int, int]:
     """(a, b) for a proper integral ideal I, read from its ``IdealTable`` row."""
     row = IdealTable(S, [I]).rows[0]
@@ -178,11 +206,13 @@ class IdealRow:
 
     I and I* (``bits``, ``dual``) with their popcounts, l(S/I), l(I*/S),
     a and b are set when the row is built; I* is the table's colon S - I.
-    These are computed on first use and cached, each from the row's bits:
-    I** (``bidual``, the colon S - I*) and its conductor
-    (``bidual_conductor``), K.I (``omega``), the flags ``principal``
-    (I = min(I) + S) and ``closed`` (I = S from min(I) on), the
-    unmarked indices and d.
+    These are computed on first use, each from the row's bits, and stored
+    in the row's dict without a lock: I** (``bidual``, the colon S - I*)
+    and its conductor (``bidual_conductor``), K.I (``omega``, from the
+    table's ``canonical`` bits), the flags ``principal`` (I = min(I) + S)
+    and ``closed`` (I = S from min(I) on), the unmarked indices and d.
+    ``decomposition_check`` reports are views of ``decomposition_checks``
+    over the row.
     """
 
     def __init__(self, table: IdealTable, ideal: RelativeIdeal):
@@ -197,29 +227,42 @@ class IdealRow:
         self.a = self.l_dual - self.l_quotient
         self.b = table.S.type * self.l_quotient - self.l_dual
 
-    @functools.cached_property
+    @_lazy
     def bidual(self) -> int:
         """I** bits."""
         return self.table.colon(self.table.unit, self.dual)
 
-    @functools.cached_property
+    @_lazy
     def bidual_drop(self) -> int:
         """l(I**/I)."""
         return self.bidual.bit_count() - self.length
 
-    @functools.cached_property
+    @_lazy
     def bidual_conductor(self) -> int:
         """The conductor of I**: one past its last non-member in the window."""
         table = self.table
         return (self.bidual ^ table.window).bit_length() - table.offset
 
-    @functools.cached_property
+    @_lazy
     def omega(self) -> int:
-        """K.I bits, the product with the canonical ideal."""
-        K = canonical_ideal(self.table.S)
-        return self.table.bits_of(ideal_product(K, self.ideal))
+        """K.I bits, the product with the canonical ideal, cut to the window.
 
-    @functools.cached_property
+        With e the multiplicity, the least member g of I in each residue
+        class mod e generates I (the generators ``colon_bits`` uses), so
+        K.I is the union of the translates K + g.  A generator at or past
+        top adds nothing below top, where K.I is full anyway.
+        """
+        table = self.table
+        canonical, offset = table.canonical, table.offset
+        gens = self.bits & ~(self.bits << table.S.multiplicity)
+        acc = 0
+        while gens:
+            low = gens & -gens
+            acc |= canonical << (low.bit_length() - 1 - offset)
+            gens ^= low
+        return acc & table.window
+
+    @_lazy
     def principal(self) -> bool:
         """Whether I is the translate min(I) + S.
 
@@ -232,13 +275,13 @@ class IdealRow:
             and self.bits == (table.unit << m) & table.window
         )
 
-    @functools.cached_property
+    @_lazy
     def closed(self) -> bool:
         """Whether I is integrally closed: the members of S from min(I) on."""
         table = self.table
         return self.bits == table.unit & table.tail_mask(self.ideal.min_element)
 
-    @functools.cached_property
+    @_lazy
     def unmarked(self) -> tuple[int, ...]:
         """The h in [1, n_I] with s_{h-1} outside I**; the others are marked.
 
@@ -266,7 +309,7 @@ class IdealRow:
             p = flags.rfind("1", 2, p)
         return tuple(out)
 
-    @functools.cached_property
+    @_lazy
     def unmarked_sum(self) -> int:
         r = self.table.r_values
         return sum(r[h] for h in self.unmarked)
@@ -285,7 +328,7 @@ class IdealRow:
             - self.marked_sum(conductor - S.genus)
         )
 
-    @functools.cached_property
+    @_lazy
     def d(self) -> int:
         return self.d_for(self.ideal.conductor)
 
@@ -349,27 +392,39 @@ class IdealTable:
         """Window bits of the tail from ``start``."""
         return _ones(self.top - start) << (start + self.offset)
 
-    @functools.cached_property
+    @_lazy
     def chain_lengths(self) -> tuple[int, ...]:
-        """(L_0, ..., L_{top - genus}): members below c of each S - R_i."""
-        return _chain_dual_lengths(self.S, self.top - self.S.genus)
+        """(L_0, ..., L_{top - genus}): members below c of each S - R_i.
+
+        The walk runs to n; past it S - R_i is a tail and L_i = s_i, the
+        closed form that ``_chain_dual_lengths`` verifies at n.
+        """
+        S = self.S
+        return _chain_dual_lengths(S, S.n) + tuple(
+            range(S.conductor + 1, self.top + 1)
+        )
 
     def chain_dual_length(self, i: int) -> int:
         """Window members of S - R_i (R_i: the members of S from s_i on)."""
         return self.chain_lengths[i] + self.top - self.S.conductor
 
-    @functools.cached_property
+    @_lazy
+    def canonical(self) -> int:
+        """Bits of the canonical ideal K."""
+        return self.bits_of(canonical_ideal(self.S))
+
+    @_lazy
     def theta(self) -> int:
         """Bits of the different S - K."""
         return self.bits_of(dedekind_different(self.S))
 
-    @functools.cached_property
+    @_lazy
     def r_values(self) -> tuple[int, ...]:
         """(0, r_1, r_2, ...) to index top - genus, r_h = L_h - L_{h-1}."""
         L = self.chain_lengths
         return (0,) + tuple(L[h] - L[h - 1] for h in range(1, len(L)))
 
-    @functools.cached_property
+    @_lazy
     def prefix(self) -> tuple[int, ...]:
         """prefix[h] = r_1 + ... + r_h = L_h - L_0."""
         L = self.chain_lengths
@@ -427,10 +482,9 @@ def decomposition_check(
 ) -> IdealInvariantReport:
     """Evaluate every decomposition identity and bound for (S, I).
 
-    I is a proper integral ideal of S or a row of an ``IdealTable`` of S,
-    as the census passes them.  Conditional statements (those whose
-    hypothesis is a property of S or I) are included only when the
-    hypothesis holds, so tallies count genuine instances.
+    I is a proper integral ideal of S or a row of an ``IdealTable`` of S.
+    The report is a view of the row and of ``decomposition_checks(row)``,
+    the one path that evaluates the checks.
     """
     if isinstance(I, IdealRow):
         row = I
@@ -438,8 +492,36 @@ def decomposition_check(
             raise ParentMismatch("the row belongs to another semigroup")
     else:
         row = IdealTable(S, [I]).rows[0]
-    table = row.table
     I = row.ideal
+    return IdealInvariantReport(
+        semigroup=S.encode(),
+        ideal=I.encode(),
+        a=row.a,
+        b=row.b,
+        d=row.d,
+        ideal_conductor=I.conductor,
+        n_relative=I.conductor - S.genus,
+        v_complement=row.unmarked,
+        l_quotient=row.l_quotient,
+        l_dual=row.l_dual,
+        l_bidual_drop=row.bidual_drop,
+        reflexive=row.bidual == row.bits,
+        integrally_closed=row.closed,
+        omega_stable=row.omega == row.bits,
+        principal=row.principal,
+        checks=decomposition_checks(row),
+    )
+
+
+def decomposition_checks(row: IdealRow) -> tuple[Check, ...]:
+    """Every decomposition identity and bound for the ideal of ``row``.
+
+    Conditional statements (those whose hypothesis is a property of S or
+    I) are included only when the hypothesis holds, so tallies count
+    genuine instances.  The census tallies these records as they are.
+    """
+    table = row.table
+    S, I = table.S, row.ideal
     r, delta, c, n = S.type, S.genus, S.conductor, S.n
     c_i = I.conductor
     n_i = c_i - delta
@@ -572,25 +654,7 @@ def decomposition_check(
         checks.append(_eq("a_constant_when_ag_reflexive", a, a_gamma))
     if r == 1:
         checks.append(_eq("a_zero_when_type_one", a, 0))
-
-    return IdealInvariantReport(
-        semigroup=S.encode(),
-        ideal=I.encode(),
-        a=a,
-        b=b,
-        d=d,
-        ideal_conductor=c_i,
-        n_relative=n_i,
-        v_complement=unmarked,
-        l_quotient=l_quot,
-        l_dual=row.l_dual,
-        l_bidual_drop=l_bid,
-        reflexive=refl,
-        integrally_closed=closed,
-        omega_stable=stable,
-        principal=principal,
-        checks=tuple(checks),
-    )
+    return tuple(checks)
 
 
 @dataclass(frozen=True)
@@ -622,12 +686,13 @@ def overring_check(
 ) -> OverringReport:
     """Verify the formulas for l(T/S) via the conductor ideal I = S - T.
 
-    ``row`` is I's row in an ``IdealTable`` of S, as the census and the
-    CLI pass it from one table over all of S's conductor ideals; without
-    it a one-row table is built.  The row is checked against T by one
-    colon on its table.  T = S is allowed without a row and yields the
+    ``row`` is I's row in an ``IdealTable`` of S, as the CLI passes it
+    from one table over all of S's conductor ideals; without it a one-row
+    table is built.  T = S is allowed without a row and yields the
     all-zeros record: the conductor ideal would be S itself, which is not
-    proper, and every formula degenerates.
+    proper, and every formula degenerates.  The report is a view of
+    ``overring_checks(S, T, row)``, the one path that evaluates the checks;
+    l(T/S) is the genus difference, which they verify on the row's bits.
     """
     if row is None:
         I = conductor_ideal(S, T)
@@ -643,19 +708,37 @@ def overring_check(
         row = IdealTable(S, [I]).rows[0]
     elif row.table.S != S:
         raise ParentMismatch("the row belongs to another semigroup")
+    checks = overring_checks(S, T, row)
+    return OverringReport(
+        semigroup=S.encode(),
+        oversemigroup=T.encode(),
+        conductor_ideal=row.ideal.encode(),
+        length=S.genus - T.genus,
+        min_index=S.small_index(row.ideal.min_element),
+        checks=checks,
+    )
+
+
+def overring_checks(
+    S: NumericalSemigroup, T: NumericalSemigroup, row: IdealRow
+) -> tuple[Check, ...]:
+    """The l(T/S) formulas for the row of I = S - T in a table of S.
+
+    The row is checked against T by one colon on its table; the census
+    tallies these records as they are.
+    """
     table = row.table
     t_bits = T.bits_below(table.top) << table.offset
     if table.unit & ~t_bits:
         raise NotOversemigroup(f"{T.encode()} does not contain {S.encode()}")
     if table.colon(table.unit, t_bits) != row.bits:
         raise InvalidInput(f"the row is not S - T for T = {T.encode()}")
-    I = row.ideal
     t_length = t_bits.bit_count()
     L = t_length - table.unit_length
     # T** = S - (S - T) is I*.
     l_t_growth = row.dual_length - t_length
-    i0 = S.small_index(I.min_element)
-    checks = [
+    i0 = S.small_index(row.ideal.min_element)
+    return (
         _eq(
             "overring_length_split",
             L,
@@ -670,12 +753,4 @@ def overring_check(
             + row.dual_length
             - table.chain_dual_length(i0),
         ),
-    ]
-    return OverringReport(
-        semigroup=S.encode(),
-        oversemigroup=T.encode(),
-        conductor_ideal=I.encode(),
-        length=L,
-        min_index=i0,
-        checks=tuple(checks),
     )

@@ -16,6 +16,7 @@ from typeseq import (
     enumerate_ideals,
     enumerate_semigroups,
     from_generators,
+    oversemigroups,
     search_negative_a,
     tail_ideal,
     verify_theorems,
@@ -366,6 +367,27 @@ class TestVerifyTheorems:
         assert '"lhs": 1,' in text and '"lhs": true' not in text
         assert parallel.to_json() == text
         assert cli.main(["census", "--max-genus", "2", "--checks", "semigroup"]) == 1
+
+    def test_ideal_and_overring_violations_name_their_objects(self, monkeypatch):
+        monkeypatch.setattr(
+            census, "decomposition_checks", lambda row: (_eq("t_ideal", 1, 2),)
+        )
+        monkeypatch.setattr(
+            census, "overring_checks", lambda S, T, row: (_eq("t_over", 1, 2),)
+        )
+        query = dict(max_genus=3, window=2, checks=("ideals", "overrings"))
+        serial = verify_theorems(CensusQuery(**query))
+        parallel = verify_theorems(CensusQuery(workers=2, **query))
+        want = []
+        for S in enumerate_semigroups(max_genus=3):
+            enc = S.encode()
+            for I in enumerate_ideals(S, 2):
+                want.append(Violation(enc, I.encode(), "t_ideal", 1, 2))
+            for T in oversemigroups(S)[1:]:
+                want.append(Violation(enc, T.encode(), "t_over", 1, 2))
+        assert serial.violations == sorted(want, key=Violation.sort_key)
+        assert parallel.to_json() == serial.to_json()
+        assert cli.main(["census", "--max-genus", "3", "--checks", "ideals"]) == 1
 
     def test_report_json_is_canonical(self):
         rep = verify_theorems(CensusQuery(max_genus=4, window=1))

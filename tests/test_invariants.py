@@ -38,7 +38,15 @@ from typeseq import (
     tail_ideal,
     unit_ideal,
 )
-from typeseq.invariants import _eq, _ge, _le, conductor_ideal
+from typeseq.invariants import (
+    _chain_dual_lengths,
+    _eq,
+    _ge,
+    _le,
+    conductor_ideal,
+    decomposition_checks,
+    overring_checks,
+)
 
 
 def brute_ab(S, I):
@@ -427,3 +435,81 @@ class TestIdealTable:
             IdealTable(S, [unit_ideal(S)])
         with pytest.raises(ParentMismatch):
             IdealTable(S, [tail_ideal(from_generators((2, 3)), 3)])
+
+
+def _table_bits(table, members):
+    """A table row for a set of integers, read below the table's top."""
+    return sum(1 << (x + table.offset) for x in members if x < table.top)
+
+
+def _omega_cases():
+    """(S, ideals) for genus <= 7 up to window 3, and two wide ideals."""
+    for S in semigroups_up_to(7):
+        yield S, enumerate_ideals(S, window=3)
+    S = from_generators((3, 4, 5))
+    yield S, [ideal_from_generators(S, (120,))]
+    S = negative_a_semigroup()
+    yield S, [ideal_from_generators(S, (38, 44, 50))]
+
+
+class TestOmegaOnBits:
+    def test_omega_is_the_sumset_with_the_canonical_set(self):
+        for S, ideals in _omega_cases():
+            for window in range(4):
+                family = [E for E in ideals if E.conductor <= S.conductor + window]
+                if not family:
+                    continue
+                table = IdealTable(S, family)
+                top = table.top
+                A = {x for x in range(top) if x in S}
+                K = oracles.canonical_set(A, S.conductor, top)
+                for row in table.rows:
+                    I = {x for x in range(top) if x in row.ideal}
+                    want = _table_bits(table, oracles.sum_set(K, I, top))
+                    assert row.omega == want, (S.encode(), row.ideal.encode())
+
+
+class TestOnePath:
+    """The reports are views of the check tuples; lazy fields run once."""
+
+    def test_reports_carry_the_check_tuples(self):
+        for S in semigroups_up_to(7):
+            for window in range(3):
+                for row in IdealTable(S, enumerate_ideals(S, window)).rows:
+                    assert decomposition_check(S, row).checks == (
+                        decomposition_checks(row)
+                    ), (S.encode(), window, row.ideal.encode())
+            overs = oversemigroups(S)[1:]
+            table = IdealTable(S, [conductor_ideal(S, T) for T in overs])
+            for T, row in zip(overs, table.rows):
+                assert overring_check(S, T, row).checks == (
+                    overring_checks(S, T, row)
+                ), (S.encode(), T.encode())
+
+    def test_bidual_is_one_colon(self, monkeypatch):
+        calls = []
+        colon = IdealTable.colon
+
+        def counted(self, A, B):
+            calls.append(B)
+            return colon(self, A, B)
+
+        monkeypatch.setattr(IdealTable, "colon", counted)
+        for S in semigroups_up_to(7):
+            for window in range(3):
+                for row in IdealTable(S, enumerate_ideals(S, window)).rows:
+                    calls.clear()
+                    first, second = row.bidual, row.bidual
+                    assert first == second and calls == [row.dual], (
+                        S.encode(),
+                        row.ideal.encode(),
+                    )
+
+    def test_chain_lengths_match_the_full_walk(self):
+        cases = [(S, enumerate_ideals(S, 2)) for S in semigroups_up_to(7)]
+        S = from_generators((3, 4, 5))
+        cases.append((S, [ideal_from_generators(S, (2000,))]))
+        for S, ideals in cases:
+            table = IdealTable(S, ideals)
+            want = _chain_dual_lengths(S, table.top - S.genus)
+            assert table.chain_lengths == want, S.encode()
