@@ -180,6 +180,10 @@ class CensusQuery:
                 )
         if self.window < 0:
             raise InvalidInput("window must be non-negative")
+        for name in ("max_genus", "max_conductor"):
+            bound = getattr(self, name)
+            if bound is not None and bound < 0:
+                raise InvalidInput(f"{name} must be non-negative, got {bound}")
         if self.workers < 1:
             raise InvalidInput("workers must be positive")
         if self.sample_limit < 1:
@@ -229,7 +233,7 @@ def _children(
         if x > S.conductor - 1:
             bits = S.bits_below(x + 1) & ~(1 << x)
             out.append(NumericalSemigroup(x + 1, bits))
-    out.sort(key=lambda T: T.encode())
+    out.sort(key=NumericalSemigroup.encode)
     return out
 
 
@@ -578,18 +582,22 @@ def _classification_group(S: NumericalSemigroup) -> tuple[list[Check], str]:
     return checks, outcome.tag
 
 
+_IDEAL_GROUPS = ("ideals", "pairs", "colon_growth", "equivalences")
+
+
 def _run_semigroup(
     S: NumericalSemigroup,
     groups: tuple[str, ...],
+    need_ideals: bool,
     window: int,
     sample_limit: int,
     col: _Collector,
 ) -> tuple[int, str | None]:
-    """Run the requested groups on S; returns (ideal count, class tag)."""
+    """Run the requested groups on S; returns (ideal count, class tag).
+
+    ``need_ideals`` says whether any of ``groups`` reads the ideal table.
+    """
     enc = S.encode()
-    need_ideals = any(
-        g in groups for g in ("ideals", "pairs", "colon_growth", "equivalences")
-    )
     ideals = enumerate_ideals(S, window) if need_ideals else []
     table = IdealTable(S, ideals) if need_ideals else None
     tag = None
@@ -638,6 +646,7 @@ def _selected(query: CensusQuery):
 def _census_part(query: CensusQuery, population) -> CensusReport:
     """Tallies over one part of the population, in walk order."""
     groups = query.groups()
+    need_ideals = any(g in groups for g in _IDEAL_GROUPS)
     col = _Collector()
     report = CensusReport(query=query.to_dict())
     for S in population:
@@ -646,7 +655,7 @@ def _census_part(query: CensusQuery, population) -> CensusReport:
         )
         report.semigroup_count += 1
         n_ideals, tag = _run_semigroup(
-            S, groups, query.window, query.sample_limit, col
+            S, groups, need_ideals, query.window, query.sample_limit, col
         )
         report.ideal_count += n_ideals
         if tag is not None:

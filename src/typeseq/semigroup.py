@@ -7,6 +7,13 @@ normal form used everywhere in this package is the pair
 ``(conductor, mask)`` where bit x of ``mask`` records membership of x for
 x in [0, conductor); every integer >= conductor is a member by definition
 of the conductor, so no bits are stored for the tail.
+
+Each fact about a semigroup is computed once per instance.  ``n`` and
+``genus`` are plain attributes set on construction.  One pass over the
+Apery set of the multiplicity yields both the minimal generators and the
+pseudo-Frobenius bits; the type is the popcount of those bits, and the
+``pseudo_frobenius`` tuple is built only when read.  ``encode()`` keeps
+its string after the first call.  None of these caches is pickled.
 """
 
 from __future__ import annotations
@@ -45,11 +52,24 @@ class NumericalSemigroup:
     """Immutable numerical semigroup in ``(conductor, mask)`` normal form.
 
     ``small_elements`` lists the members s_0 = 0 < s_1 < ... < s_n where
-    s_n equals the conductor; for S = N it is just (0,).  Instances are
-    hashable and compare by value, so they can key caches.
+    s_n equals the conductor; for S = N it is just (0,).  ``n`` (the
+    number of nonzero small elements) and ``genus`` (c - n) are attributes.
+    Instances are hashable and compare by value, so they can key caches.
+    The minimal generators, the pseudo-Frobenius bits and the encoding are
+    computed on first use and kept in slots.
     """
 
-    __slots__ = ("conductor", "mask", "small_elements", "_mingens", "_pf")
+    __slots__ = (
+        "conductor",
+        "mask",
+        "small_elements",
+        "n",
+        "genus",
+        "_mingens",
+        "_pf_bits",
+        "_pf",
+        "_enc",
+    )
 
     def __init__(self, conductor: int, mask: int):
         if conductor < 0:
@@ -64,11 +84,14 @@ class NumericalSemigroup:
             raise InvalidInput("mask must be empty when the conductor is 0")
         self.conductor = conductor
         self.mask = mask
-        self.small_elements = (
-            _bit_positions(mask) + (conductor,) if conductor else (0,)
-        )
+        small = _bit_positions(mask) + (conductor,) if conductor else (0,)
+        self.small_elements = small
+        self.n = n = len(small) - 1
+        self.genus = conductor - n
         self._mingens: tuple[int, ...] | None = None
+        self._pf_bits: int | None = None
         self._pf: tuple[int, ...] | None = None
+        self._enc: str | None = None
 
     # -- membership and views ------------------------------------------------
 
@@ -95,15 +118,6 @@ class NumericalSemigroup:
         return self.small_elements[1]
 
     @property
-    def n(self) -> int:
-        """Number of nonzero small elements: n = c - genus."""
-        return len(self.small_elements) - 1
-
-    @property
-    def genus(self) -> int:
-        return self.conductor - self.n
-
-    @property
     def frobenius(self) -> int:
         """Largest non-member (-1 for S = N)."""
         return self.conductor - 1
@@ -112,13 +126,51 @@ class NumericalSemigroup:
     def gaps(self) -> tuple[int, ...]:
         return _bit_positions(~self.mask & _ones(self.conductor))
 
+    def _apery_pass(self) -> int:
+        """Fill the minimal generators and pseudo-Frobenius bits (c > 0).
+
+        With e the multiplicity, every nonzero member is w + k*e with w in
+        the Apery set Ap(S, e), whose nonzero part is the bits of
+        B & ~(B << e) & ~1 for B the membership bits below c + e.
+
+        Generators: a sum x = a + b of nonzero members with x - e not in S
+        has a and b in Ap(S, e), so the generators are the bits of
+        M & ~((M << e) | OR over those w of (M << w)), with M = B & ~1.
+
+        Pseudo-Frobenius: a gap x has x + s in S for every nonzero member s
+        exactly when x + e and every x + w are members, so the gap bits
+        are ANDed with W >> e and each W >> w, W the bits below 2c + e.
+
+        Returns the pseudo-Frobenius bits.
+        """
+        c = self.conductor
+        e = self.small_elements[1]
+        wide = self.bits_below(2 * c + e)
+        members = wide & _ones(c + e)
+        nonzero = members & ~1
+        sums = nonzero << e
+        pf = ~self.mask & _ones(c) & (wide >> e)
+        for w in _bit_positions(members & ~(members << e) & ~1):
+            sums |= nonzero << w
+            pf &= wide >> w
+        self._mingens = _bit_positions(nonzero & ~sums)
+        self._pf_bits = pf
+        return pf
+
+    @property
+    def minimal_generators(self) -> tuple[int, ...]:
+        """Nonzero members not expressible as a sum of two nonzero members."""
+        if self._mingens is None:
+            if self.conductor == 0:
+                self._mingens = (1,)
+            else:
+                self._apery_pass()
+        return self._mingens
+
     @property
     def pseudo_frobenius(self) -> tuple[int, ...]:
         """Non-members x with x + s a member for every nonzero member s.
 
-        Each nonzero s is a generator g plus a member, so x + g in S for
-        every g suffices: the gap bits below c ANDed with
-        ``bits_below(2c + e) >> g`` for each g (all g are below c + e).
         For S = N the same colon-style definition gives {-1}, matching the
         convention that the valuation ring has type 1.
         """
@@ -126,40 +178,21 @@ class NumericalSemigroup:
             if self.conductor == 0:
                 self._pf = (-1,)
             else:
-                c = self.conductor
-                members = self.bits_below(2 * c + self.multiplicity)
-                pf = ~self.mask & _ones(c)
-                for g in self.minimal_generators:
-                    pf &= members >> g
-                self._pf = _bit_positions(pf)
+                pf = self._pf_bits
+                self._pf = _bit_positions(
+                    self._apery_pass() if pf is None else pf
+                )
         return self._pf
 
     @property
     def type(self) -> int:
-        return len(self.pseudo_frobenius)
-
-    @property
-    def minimal_generators(self) -> tuple[int, ...]:
-        """Nonzero members not expressible as a sum of two nonzero members.
-
-        With e the multiplicity, B the membership bits below c + e and
-        M = B & ~1: a sum x = a + b with x - e not in S has a and b in the
-        Apery set Ap(S, e), whose nonzero part is the bits of
-        B & ~(B << e) & ~1.  So the generators are the bits of
-        M & ~((M << e) | OR over those w of (M << w)), at most e shifts.
-        """
-        if self._mingens is None:
+        """Number of pseudo-Frobenius numbers: a popcount of their bits."""
+        pf = self._pf_bits
+        if pf is None:
             if self.conductor == 0:
-                self._mingens = (1,)
-            else:
-                e = self.multiplicity
-                members = self.bits_below(self.conductor + e)
-                nonzero = members & ~1
-                sums = nonzero << e
-                for w in _bit_positions(members & ~(members << e) & ~1):
-                    sums |= nonzero << w
-                self._mingens = _bit_positions(nonzero & ~sums)
-        return self._mingens
+                return 1
+            pf = self._apery_pass()
+        return pf.bit_count()
 
     @property
     def is_gorenstein(self) -> bool:
@@ -185,9 +218,12 @@ class NumericalSemigroup:
 
     def encode(self) -> str:
         """Canonical text form: small elements comma-joined, then conductor."""
-        return ",".join(str(s) for s in self.small_elements) + "|" + str(
-            self.conductor
-        )
+        enc = self._enc
+        if enc is None:
+            enc = self._enc = (
+                ",".join(map(str, self.small_elements)) + "|" + str(self.conductor)
+            )
+        return enc
 
     @classmethod
     def decode(cls, text: str) -> "NumericalSemigroup":

@@ -490,6 +490,17 @@ class TestGuards:
         monkeypatch.setenv("TYPESEQ_MAX_GENUS", "14")
         assert CensusQuery(max_genus=14).max_genus == 14
 
+    def test_negative_bounds_are_invalid_input(self):
+        for bounds in ({"max_genus": -3}, {"max_conductor": -1}):
+            with pytest.raises(InvalidInput, match="non-negative"):
+                CensusQuery(**bounds)
+            with pytest.raises(InvalidInput):
+                CensusQuery(**bounds, allow_large=True)
+        with pytest.raises(InvalidInput):
+            classification_census(-1)
+        assert CensusQuery(max_genus=0).max_genus == 0
+        assert CensusQuery(max_conductor=0).max_conductor == 0
+
     def test_exactly_one_population_selector(self):
         with pytest.raises(ValueError):
             CensusQuery()

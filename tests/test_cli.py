@@ -372,6 +372,17 @@ class TestErrorsAndExitCodes:
             assert code == 2, text
             assert json.loads(out)["error"]["code"] == "InvalidInput", text
 
+    def test_negative_walk_bounds_are_invalid_input(self, capsys):
+        for argv in (
+            ["classify", "--max-conductor", "-1"],
+            ["census", "--max-genus", "-3"],
+            ["census", "--max-conductor", "-1"],
+            ["search", "--negative-a", "--max-genus", "-1"],
+        ):
+            code, out = run(argv, capsys)
+            assert code == 2, argv
+            assert json.loads(out)["error"]["code"] == "InvalidInput", argv
+
     def test_nonpositive_sample_limit_is_invalid_input(self, capsys):
         for limit in ("0", "-5"):
             argv = ["census", "--max-genus", "3", "--checks", "pairs"]

@@ -1,5 +1,8 @@
 """Core semigroup model: constructors, codec, invariants, predicates."""
 
+import itertools
+import pickle
+
 import pytest
 from hypothesis import example, given, settings
 
@@ -149,6 +152,52 @@ class TestCodec:
         S = from_generators(gens)
         assert NumericalSemigroup.decode(S.encode()) == S
 
+    def test_encoding_is_cached_and_unchanged(self):
+        for gens in ((3, 4, 5), (1,), (2, 5), (9, 15, 17, 23, 25, 29, 31)):
+            S = from_generators(gens)
+            want = ",".join(str(x) for x in S.small_elements) + f"|{S.conductor}"
+            assert S.encode() == want
+            assert S.encode() is S.encode()
+            assert NumericalSemigroup.decode(S.encode()) == S
+
+    def test_pickle_round_trip_leaves_caches_behind(self):
+        for gens in ((3, 4, 5), (1,), (9, 15, 17, 23, 25, 29, 31)):
+            S = from_generators(gens)
+            S.encode(), S.type, S.pseudo_frobenius  # fill the caches
+            assert S.__reduce__() == (NumericalSemigroup, (S.conductor, S.mask))
+            T = pickle.loads(pickle.dumps(S))
+            assert T == S
+            assert (T.encode(), T.type, T.genus, T.n) == (
+                S.encode(),
+                S.type,
+                S.genus,
+                S.n,
+            )
+
+    def test_walk_order_matches_a_string_sorted_reference(self):
+        # Reference walk: children of S remove one minimal generator x
+        # above the Frobenius number; siblings are visited in the order of
+        # their encodings, built here from small_elements.
+        def text(T):
+            return ",".join(str(x) for x in T.small_elements) + f"|{T.conductor}"
+
+        bound = 14
+        want = []
+        stack = [NumericalSemigroup(0, 0)]
+        while stack:
+            S = stack.pop()
+            want.append(text(S))
+            children = []
+            for x in S.minimal_generators:
+                if S.conductor <= x < bound:
+                    members = [m for m in S.small_elements if m < S.conductor]
+                    members += range(S.conductor, x)
+                    children.append(from_small_elements(members, x + 1))
+            children.sort(key=text)
+            stack.extend(reversed(children))
+        got = [S.encode() for S in enumerate_semigroups(max_conductor=bound)]
+        assert got == want
+
     def test_equality_and_hash_on_normal_form(self):
         a = from_generators((3, 4, 5))
         b = from_small_elements((0, 3), 3)
@@ -225,6 +274,35 @@ class TestMembership:
         assert S.minimal_generators == tuple(range(300, 600))
         assert S.pseudo_frobenius == tuple(range(1, 300))
         assert S.type == 299
+
+    def test_one_apery_pass_in_any_read_order(self):
+        # type, pseudo_frobenius and minimal_generators share one pass, so
+        # whichever is read first fills the others; each order must agree
+        # with the set oracles.  The wide cases stay cheap for the oracles
+        # because their all() and any() scans stop early.
+        ordinary = NumericalSemigroup(300, 1)
+        c = 119 * 120
+        two_gen = NumericalSemigroup(
+            c, sum(1 << x for x in range(c) if x >= 121 * (x % 120))
+        )
+        cases = list(enumerate_semigroups(max_conductor=16))
+        cases += [from_generators((2, 20001)), two_gen, ordinary]
+        names = ("type", "pseudo_frobenius", "minimal_generators")
+        for S in cases:
+            c, e = S.conductor, S.multiplicity
+            members = oracles.semigroup_set(S, margin=c + e)
+            want = {
+                "pseudo_frobenius": tuple(oracles.pseudo_frobenius(members, c)),
+                "minimal_generators": tuple(
+                    oracles.minimal_generators(members, c, e)
+                ),
+            }
+            want["type"] = len(want["pseudo_frobenius"])
+            for order in itertools.permutations(names):
+                fresh = NumericalSemigroup(S.conductor, S.mask)
+                got = {name: getattr(fresh, name) for name in order}
+                assert got == want, (S, order)
+                assert fresh.type == len(fresh.pseudo_frobenius), (S, order)
 
     def test_small_element_extends_past_conductor(self):
         S = from_generators((3, 4, 5))
