@@ -76,7 +76,7 @@ from .ideals import (
     tail_ideal,
 )
 from .invariants import (
-    Check,
+    CheckTuple,
     IdealTable,
     _eq,
     _le,
@@ -114,6 +114,13 @@ _DEFAULT_GENUS_GUARD = 12
 _CONDUCTOR_GUARD = 30
 _WINDOW_GUARD = 3
 _WORKERS_GUARD = 64  # a pool forks all its workers at once
+
+
+def _require_non_negative(**bounds) -> None:
+    """Raise ``InvalidInput`` for a bound given below 0; None is no bound."""
+    for name, bound in bounds.items():
+        if bound is not None and bound < 0:
+            raise InvalidInput(f"{name} must be non-negative, got {bound}")
 
 
 def _genus_guard() -> int:
@@ -178,12 +185,23 @@ class CensusQuery:
                 raise BoundTooLarge(
                     f"workers {self.workers} above guard {_WORKERS_GUARD}"
                 )
-        if self.window < 0:
-            raise InvalidInput("window must be non-negative")
-        for name in ("max_genus", "max_conductor"):
-            bound = getattr(self, name)
-            if bound is not None and bound < 0:
-                raise InvalidInput(f"{name} must be non-negative, got {bound}")
+        _require_non_negative(
+            window=self.window,
+            max_genus=self.max_genus,
+            max_conductor=self.max_conductor,
+        )
+        if self.multiplicity_range is not None:
+            bounds = self.multiplicity_range
+            if not (
+                isinstance(bounds, (tuple, list))
+                and len(bounds) == 2
+                and all(type(x) is int for x in bounds)
+                and 1 <= bounds[0] <= bounds[1]
+            ):
+                raise InvalidInput(
+                    "multiplicity_range must be two ints lo, hi with "
+                    f"1 <= lo <= hi, got {bounds!r}"
+                )
         if self.workers < 1:
             raise InvalidInput("workers must be positive")
         if self.sample_limit < 1:
@@ -241,9 +259,17 @@ def enumerate_semigroups(
     max_genus: int | None = None,
     max_conductor: int | None = None,
 ):
-    """Depth-first stream of all semigroups within the given bounds."""
+    """Depth-first stream of all semigroups within the given bounds.
+
+    The bounds are checked on the call, before the stream is read.
+    """
     if max_genus is None and max_conductor is None:
         raise InvalidInput("a genus or conductor bound is required")
+    _require_non_negative(max_genus=max_genus, max_conductor=max_conductor)
+    return _walk(max_genus, max_conductor)
+
+
+def _walk(max_genus: int | None, max_conductor: int | None):
     stack = [NumericalSemigroup(0, 0)]
     while stack:
         S = stack.pop()
@@ -261,6 +287,7 @@ def enumerate_ideals(S: NumericalSemigroup, window: int) -> list[RelativeIdeal]:
     For S = N the window alone supplies the conductors (the tails from
     1 through ``window`` are the only proper integral ideals there).
     """
+    _require_non_negative(window=window)
     lo = max(S.conductor, 1)
     found: list[RelativeIdeal] = []
     for c_e in range(lo, S.conductor + window + 1):
@@ -402,13 +429,13 @@ class _Collector:
 # -- per-semigroup check groups ----------------------------------------------------
 
 
-def _semigroup_group(S: NumericalSemigroup) -> list[Check]:
+def _semigroup_group(S: NumericalSemigroup) -> list[CheckTuple]:
     r = S.type
     delta = S.genus
     c = S.conductor
     n = S.n
     ts = type_sequence(S)
-    checks: list[Check] = [
+    checks: list[CheckTuple] = [
         _eq("sg_ts_sum_is_genus", sum(ts.values), delta),
         _eq("sg_ts_deficit_sum", sum(v - 1 for v in ts.values), 2 * delta - c),
         _eq("sg_ts_extension_ones", sum(extended_type_sequence(S, n + 2)[n:]), 2),
@@ -416,7 +443,7 @@ def _semigroup_group(S: NumericalSemigroup) -> list[Check]:
     if n:
         checks.append(_eq("sg_ts_first_is_type", ts.values[0], r))
         checks.append(
-            Check(
+            (
                 "sg_ts_entries_in_range",
                 all(1 <= v <= r for v in ts.values),
                 min(ts.values),
@@ -484,7 +511,7 @@ def _pairs_group(
     S: NumericalSemigroup,
     table: IdealTable,
     sample_limit: int,
-) -> list[Check]:
+) -> list[CheckTuple]:
     r = S.type
     rows = table.rows
     pairs = []
@@ -494,7 +521,7 @@ def _pairs_group(
         rng = random.Random("pairs:" + S.encode())
         for _ in range(sample_limit):
             pairs.append(tuple(rng.sample(rows, 2)))
-    checks: list[Check] = []
+    checks: list[CheckTuple] = []
     for X, Y in pairs:
         if Y.bits & ~X.bits == 0:
             big, small = X, Y
@@ -515,14 +542,14 @@ def _colon_growth_group(
     S: NumericalSemigroup,
     table: IdealTable,
     sample_limit: int,
-) -> list[Check]:
+) -> list[CheckTuple]:
     rows = table.rows
     if not rows:
         return []
     rng = random.Random("colon:" + S.encode())
     colon = table.colon
     maximal = table.unit & ~(1 << table.offset)  # S without 0
-    checks: list[Check] = []
+    checks: list[CheckTuple] = []
     for _ in range(min(sample_limit, len(rows) ** 2)):
         J = rng.choice(rows)
         X = rng.choice(rows)
@@ -536,7 +563,7 @@ def _colon_growth_group(
     return checks
 
 
-def _classification_group(S: NumericalSemigroup) -> tuple[list[Check], str]:
+def _classification_group(S: NumericalSemigroup) -> tuple[list[CheckTuple], str]:
     r = S.type
     e = S.multiplicity
     b = b_of_tail(S)
@@ -561,7 +588,7 @@ def _classification_group(S: NumericalSemigroup) -> tuple[list[Check], str]:
                 case1 = outcome.passed
                 case2 = False
             checks.append(
-                Check(
+                (
                     "class_b_eq_rm1_unique_pattern",
                     int(case1) + int(case2) == 1,
                     int(case1),
@@ -572,7 +599,7 @@ def _classification_group(S: NumericalSemigroup) -> tuple[list[Check], str]:
             g_case = outcome.tag == TAG_B_EQ_R_G and outcome.passed
             j_case = S in case_j_semigroups()
             checks.append(
-                Check(
+                (
                     "class_b_eq_r_family",
                     int(g_case) + int(j_case) == 1,
                     int(g_case),

@@ -34,7 +34,16 @@ from .ideals import (
     tail_ideal,
     unit_ideal,
 )
-from .invariants import Check, IdealTable, _eq, _ge, _le, type_sequence
+from .invariants import (
+    Check,
+    CheckTuple,
+    IdealTable,
+    _eq,
+    _ge,
+    _le,
+    _records,
+    type_sequence,
+)
 from .semigroup import NumericalSemigroup, from_small_elements
 
 
@@ -98,7 +107,7 @@ def ring_classification(
     ml_numeric = r * (c - delta) == delta
     ml_ts = all(v == r for v in ts)
 
-    checks: list[Check] = [
+    checks: list[CheckTuple] = [
         _eq("almost_symmetric_product_vs_count", ag_product, ag_numeric),
         _eq("almost_symmetric_type_seq_vs_count", ag_ts, ag_numeric),
         _eq("maximal_length_type_seq_vs_count", ml_ts, ml_numeric),
@@ -159,7 +168,7 @@ def ring_classification(
             "a_reflexive_defect": cond_a_formula,
             "canonical_stable_max_ideal": ag_product,
         },
-        checks=tuple(checks),
+        checks=_records(checks),
     )
 
 
@@ -248,20 +257,13 @@ def window_profile(S: NumericalSemigroup) -> WindowProfile:
     for q in (1, 2):
         if b < q * (r - 1):
             checks.append(
-                Check(
-                    f"profile_quotient_window_q{q}",
-                    e - r <= l_quot <= q,
-                    l_quot,
-                    q,
-                )
+                (f"profile_quotient_window_q{q}", e - r <= l_quot <= q, l_quot, q)
             )
     if 0 <= b < r - 1:
         checks.append(_eq("profile_small_b_forces_type", r, e - 1))
         checks.append(_eq("profile_small_b_forces_quotient", l_quot, 1))
     if r - 1 < b < 2 * (r - 1):
-        checks.append(
-            Check("profile_mid_b_bounds_type", e - 2 <= r <= e - 1, r, e)
-        )
+        checks.append(("profile_mid_b_bounds_type", e - 2 <= r <= e - 1, r, e))
         checks.append(_eq("profile_mid_b_forces_quotient", l_quot, 2))
 
     return WindowProfile(
@@ -274,7 +276,7 @@ def window_profile(S: NumericalSemigroup) -> WindowProfile:
         late_indices=late,
         early_indices=early,
         classification_tag=classify_b(S).tag,
-        checks=tuple(checks),
+        checks=_records(checks),
     )
 
 
@@ -389,7 +391,7 @@ def classify_b(S: NumericalSemigroup) -> ClassificationOutcome:
     c = S.conductor
     r = S.type
     b = b_of_tail(S)
-    checks: list[Check] = []
+    checks: list[CheckTuple] = []
     params: dict[str, int | str] = {"b": b, "r": r, "e": e}
 
     if b < r - 1:
@@ -404,7 +406,7 @@ def classify_b(S: NumericalSemigroup) -> ClassificationOutcome:
         checks.append(_eq("classify_conductor_value", c, (p + 1) * e - b))
         checks.append(_eq("classify_type_value", r, e - 1))
         checks.append(_eq("classify_last_entry", ts[-1], e - 1 - b))
-        return ClassificationOutcome(S.encode(), TAG_B_LT, params, tuple(checks))
+        return ClassificationOutcome(S.encode(), TAG_B_LT, params, _records(checks))
 
     if b == r - 1:
         if r == e - 1:
@@ -417,7 +419,7 @@ def classify_b(S: NumericalSemigroup) -> ClassificationOutcome:
             checks.append(_eq("classify_ts_pattern", ts_ok, True))
             checks.append(_eq("classify_quotient_length", quotient_length(S), 1))
             return ClassificationOutcome(
-                S.encode(), TAG_B_EQ_RM1_CASE1, params, tuple(checks)
+                S.encode(), TAG_B_EQ_RM1_CASE1, params, _records(checks)
             )
         checks.append(_eq("classify_type_value", r, e - 2))
         ts = type_sequence(S).values
@@ -444,7 +446,7 @@ def classify_b(S: NumericalSemigroup) -> ClassificationOutcome:
             checks.append(_eq("classify_ts_pattern", ts_ok, True))
         checks.append(_eq("classify_quotient_length", quotient_length(S), 2))
         return ClassificationOutcome(
-            S.encode(), TAG_B_EQ_RM1_CASE2, params, tuple(checks)
+            S.encode(), TAG_B_EQ_RM1_CASE2, params, _records(checks)
         )
 
     if b == r:
@@ -454,13 +456,13 @@ def classify_b(S: NumericalSemigroup) -> ClassificationOutcome:
             checks.append(_eq("classify_type_value", r, e - 2))
             checks.append(_eq("classify_quotient_length", quotient_length(S), 2))
             return ClassificationOutcome(
-                S.encode(), TAG_B_EQ_R_G, params, tuple(checks)
+                S.encode(), TAG_B_EQ_R_G, params, _records(checks)
             )
         in_j = S in case_j_semigroups()
         checks.append(_eq("classify_value_pattern", in_j, True))
         checks.append(_eq("classify_type_value", r, 2))
         checks.append(_eq("classify_multiplicity_value", e, 5))
         checks.append(_eq("classify_quotient_length", quotient_length(S), 3))
-        return ClassificationOutcome(S.encode(), TAG_B_EQ_R_J, params, tuple(checks))
+        return ClassificationOutcome(S.encode(), TAG_B_EQ_R_J, params, _records(checks))
 
     return ClassificationOutcome(S.encode(), TAG_B_GT, params, ())

@@ -16,8 +16,13 @@ S - R_i below c, r_i = L_i - L_{i-1}; ``type_sequence``,
 For a proper integral ideal I with bidual I**, ideal conductor c_I and
 n_I = c_I - genus, the marked indices are
 V = {h >= 1 : s_{h-1} in I**} (extended small elements); every h > n_I is
-marked, so V is stored through its complement W inside [1, n_I].  The
-invariants are
+marked, so V is stored through its complement W inside [1, n_I], as the
+bits U = S & ~I** below c_I of the s_{h-1} with h in W.  Sums of r_h over
+W or a cut of it are popcounts: with level masks L_k (k = 2, ..., r; not
+the lengths above) holding the small elements s_{h-1} (h <= n) with
+r_h >= k, and r_h = 1 from c on,
+sum of r_h over U = popcount(U) + sum over k >= 2 of popcount(U & L_k).
+The invariants are
 
     a(I) = l((S - I)/S) - l(S/I)
     b(I) = type * l(S/I) - l((S - I)/S)
@@ -25,10 +30,12 @@ invariants are
 
 and ``decomposition_checks`` re-derives a and b from the type sequence
 through the marked-index bookkeeping, together with every bound and
-identity the theory provides, returning each as a named check with both
-sides evaluated.  ``decomposition_check`` is the report over one ideal:
-a view of its row and of that tuple of checks.  ``overring_checks`` and
-the ``overring_check`` report stand in the same relation.
+identity the theory provides, returning each as a plain check tuple
+(id, passed, lhs, rhs) with both sides evaluated as ints; the census
+tallies these tuples.  ``decomposition_check`` is the report over one
+ideal: a view of its row and of those checks as ``Check`` records, the
+public record type every report holds.  ``overring_checks`` and the
+``overring_check`` report stand in the same relation.
 
 The row of an ``IdealTable`` is the one record of these per-ideal
 quantities: a and b, the lengths, I**, K.I, the marks and d are computed
@@ -75,21 +82,26 @@ class Check(NamedTuple):
     rhs: int
 
 
-# The checks are built straight from a tuple: the NamedTuple's generated
-# ``__new__`` costs about twice as much per record.
-_new = tuple.__new__
+# The producers build plain (id, passed, lhs, rhs) tuples, which the census
+# tallies as they are; a ``Check`` costs about twice as much as the tuple.
+CheckTuple = tuple[str, bool, int, int]
 
 
-def _eq(cid: str, lhs: int, rhs: int) -> Check:
-    return _new(Check, (cid, lhs == rhs, int(lhs), int(rhs)))
+def _eq(cid: str, lhs: int, rhs: int) -> CheckTuple:
+    return (cid, lhs == rhs, int(lhs), int(rhs))
 
 
-def _le(cid: str, lhs: int, rhs: int) -> Check:
-    return _new(Check, (cid, lhs <= rhs, int(lhs), int(rhs)))
+def _le(cid: str, lhs: int, rhs: int) -> CheckTuple:
+    return (cid, lhs <= rhs, int(lhs), int(rhs))
 
 
-def _ge(cid: str, lhs: int, rhs: int) -> Check:
-    return _new(Check, (cid, lhs >= rhs, int(lhs), int(rhs)))
+def _ge(cid: str, lhs: int, rhs: int) -> CheckTuple:
+    return (cid, lhs >= rhs, int(lhs), int(rhs))
+
+
+def _records(checks) -> tuple[Check, ...]:
+    """The ``Check`` records of a public report, from its check tuples."""
+    return tuple(map(Check._make, checks))
 
 
 @dataclass(frozen=True)
@@ -210,9 +222,13 @@ class IdealRow:
     in the row's dict without a lock: I** (``bidual``, the colon S - I*)
     and its conductor (``bidual_conductor``), K.I (``omega``, from the
     table's ``canonical`` bits), the flags ``principal`` (I = min(I) + S)
-    and ``closed`` (I = S from min(I) on), the unmarked indices and d.
-    ``decomposition_check`` reports are views of ``decomposition_checks``
-    over the row.
+    and ``closed`` (I = S from min(I) on), the unmarked bits
+    (``unmarked_bits``, S & ~I** below c_I), their r-sum and d.  The sums
+    of r_h over unmarked or marked indices are popcounts of these bits
+    against the table's level masks; the index tuple ``unmarked`` is only
+    the view a report shows.  ``decomposition_check`` reports are views of
+    ``decomposition_checks`` over the row, with its check tuples turned
+    into ``Check`` records.
     """
 
     def __init__(self, table: IdealTable, ideal: RelativeIdeal):
@@ -282,18 +298,25 @@ class IdealRow:
         return self.bits == table.unit & table.tail_mask(self.ideal.min_element)
 
     @_lazy
+    def unmarked_bits(self) -> int:
+        """Window bits of S & ~I** below c_I: the s_{h-1} of the unmarked h."""
+        table = self.table
+        cut = self.bidual | table.tail_mask(self.ideal.conductor)
+        return table.unit & ~cut
+
+    @_lazy
     def unmarked(self) -> tuple[int, ...]:
         """The h in [1, n_I] with s_{h-1} outside I**; the others are marked.
 
-        s_{h-1} runs over the set bits x of S & ~I** below c_I, and h - 1
+        s_{h-1} runs over the set bits x of ``unmarked_bits``, and h - 1
         counts the members of S below x: a running count along the small
         elements below c, and x - genus from c on.  The bits are found in
         their text, read from the low end, so the walk stays linear in c_I.
+        The invariants read the bits; this is the view reports show.
         """
         table = self.table
         small, genus = table.S.small_elements, table.S.genus
-        todo = (table.unit & ~self.bidual) >> table.offset
-        flags = bin(todo & _ones(self.ideal.conductor))
+        flags = bin(self.unmarked_bits >> table.offset)
         end = len(flags) - 1  # bit x is character end - x
         out = []
         below = 0
@@ -311,13 +334,17 @@ class IdealRow:
 
     @_lazy
     def unmarked_sum(self) -> int:
-        r = self.table.r_values
-        return sum(r[h] for h in self.unmarked)
+        """Sum of r_h over the unmarked h."""
+        return self.table.r_sum(self.unmarked_bits)
 
     def marked_sum(self, m: int) -> int:
-        """Sum of r_h over the marked h <= m, for m <= n_I."""
-        r = self.table.r_values
-        return self.table.prefix[m] - sum(r[h] for h in self.unmarked if h <= m)
+        """Sum of r_h over the marked h <= m, for m <= n_I.
+
+        The unmarked h > m are those with s_{h-1} from s_m on.
+        """
+        table = self.table
+        above = self.unmarked_bits & table.tail_mask(table.S.small_element(m))
+        return table.prefix[m] - self.unmarked_sum + table.r_sum(above)
 
     def d_for(self, conductor: int) -> int:
         """d of I or of I**, which share I* and the marks, by conductor."""
@@ -350,8 +377,11 @@ class IdealTable:
     on).  On this layout E is inside F exactly when ``E & ~F == 0``, and
     l(F/E) is then the difference of the popcounts.  ``colon`` takes
     these colons on the window through ``ideals.colon_bits``, the kernel
-    of ``ideals.colon``.  Building the table computes each dual once;
-    everything else is computed on first use, row by row.
+    of ``ideals.colon``.  The level masks L_2, ..., L_r (``levels``) hold
+    the window bits of the small elements s_{h-1}, h <= n, with r_h >= k,
+    so ``r_sum`` gives a sum of r_h over a set of S's window bits as
+    popcounts.  Building the table computes each dual once; everything
+    else, the masks included, is computed on first use.
     """
 
     def __init__(self, S: NumericalSemigroup, ideals):
@@ -419,10 +449,30 @@ class IdealTable:
         return self.bits_of(dedekind_different(self.S))
 
     @_lazy
-    def r_values(self) -> tuple[int, ...]:
-        """(0, r_1, r_2, ...) to index top - genus, r_h = L_h - L_{h-1}."""
-        L = self.chain_lengths
-        return (0,) + tuple(L[h] - L[h - 1] for h in range(1, len(L)))
+    def levels(self) -> tuple[int, ...]:
+        """(L_2, ..., L_r): L_k has the window bits of s_{h-1}, h <= n, r_h >= k.
+
+        Built in one visit of each h <= n and of each unit of its excess
+        r_h - 1, O(n + 2 genus - c) in all; see ``r_sum``.
+        """
+        S, lengths = self.S, self.chain_lengths
+        levels = [0] * (S.type - 1)
+        for h in range(1, S.n + 1):
+            bit = 1 << S.small_elements[h - 1]
+            for k in range(lengths[h] - lengths[h - 1] - 1):
+                levels[k] |= bit
+        return tuple(level << self.offset for level in levels)
+
+    def r_sum(self, bits: int) -> int:
+        """Sum of r_h over the s_{h-1} at ``bits``, window bits of members of S.
+
+        r_h is 1 plus the number of levels that hold s_{h-1} (none do from
+        c on), so the sum is popcount(bits) plus each popcount(bits & L_k).
+        """
+        total = bits.bit_count()
+        for level in self.levels:
+            total += (bits & level).bit_count()
+        return total
 
     @_lazy
     def prefix(self) -> tuple[int, ...]:
@@ -509,32 +559,32 @@ def decomposition_check(
         integrally_closed=row.closed,
         omega_stable=row.omega == row.bits,
         principal=row.principal,
-        checks=decomposition_checks(row),
+        checks=_records(decomposition_checks(row)),
     )
 
 
-def decomposition_checks(row: IdealRow) -> tuple[Check, ...]:
+def decomposition_checks(row: IdealRow) -> tuple[CheckTuple, ...]:
     """Every decomposition identity and bound for the ideal of ``row``.
 
     Conditional statements (those whose hypothesis is a property of S or
     I) are included only when the hypothesis holds, so tallies count
-    genuine instances.  The census tallies these records as they are.
+    genuine instances.  The census tallies these tuples as they are.
     """
     table = row.table
     S, I = table.S, row.ideal
     r, delta, c, n = S.type, S.genus, S.conductor, S.n
     c_i = I.conductor
     n_i = c_i - delta
-    rs = table.r_values
-    checks: list[Check] = []
+    checks: list[CheckTuple] = []
 
-    unmarked = row.unmarked
+    unmarked = row.unmarked_bits
+    n_unmarked = unmarked.bit_count()
     sum_unmarked = row.unmarked_sum
-    sum_marked = row.marked_sum(n_i)
+    sum_marked = table.prefix[n_i] - sum_unmarked  # every h <= n_I
     # r_h = 1 beyond n, so these sums over all h equal those over h <= n.
-    excess_unmarked = sum_unmarked - len(unmarked)
-    excess_marked = sum_marked - (n_i - len(unmarked))
-    defect_unmarked = r * len(unmarked) - sum_unmarked
+    excess_unmarked = sum_unmarked - n_unmarked
+    excess_marked = sum_marked - (n_i - n_unmarked)
+    defect_unmarked = r * n_unmarked - sum_unmarked
     a, b, d = row.a, row.b, row.d
     l_quot = row.l_quotient
     l_bid = row.bidual_drop
@@ -576,11 +626,12 @@ def decomposition_checks(row: IdealRow) -> tuple[Check, ...]:
         _eq("unmarked_sum_split", sum_unmarked, l_unit_bid + excess_unmarked)
     )
     checks.append(_ge("omega_growth_lower", l_omega_growth, excess_marked))
-    checks.append(_eq("marked_count_window", n_i - len(unmarked), l_bid_gamma))
+    checks.append(_eq("marked_count_window", n_i - n_unmarked, l_bid_gamma))
+    # The unmarked h <= n are the unmarked s_{h-1} below c.
     checks.append(
         _eq(
             "marked_count_small",
-            n - sum(1 for h in unmarked if h <= n),
+            n - n_unmarked + (unmarked & table.tail_mask(c)).bit_count(),
             (row.bidual | table.tail_mask(c)).bit_count() - table.tail_length(c),
         )
     )
@@ -601,7 +652,7 @@ def decomposition_checks(row: IdealRow) -> tuple[Check, ...]:
         _eq(
             "d_via_min_index",
             d,
-            sum(rs[h] for h in unmarked if h > i0)
+            table.r_sum(unmarked & table.tail_mask(I.min_element))
             - (row.dual_length - table.chain_dual_length(i0)),
         )
     )
@@ -708,7 +759,7 @@ def overring_check(
         row = IdealTable(S, [I]).rows[0]
     elif row.table.S != S:
         raise ParentMismatch("the row belongs to another semigroup")
-    checks = overring_checks(S, T, row)
+    checks = _records(overring_checks(S, T, row))
     return OverringReport(
         semigroup=S.encode(),
         oversemigroup=T.encode(),
@@ -721,11 +772,11 @@ def overring_check(
 
 def overring_checks(
     S: NumericalSemigroup, T: NumericalSemigroup, row: IdealRow
-) -> tuple[Check, ...]:
+) -> tuple[CheckTuple, ...]:
     """The l(T/S) formulas for the row of I = S - T in a table of S.
 
     The row is checked against T by one colon on its table; the census
-    tallies these records as they are.
+    tallies these tuples as they are.
     """
     table = row.table
     t_bits = T.bits_below(table.top) << table.offset

@@ -22,7 +22,7 @@ from typeseq import (
     verify_theorems,
 )
 from typeseq import Violation, census, cli
-from typeseq.invariants import _eq, _le
+from typeseq.invariants import IdealRow, _eq, _le
 
 # Explicit encodings of several genera, for the semigroups= selector.
 EXPLICIT = (
@@ -389,6 +389,23 @@ class TestVerifyTheorems:
         assert parallel.to_json() == serial.to_json()
         assert cli.main(["census", "--max-genus", "3", "--checks", "ideals"]) == 1
 
+    def test_census_tallies_int_tuples_without_the_index_view(self, monkeypatch):
+        def refuse(row):
+            raise AssertionError("the census read row.unmarked")
+
+        monkeypatch.setattr(IdealRow, "unmarked", property(refuse))
+        seen = []
+        add = census._Collector.add
+
+        def record(self, sg, obj, checks):
+            seen.extend(checks)
+            add(self, sg, obj, checks)
+
+        monkeypatch.setattr(census._Collector, "add", record)
+        rep = verify_theorems(CensusQuery(max_genus=7, window=2))
+        assert rep.passed and len(seen) == sum(rep.check_tallies.values())
+        assert all(type(c[2]) is int and type(c[3]) is int for c in seen)
+
     def test_report_json_is_canonical(self):
         rep = verify_theorems(CensusQuery(max_genus=4, window=1))
         text = rep.to_json()
@@ -500,6 +517,31 @@ class TestGuards:
             classification_census(-1)
         assert CensusQuery(max_genus=0).max_genus == 0
         assert CensusQuery(max_conductor=0).max_conductor == 0
+
+    def test_negative_walk_and_ideal_bounds_are_invalid_input(self):
+        S = from_generators((3, 4, 5))
+        for bounds in ({"max_genus": -1}, {"max_conductor": -5}):
+            with pytest.raises(InvalidInput, match="non-negative"):
+                enumerate_semigroups(**bounds)
+        with pytest.raises(InvalidInput, match="non-negative"):
+            enumerate_ideals(S, -2)
+        assert list(enumerate_semigroups(max_genus=0)) == [NumericalSemigroup(0, 0)]
+        assert list(enumerate_semigroups(max_conductor=0)) == [
+            NumericalSemigroup(0, 0)
+        ]
+        assert [E.encode() for E in enumerate_ideals(S, 0)] == ["3||3"]
+
+    def test_multiplicity_range_is_two_ordered_positive_ints(self):
+        for bad in ((5, 3), (3,), (0, 2), (1, 2, 3), (2.0, 3), (True, 3), 4):
+            with pytest.raises(InvalidInput, match="multiplicity_range"):
+                CensusQuery(max_genus=5, multiplicity_range=bad)
+        query = CensusQuery(
+            max_genus=5, multiplicity_range=(3, 4), checks=("semigroup",)
+        )
+        want = [
+            S for S in enumerate_semigroups(max_genus=5) if 3 <= S.multiplicity <= 4
+        ]
+        assert verify_theorems(query).semigroup_count == len(want) > 0
 
     def test_exactly_one_population_selector(self):
         with pytest.raises(ValueError):

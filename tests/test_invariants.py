@@ -21,6 +21,7 @@ from typeseq import (
     ab_invariants,
     b_of_tail,
     bidual,
+    classify_b,
     colon,
     d_invariant,
     decomposition_check,
@@ -35,8 +36,11 @@ from typeseq import (
     length_between,
     overring_check,
     oversemigroups,
+    ring_classification,
     tail_ideal,
+    type_sequence,
     unit_ideal,
+    window_profile,
 )
 from typeseq.invariants import (
     _chain_dual_lengths,
@@ -73,7 +77,7 @@ class TestCheckRecord:
         for make, passed in ((_eq, False), (_le, False), (_ge, True)):
             rec = make("b", True, False)
             assert rec == Check("b", passed, 1, 0)
-            assert type(rec.lhs) is int and type(rec.rhs) is int, make
+            assert type(rec[2]) is int and type(rec[3]) is int, make
 
 
 class TestFrozenValues:
@@ -469,6 +473,20 @@ class TestOmegaOnBits:
                     assert row.omega == want, (S.encode(), row.ideal.encode())
 
 
+def _popcount_sum_tables():
+    """Tables over every row of genus <= 7 (windows 0-2), the overring
+    tables, a wide ideal of <3,4,5> and the negative-a semigroup."""
+    for S in semigroups_up_to(7):
+        for window in range(3):
+            yield IdealTable(S, enumerate_ideals(S, window))
+        overs = oversemigroups(S)[1:]
+        yield IdealTable(S, [conductor_ideal(S, T) for T in overs])
+    S = from_generators((3, 4, 5))
+    yield IdealTable(S, [ideal_from_generators(S, (2000,))])
+    S = negative_a_semigroup()
+    yield IdealTable(S, enumerate_ideals(S, 2))
+
+
 class TestOnePath:
     """The reports are views of the check tuples; lazy fields run once."""
 
@@ -485,6 +503,35 @@ class TestOnePath:
                 assert overring_check(S, T, row).checks == (
                     overring_checks(S, T, row)
                 ), (S.encode(), T.encode())
+
+    def test_popcount_sums_match_the_index_tuples(self):
+        for table in _popcount_sum_tables():
+            S = table.S
+            ts = type_sequence(S)
+            for row in table.rows:
+                n_i = row.ideal.conductor - S.genus
+                unmarked = set(row.unmarked)
+                assert row.unmarked_sum == ts.sum_r(unmarked), row.ideal.encode()
+                marked = 0
+                for m in range(n_i + 1):
+                    if m and m not in unmarked:
+                        marked += ts.r(m)
+                    assert row.marked_sum(m) == marked, (row.ideal.encode(), m)
+
+    def test_public_reports_hold_check_records(self):
+        for S in semigroups_up_to(6):
+            table = IdealTable(S, enumerate_ideals(S, 2))
+            reports = [decomposition_check(S, row) for row in table.rows]
+            overs = oversemigroups(S)[1:]
+            conductors = IdealTable(S, [conductor_ideal(S, T) for T in overs])
+            reports += [
+                overring_check(S, T, row) for T, row in zip(overs, conductors.rows)
+            ]
+            reports += [classify_b(S), ring_classification(S, 2, table)]
+            if S.conductor:
+                reports.append(window_profile(S))
+            for rep in reports:
+                assert all(type(c) is Check for c in rep.checks), S.encode()
 
     def test_bidual_is_one_colon(self, monkeypatch):
         calls = []
