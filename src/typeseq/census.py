@@ -7,10 +7,12 @@ the Frobenius number is the inverse step), genus grows by one per edge
 and the conductor grows strictly, so pruning by either bound is complete.
 
 Proper integral ideals are enumerated per ideal conductor c_E in a
-window above the conductor of S: members below c_E are chosen by a
-depth-first walk over the members of S in [1, c_E) in which including x
-forces every x + s that lands below c_E, and c_E - 1 is never allowed in
-(that keeps the stored conductor tight, so each ideal appears once).
+window above the conductor of S, by one iterative walk on S's membership
+bits.  A stack holds (undecided, chosen) pairs, undecided starting as
+the members of S in [1, c_E - 1); each step leaves out the lowest
+undecided x, or takes it with its closure x + S below c_E, which leaves
+undecided.  A closure that reaches c_E - 1 is pruned (that keeps the
+stored conductor tight, so each ideal appears once).
 
 The ideals, pairs, colon_growth and equivalences groups, and the
 negative-a search, read one ``IdealTable`` per semigroup, built whenever
@@ -270,13 +272,10 @@ def enumerate_semigroups(
 
 
 def _walk(max_genus: int | None, max_conductor: int | None):
+    # N is within any non-negative bounds; _children builds no child past them
     stack = [NumericalSemigroup(0, 0)]
     while stack:
         S = stack.pop()
-        if max_genus is not None and S.genus > max_genus:
-            continue
-        if max_conductor is not None and S.conductor > max_conductor:
-            continue
         yield S
         stack.extend(reversed(_children(S, max_genus, max_conductor)))
 
@@ -288,38 +287,22 @@ def enumerate_ideals(S: NumericalSemigroup, window: int) -> list[RelativeIdeal]:
     1 through ``window`` are the only proper integral ideals there).
     """
     _require_non_negative(window=window)
-    lo = max(S.conductor, 1)
     found: list[RelativeIdeal] = []
-    for c_e in range(lo, S.conductor + window + 1):
-        cands = [x for x in range(1, c_e) if x in S]
-        pos = {x: k for k, x in enumerate(cands)}
-        forbidden = pos.get(c_e - 1)
-
-        def emit(chosen: int):
-            members = [cands[k] for k in range(len(cands)) if (chosen >> k) & 1]
-            m = members[0] if members else c_e
-            mask = 0
-            for x in members:
-                mask |= 1 << (x - m)
-            found.append(RelativeIdeal(S, m, c_e, mask))
-
-        def walk(k: int, chosen: int, forced: int):
-            if k == len(cands):
-                emit(chosen)
-                return
-            if not (forced >> k) & 1:
-                walk(k + 1, chosen, forced)
-            if k == forbidden:
-                return
-            x = cands[k]
-            new_forced = forced
-            for j in range(k + 1, len(cands)):
-                if cands[j] - x in S:
-                    new_forced |= 1 << j
-            walk(k + 1, chosen | (1 << k), new_forced)
-
-        walk(0, 0, 0)
-    found.sort(key=lambda E: E.sort_key())
+    for c_e in range(max(S.conductor, 1), S.conductor + window + 1):
+        last = 1 << (c_e - 1)
+        stack = [(S.bits_below(c_e - 1) & ~1, 0)]
+        while stack:
+            undecided, chosen = stack.pop()
+            if not undecided:
+                m = (chosen & -chosen).bit_length() - 1 if chosen else c_e
+                found.append(RelativeIdeal(S, m, c_e, chosen >> m))
+                continue
+            x = (undecided & -undecided).bit_length() - 1
+            stack.append((undecided ^ (1 << x), chosen))  # x left out
+            closure = S.bits_below(c_e - x) << x  # x + S below c_E
+            if not closure & last:
+                stack.append((undecided & ~closure, chosen | closure))
+    found.sort(key=RelativeIdeal.sort_key)
     return found
 
 

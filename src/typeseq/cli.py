@@ -23,6 +23,7 @@ as a JSON object with an ``error`` key.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -36,14 +37,12 @@ from .census import (
     search_negative_a,
     verify_theorems,
 )
-from .classification import classify_b, window_profile
+from .classification import ClassificationOutcome, classify_b, window_profile
 from .errors import BoundTooLarge, InternalInconsistency, InvalidInput, TypeseqError
 from .ideals import RelativeIdeal, ideal_from_generators, tail_ideal
 from .invariants import (
     IdealTable,
-    ab_invariants,
     conductor_ideal,
-    d_invariant,
     decomposition_check,
     overring_check,
     sigma,
@@ -116,17 +115,16 @@ def _semigroup_payload(S: NumericalSemigroup) -> dict:
     }
 
 
-def _classification_payload(S: NumericalSemigroup) -> dict:
-    outcome = classify_b(S)
+def _classification_payload(outcome: ClassificationOutcome) -> dict:
     return {"tag": outcome.tag, "parameters": dict(outcome.parameters)}
 
 
-def _report_payload(S, ts_values, a, b, d, checks) -> dict:
+def _report_payload(S, outcome, a, b, d, checks) -> dict:
     return {
         "semigroup": _semigroup_payload(S),
-        "type_sequence": list(ts_values),
+        "type_sequence": list(type_sequence(S).values),
         "invariants": {"a": a, "b": b, "d": d, "sigma": sigma(S)},
-        "classification": _classification_payload(S),
+        "classification": _classification_payload(outcome),
         "checks": _check_rows(checks),
     }
 
@@ -136,16 +134,15 @@ def _report_payload(S, ts_values, a, b, d, checks) -> dict:
 
 def _cmd_info(args) -> dict:
     S = _semigroup_from_args(args)
-    ts = type_sequence(S)
-    checks = list(classify_b(S).checks)
+    outcome = classify_b(S)
+    checks = list(outcome.checks)
     if S.conductor:
-        gamma = tail_ideal(S, S.conductor)
-        a, b = ab_invariants(S, gamma)
-        d = d_invariant(S, gamma)
+        row = IdealTable(S, [tail_ideal(S, S.conductor)]).rows[0]
+        a, b, d = row.a, row.b, row.d
         checks.extend(window_profile(S).checks)
     else:
         a = b = d = 0
-    return _report_payload(S, ts.values, a, b, d, checks)
+    return _report_payload(S, outcome, a, b, d, checks)
 
 
 def _cmd_ideal(args) -> dict:
@@ -155,12 +152,7 @@ def _cmd_ideal(args) -> dict:
     _guard_conductor(I.conductor, args)
     report = decomposition_check(S, I)
     payload = _report_payload(
-        S,
-        type_sequence(S).values,
-        report.a,
-        report.b,
-        report.d,
-        report.checks,
+        S, classify_b(S), report.a, report.b, report.d, report.checks
     )
     payload["ideal"] = {
         "encoding": I.encode(),
@@ -218,10 +210,11 @@ def _cmd_classify(args) -> dict:
     if args.workers != 1:
         raise InvalidInput("--workers needs --max-conductor")
     S = _semigroup_from_args(args)
+    outcome = classify_b(S)
     return {
         "semigroup": _semigroup_payload(S),
-        "classification": _classification_payload(S),
-        "checks": _check_rows(classify_b(S).checks),
+        "classification": _classification_payload(outcome),
+        "checks": _check_rows(outcome.checks),
     }
 
 
@@ -463,25 +456,28 @@ def _report_error(code: str, message: str) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # An unwritable --out is a usage error, found before any work is done.
     try:
-        payload = args.fn(args)
-    except InternalInconsistency as exc:
-        _report_error(exc.code, str(exc))
-        return 3
-    except TypeseqError as exc:
-        _report_error(exc.code, str(exc))
+        out = open(args.out, "w") if args.out else None
+    except OSError as exc:
+        _report_error("InvalidInput", f"cannot write --out: {exc}")
         return 2
-    if args.fmt == "json":
-        text = _render_json(payload)
-    elif args.fmt == "csv":
-        text = _render_csv(payload)
-    else:
-        text = _render_human(payload)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with out or contextlib.nullcontext(sys.stdout) as fh:
+        try:
+            payload = args.fn(args)
+        except InternalInconsistency as exc:
+            _report_error(exc.code, str(exc))
+            return 3
+        except TypeseqError as exc:
+            _report_error(exc.code, str(exc))
+            return 2
+        if args.fmt == "json":
+            text = _render_json(payload)
+        elif args.fmt == "csv":
+            text = _render_csv(payload)
+        else:
+            text = _render_human(payload)
+        fh.write(text)
     return 0 if _all_checks_pass(payload) else 1
 
 

@@ -10,8 +10,9 @@ The chain duals come from one backward walk.  For m >= n the extended
 R_m is a tail, so S - R_m is the tail from c - s_m (N when m = n), and
 R_{i-1} = R_i + {s_{i-1}} gives S - R_{i-1} = (S - R_i) & (-s_{i-1} + S):
 one shift of S's bits and one AND per step.  With L_i the members of
-S - R_i below c, r_i = L_i - L_{i-1}; ``type_sequence``,
-``extended_type_sequence`` and ``IdealTable`` read this one walk.
+S - R_i below c, r_i = L_i - L_{i-1}; ``type_sequence`` and
+``extended_type_sequence`` read this one walk, and ``IdealTable`` reads
+the cached ``type_sequence``.
 
 For a proper integral ideal I with bidual I**, ideal conductor c_I and
 n_I = c_I - genus, the marked indices are
@@ -50,6 +51,7 @@ and hands its rows to the ideals, pairs and equivalences groups.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -137,7 +139,8 @@ def _chain_dual_lengths(S: NumericalSemigroup, m: int) -> tuple[int, ...]:
 
     Bit k of the walk stands for k - s_m: each S - R_i contains S and lies
     in S - R_m, so [-s_m, c) decides it.  For i >= n, S - R_i is the tail
-    from -(i - n), so L_i = s_i; that is verified here for every reader.
+    from -(i - n), so L_i = s_i and r_i = 1; that is verified here, and
+    ``IdealTable`` extends the cached ``type_sequence`` by these ones.
     """
     c, top = S.conductor, S.small_element(m)
     members = S.bits_below(c + top)
@@ -377,11 +380,14 @@ class IdealTable:
     on).  On this layout E is inside F exactly when ``E & ~F == 0``, and
     l(F/E) is then the difference of the popcounts.  ``colon`` takes
     these colons on the window through ``ideals.colon_bits``, the kernel
-    of ``ideals.colon``.  The level masks L_2, ..., L_r (``levels``) hold
-    the window bits of the small elements s_{h-1}, h <= n, with r_h >= k,
-    so ``r_sum`` gives a sum of r_h over a set of S's window bits as
-    popcounts.  Building the table computes each dual once; everything
-    else, the masks included, is computed on first use.
+    of ``ideals.colon``.  The chain data read the cached ``type_sequence``
+    of S, extended by r_h = 1 past n: ``prefix`` holds its running sums,
+    ``chain_dual_length`` the lengths of the S - R_i, and the level masks
+    L_2, ..., L_r (``levels``) the window bits of the small elements
+    s_{h-1}, h <= n, with r_h >= k, so ``r_sum`` gives a sum of r_h over a
+    set of S's window bits as popcounts.  Building the table computes each
+    dual once; everything else, the masks included, is computed on first
+    use.
     """
 
     def __init__(self, S: NumericalSemigroup, ideals):
@@ -422,21 +428,12 @@ class IdealTable:
         """Window bits of the tail from ``start``."""
         return _ones(self.top - start) << (start + self.offset)
 
-    @_lazy
-    def chain_lengths(self) -> tuple[int, ...]:
-        """(L_0, ..., L_{top - genus}): members below c of each S - R_i.
-
-        The walk runs to n; past it S - R_i is a tail and L_i = s_i, the
-        closed form that ``_chain_dual_lengths`` verifies at n.
-        """
-        S = self.S
-        return _chain_dual_lengths(S, S.n) + tuple(
-            range(S.conductor + 1, self.top + 1)
-        )
-
     def chain_dual_length(self, i: int) -> int:
-        """Window members of S - R_i (R_i: the members of S from s_i on)."""
-        return self.chain_lengths[i] + self.top - self.S.conductor
+        """Window members of S - R_i (R_i: the members of S from s_i on).
+
+        S - R_0 = S has c - genus members below c, and each step adds r_i.
+        """
+        return self.prefix[i] + self.top - self.S.genus
 
     @_lazy
     def canonical(self) -> int:
@@ -455,12 +452,11 @@ class IdealTable:
         Built in one visit of each h <= n and of each unit of its excess
         r_h - 1, O(n + 2 genus - c) in all; see ``r_sum``.
         """
-        S, lengths = self.S, self.chain_lengths
+        S = self.S
         levels = [0] * (S.type - 1)
-        for h in range(1, S.n + 1):
-            bit = 1 << S.small_elements[h - 1]
-            for k in range(lengths[h] - lengths[h - 1] - 1):
-                levels[k] |= bit
+        for s, r in zip(S.small_elements, type_sequence(S).values):
+            for k in range(r - 1):
+                levels[k] |= 1 << s
         return tuple(level << self.offset for level in levels)
 
     def r_sum(self, bits: int) -> int:
@@ -476,9 +472,10 @@ class IdealTable:
 
     @_lazy
     def prefix(self) -> tuple[int, ...]:
-        """prefix[h] = r_1 + ... + r_h = L_h - L_0."""
-        L = self.chain_lengths
-        return tuple(x - L[0] for x in L)
+        """prefix[h] = r_1 + ... + r_h for h <= top - genus; r_h = 1 past n."""
+        S = self.S
+        r = type_sequence(S).values + (1,) * (self.top - S.conductor)
+        return tuple(itertools.accumulate(r, initial=0))
 
 
 def gamma_invariants(S: NumericalSemigroup) -> tuple[int, int]:

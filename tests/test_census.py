@@ -232,6 +232,14 @@ class TestIdealEnumeration:
         }
         assert got == oracles.proper_ideals_brute(S, window)
 
+    @pytest.mark.parametrize("window", range(4))
+    def test_matches_brute_force_through_genus_six(self, window):
+        for S in enumerate_semigroups(max_genus=6):
+            ideals = enumerate_ideals(S, window)
+            got = {(E.min_element, E.conductor, E.window_members) for E in ideals}
+            assert len(got) == len(ideals), S.encode()
+            assert got == oracles.proper_ideals_brute(S, window), S.encode()
+
     def test_whole_numbers_yields_tails(self):
         N = from_generators((1,))
         got = [E.encode() for E in enumerate_ideals(N, window=3)]

@@ -213,6 +213,20 @@ class TestCensus:
         assert code == 0
         assert json.loads(target.read_text())["passed"] is True
 
+    def test_unwritable_out_is_invalid_input_before_any_work(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def untouched(args):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(cli, "_semigroup_from_args", untouched)
+        target = tmp_path / "missing" / "x.json"
+        argv = ["info", "--gens", "3,4,5", "--out", str(target)]
+        code, out = run(argv, capsys)
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "InvalidInput"
+        assert not target.parent.exists()
+
 
 class TestClassify:
     def test_single_semigroup(self, capsys):

@@ -559,4 +559,8 @@ class TestOnePath:
         for S, ideals in cases:
             table = IdealTable(S, ideals)
             want = _chain_dual_lengths(S, table.top - S.genus)
-            assert table.chain_lengths == want, S.encode()
+            for i in range(table.top - S.genus + 1):
+                assert table.prefix[i] == want[i] - want[0], (S.encode(), i)
+                assert table.chain_dual_length(i) == (
+                    want[i] + table.top - S.conductor
+                ), (S.encode(), i)
