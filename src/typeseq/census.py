@@ -26,11 +26,15 @@ I* starts no lower than -(c + window) and every set a row reads is full
 from c + window on; a subset test is then one AND, a length one popcount
 difference, and a colon J - X one call of the table's colon kernel.  The
 colon_growth group samples rows and takes its intersections, unions and
-colons on these bits.  The overrings group reads a second table per
-semigroup, over all its conductor ideals S - T, and tallies the tuple
-``overring_checks`` produces from each row.  No report is built on the
-way: an ideal or oversemigroup is encoded only when one of its checks
-fails, to name it in the violation.
+colons on these bits.  The overrings group walks the oversemigroups T
+of S by reverse search (``oversemigroup_walk``), each once, with the bits
+of T and of its conductor ideal S - T, which comes down the tree by one
+AND per step.  A second table per semigroup holds these ideals
+(``IdealTable.inside``), and the group tallies the tuple
+``overring_checks`` produces from each row and T's bits; the colon
+S - T it takes there is a second path to the row.  No report is built on
+the way, nor a semigroup for T: an ideal or oversemigroup is encoded
+only when one of its checks fails, to name it in the violation.
 
 ``verify_theorems`` runs named groups of checks over every enumerated
 semigroup (and ideal family); violations are collected, never raised, so
@@ -83,14 +87,13 @@ from .invariants import (
     _eq,
     _le,
     ab_invariants,
-    conductor_ideal,
     decomposition_checks,
     extended_type_sequence,
     overring_checks,
     sigma,
     type_sequence,
 )
-from .semigroup import NumericalSemigroup, is_arf, oversemigroups
+from .semigroup import NumericalSemigroup, from_bits, is_arf, oversemigroup_walk
 
 GROUPS = (
     "semigroup",
@@ -392,16 +395,18 @@ class _Collector:
         self.tallies: dict[str, int] = {}
         self.violations: list[Violation] = []
 
-    def add(self, sg: str, obj, checks) -> None:
-        """Tally a sequence of checks on ``obj``: an ideal, a semigroup or "".
+    def add(self, sg: str, name, checks) -> None:
+        """Tally a sequence of checks on an object of S, or on S for "".
 
-        The ids are counted at C speed; ``obj`` is encoded only when one of
-        the checks failed.
+        The ids are counted at C speed; ``name`` is the object's encoding,
+        or a function that returns it, called here only when one of the
+        checks failed.
         """
         _count_elements(self.tallies, map(_ids, checks))
         if all(map(_passes, checks)):
             return
-        name = obj if isinstance(obj, str) else obj.encode()
+        if not isinstance(name, str):
+            name = name()
         self.violations.extend(
             Violation(sg, name, cid, lhs, rhs)
             for cid, passed, lhs, rhs in checks
@@ -531,7 +536,7 @@ def _colon_growth_group(
         return []
     rng = random.Random("colon:" + S.encode())
     colon = table.colon
-    maximal = table.unit & ~(1 << table.offset)  # S without 0
+    maximal = table.maximal
     checks: list[CheckTuple] = []
     for _ in range(min(sample_limit, len(rows) ** 2)):
         J = rng.choice(rows)
@@ -615,7 +620,8 @@ def _run_semigroup(
         col.add(enc, "", _semigroup_group(S))
     if "ideals" in groups:
         for row in table.rows:
-            col.add(enc, row.ideal, decomposition_checks(row))
+            checks = decomposition_checks(row)
+            col.add(enc, lambda: row.ideal.encode(), checks)
     if "pairs" in groups:
         col.add(enc, "", _pairs_group(S, table, sample_limit))
     if "colon_growth" in groups:
@@ -623,10 +629,12 @@ def _run_semigroup(
     if "equivalences" in groups:
         col.add(enc, "", ring_classification(S, window, table).checks)
     if "overrings" in groups:
-        overs = oversemigroups(S)[1:]  # S itself comes first
-        conductors = IdealTable(S, [conductor_ideal(S, T) for T in overs])
-        for T, row in zip(overs, conductors.rows):
-            col.add(enc, T, overring_checks(S, T, row))
+        overs = list(oversemigroup_walk(S))
+        conductors = IdealTable.inside(S, [ideal for _, ideal in overs])
+        c = S.conductor
+        for (members, _), row in zip(overs, conductors.rows):
+            checks = overring_checks(S, members, row)
+            col.add(enc, lambda: from_bits(members, c).encode(), checks)
     if "profile" in groups and S.conductor:
         col.add(enc, "", window_profile(S).checks)
     if "classification" in groups:

@@ -131,8 +131,8 @@ def ring_classification(
         for y in ys
     )
     cond_tail_dual = all(
-        I.length - table.tail_length(I.ideal.conductor)
-        == table.tail_length(c - I.ideal.conductor) - I.dual_length
+        I.length - table.tail_length(I.conductor)
+        == table.tail_length(c - I.conductor) - I.dual_length
         for I in reflexive_np
     )
     cond_a_formula = all(I.a == r - 1 - I.bidual_drop for I in non_principal)
@@ -148,7 +148,7 @@ def ring_classification(
         checks.append(_eq(cid, cond, ag_numeric))
 
     # Maximal length happens exactly when b dies on every ideal above the tail.
-    ml_by_b = all(I.b == 0 for I in table.rows if I.ideal.conductor == c)
+    ml_by_b = all(I.b == 0 for I in table.rows if I.conductor == c)
     checks.append(_eq("maximal_length_iff_b_dies_above_tail", ml_by_b, ml_numeric))
     # Symmetric rings are exactly those with a = 0 everywhere.
     a_everywhere_zero = all(I.a == 0 for I in table.rows)

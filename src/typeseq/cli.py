@@ -42,14 +42,14 @@ from .errors import BoundTooLarge, InternalInconsistency, InvalidInput, TypeseqE
 from .ideals import RelativeIdeal, ideal_from_generators, tail_ideal
 from .invariants import (
     IdealTable,
-    conductor_ideal,
     decomposition_check,
     overring_check,
     sigma,
     type_sequence,
 )
 from .semigroup import (
-    NumericalSemigroup, from_generators, from_small_elements, oversemigroups, schur_bound
+    NumericalSemigroup, from_generators, from_small_elements, ordered_oversemigroups,
+    schur_bound,
 )
 
 
@@ -169,10 +169,10 @@ def _cmd_ideal(args) -> dict:
 def _cmd_overrings(args) -> dict:
     S = _semigroup_from_args(args)
     limit = None if args.allow_large else _OVERSEMIGROUP_GUARD
-    overs = oversemigroups(S, limit)[1:]  # S itself comes first
-    table = IdealTable(S, [conductor_ideal(S, T) for T in overs])
+    overs = ordered_oversemigroups(S, limit)
+    table = IdealTable.inside(S, [ideal for _, ideal in overs])
     rows = []
-    for T, row in zip(overs, table.rows):
+    for (T, _), row in zip(overs, table.rows):
         rep = overring_check(S, T, row)
         rows.append(
             {

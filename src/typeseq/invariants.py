@@ -63,6 +63,7 @@ from .errors import (
 )
 from .ideals import (
     RelativeIdeal,
+    _normalized,
     canonical_ideal,
     colon_bits,
     dedekind_different,
@@ -72,7 +73,7 @@ from .ideals import (
     tail_ideal,
     unit_ideal,
 )
-from .semigroup import NumericalSemigroup, _ones, is_arf
+from .semigroup import NumericalSemigroup, _ones, from_bits, is_arf
 
 
 class Check(NamedTuple):
@@ -219,10 +220,11 @@ def ab_invariants(S: NumericalSemigroup, I: RelativeIdeal) -> tuple[int, int]:
 class IdealRow:
     """One ideal of an ``IdealTable``: the one record of its invariants.
 
-    I and I* (``bits``, ``dual``) with their popcounts, l(S/I), l(I*/S),
-    a and b are set when the row is built; I* is the table's colon S - I.
-    These are computed on first use, each from the row's bits, and stored
-    in the row's dict without a lock: I** (``bidual``, the colon S - I*)
+    I's window bits, min(I) and c_I read off them, I* (``dual``, the
+    table's colon S - I) with the popcounts, l(S/I), l(I*/S), a and b are
+    set when the row is built.  These are computed on first use, each from
+    the row's bits, and stored in the row's dict without a lock: I itself
+    (``ideal``), I** (``bidual``, the colon S - I*)
     and its conductor (``bidual_conductor``), K.I (``omega``, from the
     table's ``canonical`` bits), the flags ``principal`` (I = min(I) + S)
     and ``closed`` (I = S from min(I) on), the unmarked bits
@@ -234,17 +236,24 @@ class IdealRow:
     into ``Check`` records.
     """
 
-    def __init__(self, table: IdealTable, ideal: RelativeIdeal):
+    def __init__(self, table: IdealTable, bits: int):
         self.table = table
-        self.ideal = ideal
-        self.bits = table.bits_of(ideal)
-        self.dual = table.colon(table.unit, self.bits)
+        self.bits = bits
+        self.min_element = (bits & -bits).bit_length() - 1 - table.offset
+        self.conductor = (bits ^ table.window).bit_length() - table.offset
+        self.dual = table.colon(table.unit, bits)
         self.length = self.bits.bit_count()
         self.dual_length = self.dual.bit_count()
         self.l_quotient = table.unit_length - self.length
         self.l_dual = self.dual_length - table.unit_length
         self.a = self.l_dual - self.l_quotient
         self.b = table.S.type * self.l_quotient - self.l_dual
+
+    @_lazy
+    def ideal(self) -> RelativeIdeal:
+        """I itself, in normal form; a report or a violation names it."""
+        table = self.table
+        return _normalized(table.S, -table.offset, table.top, self.bits)
 
     @_lazy
     def bidual(self) -> int:
@@ -288,9 +297,9 @@ class IdealRow:
         The translate has conductor min(I) + c; below that conductor it
         fits the window, where it is S's bits shifted by min(I).
         """
-        table, m = self.table, self.ideal.min_element
+        table, m = self.table, self.min_element
         return (
-            self.ideal.conductor == m + table.S.conductor
+            self.conductor == m + table.S.conductor
             and self.bits == (table.unit << m) & table.window
         )
 
@@ -298,13 +307,13 @@ class IdealRow:
     def closed(self) -> bool:
         """Whether I is integrally closed: the members of S from min(I) on."""
         table = self.table
-        return self.bits == table.unit & table.tail_mask(self.ideal.min_element)
+        return self.bits == table.unit & table.tail_mask(self.min_element)
 
     @_lazy
     def unmarked_bits(self) -> int:
         """Window bits of S & ~I** below c_I: the s_{h-1} of the unmarked h."""
         table = self.table
-        cut = self.bidual | table.tail_mask(self.ideal.conductor)
+        cut = self.bidual | table.tail_mask(self.conductor)
         return table.unit & ~cut
 
     @_lazy
@@ -360,7 +369,7 @@ class IdealRow:
 
     @_lazy
     def d(self) -> int:
-        return self.d_for(self.ideal.conductor)
+        return self.d_for(self.conductor)
 
 
 class IdealTable:
@@ -385,9 +394,10 @@ class IdealTable:
     ``chain_dual_length`` the lengths of the S - R_i, and the level masks
     L_2, ..., L_r (``levels``) the window bits of the small elements
     s_{h-1}, h <= n, with r_h >= k, so ``r_sum`` gives a sum of r_h over a
-    set of S's window bits as popcounts.  Building the table computes each
-    dual once; everything else, the masks included, is computed on first
-    use.
+    set of S's window bits as popcounts.  A row's bits must lie in S
+    without 0 (``maximal``): the ideal is proper and integral.  Building
+    the table computes each dual once; everything else, the masks
+    included, is computed on first use.
     """
 
     def __init__(self, S: NumericalSemigroup, ideals):
@@ -396,13 +406,33 @@ class IdealTable:
         self.offset = self.top
         self.window = _ones(self.offset + self.top)
         self.unit = self.bits_of(unit_ideal(S))
+        self.maximal = self.unit & ~(1 << self.offset)  # S without 0
         self.unit_length = self.unit.bit_count()
         self.rows: list[IdealRow] = []
         for E in ideals:
             if E.parent != S:
                 raise ParentMismatch("the ideal belongs to another semigroup")
-            require_proper(E)
-            self.rows.append(IdealRow(self, E))
+            if E.min_element < 1:
+                require_proper(E)  # raises: 0 or less is a member
+            self.rows.append(self._row(self.bits_of(E)))
+
+    @classmethod
+    def inside(cls, S: NumericalSemigroup, members) -> IdealTable:
+        """The table of ideals inside S given by their bits below c, like S - T.
+
+        Each is full from the conductor c of S, so top is c + 1.
+        """
+        table = cls(S, [])
+        tail = 1 << S.conductor
+        table.rows = [table._row((bits | tail) << table.offset) for bits in members]
+        return table
+
+    def _row(self, bits: int) -> IdealRow:
+        """The row of window bits inside S without 0, or the error of its ideal."""
+        if bits & ~self.maximal:
+            require_proper(_normalized(self.S, -self.offset, self.top, bits))
+            raise InternalInconsistency("an improper ideal passed require_proper")
+        return IdealRow(self, bits)
 
     def bits_of(self, E: RelativeIdeal) -> int:
         """E's members below top, placed on the absolute window."""
@@ -568,9 +598,9 @@ def decomposition_checks(row: IdealRow) -> tuple[CheckTuple, ...]:
     genuine instances.  The census tallies these tuples as they are.
     """
     table = row.table
-    S, I = table.S, row.ideal
+    S = table.S
     r, delta, c, n = S.type, S.genus, S.conductor, S.n
-    c_i = I.conductor
+    c_i = row.conductor
     n_i = c_i - delta
     checks: list[CheckTuple] = []
 
@@ -598,7 +628,7 @@ def decomposition_checks(row: IdealRow) -> tuple[CheckTuple, ...]:
     # the embedding; statements about almost-symmetric parents quantify
     # over the non-trivial ideals only.
     principal = row.principal
-    i0 = S.small_index(I.min_element)
+    i0 = S.small_index(row.min_element)
 
     # The two headline decompositions.
     checks.append(_eq("a_from_type_sequence", a, excess_unmarked - l_bid - d))
@@ -649,7 +679,7 @@ def decomposition_checks(row: IdealRow) -> tuple[CheckTuple, ...]:
         _eq(
             "d_via_min_index",
             d,
-            table.r_sum(unmarked & table.tail_mask(I.min_element))
+            table.r_sum(unmarked & table.tail_mask(row.min_element))
             - (row.dual_length - table.chain_dual_length(i0)),
         )
     )
@@ -694,7 +724,7 @@ def decomposition_checks(row: IdealRow) -> tuple[CheckTuple, ...]:
     if is_arf(S):
         s_1 = S.small_element(1)
         if i0 <= n:
-            b_floor = i0 * s_1 - I.min_element
+            b_floor = i0 * s_1 - row.min_element
         else:
             b_floor = n * s_1 - c + (i0 - n) * (r - 1)
         checks.append(_le("a_bound_when_arf", a, (r - 1) * l_quot - b_floor))
@@ -739,11 +769,12 @@ def overring_check(
     table is built.  T = S is allowed without a row and yields the
     all-zeros record: the conductor ideal would be S itself, which is not
     proper, and every formula degenerates.  The report is a view of
-    ``overring_checks(S, T, row)``, the one path that evaluates the checks;
-    l(T/S) is the genus difference, which they verify on the row's bits.
+    ``overring_checks``, the one path that evaluates the checks; l(T/S) is
+    the genus difference, which they verify on the row's bits.
     """
+    if S.bits_below(T.conductor) & ~T.mask:
+        raise NotOversemigroup(f"{T.encode()} does not contain {S.encode()}")
     if row is None:
-        I = conductor_ideal(S, T)
         if T == S:
             return OverringReport(
                 semigroup=S.encode(),
@@ -753,39 +784,42 @@ def overring_check(
                 min_index=0,
                 checks=(),
             )
-        row = IdealTable(S, [I]).rows[0]
+        row = IdealTable(S, [conductor_ideal(S, T)]).rows[0]
     elif row.table.S != S:
         raise ParentMismatch("the row belongs to another semigroup")
-    checks = _records(overring_checks(S, T, row))
+    checks = _records(overring_checks(S, T.bits_below(S.conductor), row))
     return OverringReport(
         semigroup=S.encode(),
         oversemigroup=T.encode(),
         conductor_ideal=row.ideal.encode(),
         length=S.genus - T.genus,
-        min_index=S.small_index(row.ideal.min_element),
+        min_index=S.small_index(row.min_element),
         checks=checks,
     )
 
 
 def overring_checks(
-    S: NumericalSemigroup, T: NumericalSemigroup, row: IdealRow
+    S: NumericalSemigroup, members: int, row: IdealRow
 ) -> tuple[CheckTuple, ...]:
     """The l(T/S) formulas for the row of I = S - T in a table of S.
 
-    The row is checked against T by one colon on its table; the census
-    tallies these tuples as they are.
+    ``members`` holds the members of T below the conductor c of S (T
+    contains S, so it is full from c), as ``oversemigroup_walk`` yields
+    them.  The row is checked against T by one colon on its table, a
+    second path to the intersections the walk took; the census tallies
+    these tuples as they are.
     """
     table = row.table
-    t_bits = T.bits_below(table.top) << table.offset
-    if table.unit & ~t_bits:
-        raise NotOversemigroup(f"{T.encode()} does not contain {S.encode()}")
+    c = S.conductor
+    t_bits = (members | _ones(table.top - c) << c) << table.offset
     if table.colon(table.unit, t_bits) != row.bits:
+        T = from_bits(members, c)
         raise InvalidInput(f"the row is not S - T for T = {T.encode()}")
     t_length = t_bits.bit_count()
     L = t_length - table.unit_length
     # T** = S - (S - T) is I*.
     l_t_growth = row.dual_length - t_length
-    i0 = S.small_index(row.ideal.min_element)
+    i0 = S.small_index(row.min_element)
     return (
         _eq(
             "overring_length_split",

@@ -19,6 +19,7 @@ its string after the first call.  None of these caches is pickled.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from bisect import bisect_left
 
@@ -342,13 +343,55 @@ def is_arf(S: NumericalSemigroup) -> bool:
     return True
 
 
-def _add_gap(S: NumericalSemigroup, g: int) -> NumericalSemigroup:
-    """S with one gap filled in (callers guarantee closure)."""
-    if g != S.conductor - 1:
-        return NumericalSemigroup(S.conductor, S.mask | (1 << g))
-    gap_bits = ~S.mask & _ones(S.conductor) & ~(1 << g)
-    new_c = gap_bits.bit_length()
-    return NumericalSemigroup(new_c, S.mask & _ones(new_c))
+def from_bits(members: int, stop: int) -> NumericalSemigroup:
+    """The semigroup with these membership bits below ``stop``, full from it."""
+    c = (~members & _ones(stop)).bit_length()
+    return NumericalSemigroup(c, members & _ones(c))
+
+
+def oversemigroup_walk(S: NumericalSemigroup):
+    """Each oversemigroup T != S once, by reverse search, with S - T.
+
+    The parent of T is T minus m = min(T - S) (Avis & Fukuda 1996):
+    nonzero members of T below m lie in S, and so do their sums, so m is a
+    minimal generator of T.  The children of U are thus the U + {g} for
+    the gaps g of U below min(U - S), any at U = S, with g + (U - {0}) and
+    2g inside U.  S - T comes down the same tree: S - (U + {g}) = (S - U) & (S - g),
+    with S - g the bits of S shifted down by g.  T and S - T are full from
+    the conductor c of S and are yielded as bits on [0, c);
+    ``from_bits(members, c)`` is T.
+    """
+    c = S.conductor
+    window = _ones(c)
+    wide = S.bits_below(2 * c)  # S - g below c reads S below c + g
+    stack = [(S.mask, c, S.mask)]
+    while stack:
+        members, bound, ideal = stack.pop()
+        holes = window & ~members
+        nonzero = members & ~1
+        gaps = holes & _ones(bound)
+        while gaps:
+            low = gaps & -gaps
+            gaps ^= low
+            g = low.bit_length() - 1
+            if not ((nonzero | low) << g) & holes:  # g + (U - {0}), 2g in U
+                child, child_ideal = members | low, ideal & (wide >> g)
+                yield child, child_ideal
+                stack.append((child, g, child_ideal))
+
+
+def ordered_oversemigroups(
+    S: NumericalSemigroup, limit: int | None = None
+) -> list[tuple[NumericalSemigroup, int]]:
+    """(T, S - T bits) from ``oversemigroup_walk``, in ``oversemigroups`` order."""
+    if limit is not None and limit < 0:
+        raise InvalidInput(f"limit must be non-negative, got {limit}")
+    found = list(itertools.islice(oversemigroup_walk(S), limit))
+    if limit is not None and len(found) >= limit:  # S makes len(found) + 1
+        raise BoundTooLarge(f"more than {limit} oversemigroups (genus {S.genus})")
+    pairs = [(from_bits(members, S.conductor), ideal) for members, ideal in found]
+    pairs.sort(key=lambda pair: (-pair[0].genus, pair[0].small_elements))
+    return pairs
 
 
 def oversemigroups(
@@ -356,28 +399,10 @@ def oversemigroups(
 ) -> list[NumericalSemigroup]:
     """All numerical semigroups containing S, including S and N.
 
-    A minimal step up fills a pseudo-Frobenius gap g with 2g a member (these
-    are exactly the gaps whose addition keeps the set closed), and any
-    strictly larger semigroup contains such a step: its largest extra member
-    works.  The search therefore reaches everything.  Their number grows
-    exponentially with the genus, so with a ``limit`` the search raises
-    ``BoundTooLarge`` as soon as it has found more than ``limit``.
-
-    Ordered by descending genus and then by small elements, so S comes
-    first and N last.
+    They are S and ``oversemigroup_walk``, sorted by descending genus and
+    then by small elements, so S comes first and N last.  Their number
+    grows exponentially with the genus, so with a ``limit`` the walk stops,
+    and ``BoundTooLarge`` is raised, as soon as the list would pass it; a
+    negative ``limit`` is an ``InvalidInput``.
     """
-    seen = {S}
-    stack = [S]
-    while stack:
-        T = stack.pop()
-        for g in T.pseudo_frobenius:
-            if g >= 1 and 2 * g in T:
-                T2 = _add_gap(T, g)
-                if T2 not in seen:
-                    seen.add(T2)
-                    stack.append(T2)
-        if limit is not None and len(seen) > limit:
-            raise BoundTooLarge(
-                f"more than {limit} oversemigroups (genus {S.genus})"
-            )
-    return sorted(seen, key=lambda T: (-T.genus, T.small_elements))
+    return [S] + [T for T, _ in ordered_oversemigroups(S, limit)]

@@ -42,6 +42,7 @@ from typeseq import (
     unit_ideal,
     window_profile,
 )
+from typeseq.ideals import require_proper
 from typeseq.invariants import (
     _chain_dual_lengths,
     _eq,
@@ -440,6 +441,25 @@ class TestIdealTable:
         with pytest.raises(ParentMismatch):
             IdealTable(S, [tail_ideal(from_generators((2, 3)), 3)])
 
+    def test_properness_on_bits_keeps_the_messages(self):
+        # Ideals given as objects, or as their bits below c = 3 to
+        # ``inside``, fail as ``require_proper`` fails on them.
+        S = from_generators((3, 4, 5))
+        cases = [
+            (unit_ideal(S), 0b001),
+            (ideal_from_generators(S, (1,)), 0b010),
+            (tail_ideal(S, 2), 0b100),
+            (ideal_from_generators(S, (-4,)), None),
+        ]
+        for E, bits in cases:
+            with pytest.raises(NotIntegralProper) as want:
+                require_proper(E)
+            with pytest.raises(NotIntegralProper, match=str(want.value)):
+                IdealTable(S, [E])
+            if bits is not None:
+                with pytest.raises(NotIntegralProper, match=str(want.value)):
+                    IdealTable.inside(S, [bits])
+
 
 def _table_bits(table, members):
     """A table row for a set of integers, read below the table's top."""
@@ -501,7 +521,7 @@ class TestOnePath:
             table = IdealTable(S, [conductor_ideal(S, T) for T in overs])
             for T, row in zip(overs, table.rows):
                 assert overring_check(S, T, row).checks == (
-                    overring_checks(S, T, row)
+                    overring_checks(S, T.bits_below(S.conductor), row)
                 ), (S.encode(), T.encode())
 
     def test_popcount_sums_match_the_index_tuples(self):

@@ -25,6 +25,7 @@ from typeseq import (
     oversemigroups,
     ring_classification,
 )
+from typeseq.semigroup import oversemigroup_walk
 
 
 class TestConstruction:
@@ -374,3 +375,24 @@ class TestOversemigroups:
         assert oversemigroups(S, limit=3) == oversemigroups(S)
         with pytest.raises(BoundTooLarge):
             oversemigroups(S, limit=2)
+
+    def test_negative_limit_is_invalid_input(self):
+        with pytest.raises(InvalidInput):
+            oversemigroups(from_generators((3, 4, 5)), limit=-1)
+
+    def test_walk_matches_gap_set_and_colon_oracles(self):
+        # Genus <= 9: the walk yields each T != S with gaps(T) inside
+        # gaps(S) once, and S - T equals the colon of the explicit sets.
+        gap_sets = set().union(*map(oracles.gap_set_semigroups, range(10)))
+        for gaps in gap_sets:
+            S = NumericalSemigroup.decode(oracles.encode_gap_set(gaps))
+            c = S.conductor
+            walk = list(oversemigroup_walk(S))
+            got = [frozenset(x for x in range(c) if not T >> x & 1) for T, _ in walk]
+            assert len(got) == len(set(got)), S.encode()
+            assert set(got) == {g for g in gap_sets if g < gaps}, S.encode()
+            top = 3 * c + 2
+            A = set(range(top)) - gaps
+            for T_gaps, (_, ideal) in zip(got, walk):
+                want = oracles.colon_set(A, set(range(top)) - T_gaps, -c - 1, c, top)
+                assert {x for x in range(c) if ideal >> x & 1} == want, S.encode()
