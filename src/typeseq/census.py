@@ -17,14 +17,19 @@ stored conductor tight, so each ideal appears once).
 The ideals, pairs, colon_growth and equivalences groups, and the
 negative-a search, read one ``IdealTable`` per semigroup, built whenever
 the ideals are enumerated; each row is the one record of its ideal's
-invariants, and the ideals group tallies the check tuple that
-``decomposition_checks`` produces from each row.  The rows hold
-membership bits of I, I*, I** and K.I on one absolute window: bit k is
-the integer k - offset, and offset and top are both c + window + 1,
-where c is S's conductor.  Every ideal here is proper and integral with conductor at most c + window, so
-I* starts no lower than -(c + window) and every set a row reads is full
-from c + window on; a subset test is then one AND, a length one popcount
-difference, and a colon J - X one call of the table's colon kernel.  The
+invariants.  The ideals group takes each row's signature, the sequence
+of check ids it ran, and one pass flag from ``decomposition_tally``; the
+pairs group counts the comparable pairs, which all run the same four
+checks, with one pass flag each.  The census counts objects per
+signature and expands the counts into per-id tallies at the end; the
+check tuples are built only for an object with a failing check.  The
+rows hold membership bits of I, I*, I** and K.I on one absolute window:
+bit k is the integer k - offset, and offset and top are both
+c + window + 1, where c is S's conductor.  Every ideal here is proper
+and integral with conductor at most c + window, so I* starts no lower
+than -(c + window) and every set a row reads is full from c + window
+on; a subset test is then one AND, a length one popcount difference,
+and a colon J - X one call of the table's colon kernel.  The
 colon_growth group samples rows and takes its intersections, unions and
 colons on these bits.  The overrings group walks the oversemigroups T
 of S by reverse search (``oversemigroup_walk``), each once, with the bits
@@ -54,7 +59,7 @@ import random
 from collections import _count_elements
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import itemgetter, le
 
 from .classification import (
     TAG_B_EQ_R_G,
@@ -87,7 +92,7 @@ from .invariants import (
     _eq,
     _le,
     ab_invariants,
-    decomposition_checks,
+    decomposition_tally,
     extended_type_sequence,
     overring_checks,
     sigma,
@@ -389,22 +394,41 @@ _passes = itemgetter(1)
 
 
 class _Collector:
-    """Accumulates tallies and violations from named checks."""
+    """Accumulates tallies and violations from named checks.
+
+    The small groups hand in check tuples (``add``).  The ideals and pairs
+    groups, where nearly every check passes, hand in signatures instead:
+    the sequence of check ids one object ran, with how many objects ran it
+    (``count``), and the tuples only of an object with a failing check
+    (``fail``).  ``check_tallies`` expands the signature counts into
+    per-id tallies once, at the end.
+    """
 
     def __init__(self):
         self.tallies: dict[str, int] = {}
+        self.signatures: dict[tuple[str, ...], int] = {}
         self.violations: list[Violation] = []
 
     def add(self, sg: str, name, checks) -> None:
         """Tally a sequence of checks on an object of S, or on S for "".
 
-        The ids are counted at C speed; ``name`` is the object's encoding,
-        or a function that returns it, called here only when one of the
-        checks failed.
+        The ids are counted at C speed; the failures go to ``fail``.
         """
         _count_elements(self.tallies, map(_ids, checks))
-        if all(map(_passes, checks)):
-            return
+        if not all(map(_passes, checks)):
+            self.fail(sg, name, checks)
+
+    def count(self, signature: tuple[str, ...], k: int = 1) -> None:
+        """Tally k objects that each ran the checks of ``signature``."""
+        if k:
+            self.signatures[signature] = self.signatures.get(signature, 0) + k
+
+    def fail(self, sg: str, name, checks) -> None:
+        """Record the failed ones of ``checks`` as violations.
+
+        ``name`` is the object's encoding, or a function that returns it,
+        called only here, when one of the checks failed.
+        """
         if not isinstance(name, str):
             name = name()
         self.violations.extend(
@@ -412,6 +436,14 @@ class _Collector:
             for cid, passed, lhs, rhs in checks
             if not passed
         )
+
+    def check_tallies(self) -> dict[str, int]:
+        """The tally of each check id, the signatures' ones included."""
+        tallies = dict(self.tallies)
+        for signature, k in self.signatures.items():
+            for cid in signature:
+                tallies[cid] = tallies.get(cid, 0) + k
+        return tallies
 
 
 # -- per-semigroup check groups ----------------------------------------------------
@@ -495,21 +527,35 @@ def _semigroup_group(S: NumericalSemigroup) -> list[CheckTuple]:
     return checks
 
 
+# The checks every comparable pair runs, in the order of their sides.
+_PAIR_IDS = (
+    "pair_dual_growth_bound",
+    "pair_b_antitone",
+    "pair_a_upper",
+    "pair_a_lower",
+)
+
+
 def _pairs_group(
     S: NumericalSemigroup,
     table: IdealTable,
     sample_limit: int,
-) -> list[CheckTuple]:
+) -> tuple[int, list[CheckTuple]]:
+    """(comparable pairs, the check tuples of those with a failing check).
+
+    Each comparable pair runs the ``le`` checks of ``_PAIR_IDS``.  With at
+    most ``sample_limit`` rows every pair is visited, else that many pairs
+    are drawn; either way one at a time.
+    """
     r = S.type
     rows = table.rows
-    pairs = []
     if len(rows) <= sample_limit:
-        pairs = [(X, Y) for i, X in enumerate(rows) for Y in rows[i + 1 :]]
+        pairs = itertools.combinations(rows, 2)
     else:
         rng = random.Random("pairs:" + S.encode())
-        for _ in range(sample_limit):
-            pairs.append(tuple(rng.sample(rows, 2)))
-    checks: list[CheckTuple] = []
+        pairs = (rng.sample(rows, 2) for _ in range(sample_limit))
+    count = 0
+    failed: list[CheckTuple] = []
     for X, Y in pairs:
         if Y.bits & ~X.bits == 0:
             big, small = X, Y
@@ -519,11 +565,12 @@ def _pairs_group(
             continue
         gap = big.length - small.length
         growth = small.dual_length - big.dual_length
-        checks.append(_le("pair_dual_growth_bound", growth, r * gap))
-        checks.append(_le("pair_b_antitone", big.b, small.b))
-        checks.append(_le("pair_a_upper", small.a, big.a + (r - 1) * gap))
-        checks.append(_le("pair_a_lower", big.a - gap, small.a))
-    return checks
+        lhs = (growth, big.b, small.a, big.a - gap)
+        rhs = (r * gap, small.b, big.a + (r - 1) * gap, small.a)
+        count += 1
+        if not all(map(le, lhs, rhs)):
+            failed += zip(_PAIR_IDS, map(le, lhs, rhs), lhs, rhs)
+    return count, failed
 
 
 def _colon_growth_group(
@@ -620,10 +667,14 @@ def _run_semigroup(
         col.add(enc, "", _semigroup_group(S))
     if "ideals" in groups:
         for row in table.rows:
-            checks = decomposition_checks(row)
-            col.add(enc, lambda: row.ideal.encode(), checks)
+            signature, checks = decomposition_tally(row)
+            col.count(signature)
+            if checks:
+                col.fail(enc, row.ideal.encode(), checks)
     if "pairs" in groups:
-        col.add(enc, "", _pairs_group(S, table, sample_limit))
+        count, checks = _pairs_group(S, table, sample_limit)
+        col.count(_PAIR_IDS, count)
+        col.fail(enc, "", checks)
     if "colon_growth" in groups:
         col.add(enc, "", _colon_growth_group(S, table, sample_limit))
     if "equivalences" in groups:
@@ -684,7 +735,7 @@ def _census_part(query: CensusQuery, population) -> CensusReport:
                 report.classification_members.setdefault(tag, []).append(
                     S.encode()
                 )
-    report.check_tallies = col.tallies
+    report.check_tallies = col.check_tallies()
     report.violations = col.violations
     return report
 

@@ -32,11 +32,15 @@ The invariants are
 and ``decomposition_checks`` re-derives a and b from the type sequence
 through the marked-index bookkeeping, together with every bound and
 identity the theory provides, returning each as a plain check tuple
-(id, passed, lhs, rhs) with both sides evaluated as ints; the census
-tallies these tuples.  ``decomposition_check`` is the report over one
-ideal: a view of its row and of those checks as ``Check`` records, the
-public record type every report holds.  ``overring_checks`` and the
-``overring_check`` report stand in the same relation.
+(id, passed, lhs, rhs) with both sides evaluated as ints.  Both it and
+``decomposition_tally`` read one function that evaluates each side of
+each check once, into a flat id, relation, lhs, rhs sequence; the tally
+gives the census the row's signature (its sequence of check ids) and
+builds the tuples only when a check fails.  ``decomposition_check`` is
+the report over one ideal: a view of its row and of those checks as
+``Check`` records, the public record type every report holds.
+``overring_checks`` and the ``overring_check`` report stand in the same
+relation; the census tallies those tuples as they are.
 
 The row of an ``IdealTable`` is the one record of these per-ideal
 quantities: a and b, the lengths, I**, K.I, the marks and d are computed
@@ -53,6 +57,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from operator import eq, ge, le
 from typing import NamedTuple
 
 from .errors import (
@@ -74,6 +79,13 @@ from .ideals import (
     unit_ideal,
 )
 from .semigroup import NumericalSemigroup, _ones, from_bits, is_arf
+
+try:
+    from operator import call
+except ImportError:  # Python 3.10
+
+    def call(fn, *args):
+        return fn(*args)
 
 
 class Check(NamedTuple):
@@ -406,6 +418,11 @@ class IdealTable:
         self.offset = self.top
         self.window = _ones(self.offset + self.top)
         self.unit = self.bits_of(unit_ideal(S))
+        # The members past the window that ``colon`` fills in, on each side.
+        e, span = S.multiplicity, self.offset + self.top
+        self._fill_a = _ones(self.top + e) << span
+        self._fill_b = _ones(e) << span
+        self._unit_a = (self.unit | self._fill_a) << self.offset
         self.maximal = self.unit & ~(1 << self.offset)  # S without 0
         self.unit_length = self.unit.bit_count()
         self.rows: list[IdealRow] = []
@@ -444,11 +461,14 @@ class IdealTable:
         A is shifted up by offset, so that its bit k + j is the integer
         z + g for z at bit k of the result and g at bit j of B; the bits
         past the window, members of both, are filled in as far as the
-        shifts read them (B to its conductor + e).
+        shifts read them (B to its conductor + e).  The fills, and the
+        filled and shifted S of every dual, are computed once per table.
         """
-        e, span = self.S.multiplicity, self.offset + self.top
-        a = (A | _ones(self.top + e) << span) << self.offset
-        return colon_bits(a, B | _ones(e) << span, e) & self.window
+        if A == self.unit:
+            a = self._unit_a
+        else:
+            a = (A | self._fill_a) << self.offset
+        return colon_bits(a, B | self._fill_b, self.S.multiplicity) & self.window
 
     def tail_length(self, start: int) -> int:
         """Window members of the tail from ``start``."""
@@ -593,16 +613,48 @@ def decomposition_check(
 def decomposition_checks(row: IdealRow) -> tuple[CheckTuple, ...]:
     """Every decomposition identity and bound for the ideal of ``row``.
 
-    Conditional statements (those whose hypothesis is a property of S or
-    I) are included only when the hypothesis holds, so tallies count
-    genuine instances.  The census tallies these tuples as they are.
+    These are the check tuples of ``_decomposition(row)``, in its order.
+    """
+    return _tuples(_decomposition(row))
+
+
+def decomposition_tally(
+    row: IdealRow,
+) -> tuple[tuple[str, ...], tuple[CheckTuple, ...]]:
+    """(signature, checks): the row's check ids, and its tuples on a failure.
+
+    The checks are those of ``decomposition_checks``, built only when one
+    of them fails; when every check passes they are (), and the census
+    needs nothing but the signature to tally the row.
+    """
+    checks = _decomposition(row)
+    signature = tuple(checks[::4])
+    if all(map(call, checks[1::4], checks[2::4], checks[3::4])):
+        return signature, ()
+    return signature, _tuples(checks)
+
+
+def _tuples(checks: list) -> tuple[CheckTuple, ...]:
+    """The check tuples of a flat id, relation, lhs, rhs, ... sequence."""
+    lhs, rhs = checks[2::4], checks[3::4]
+    passed = map(call, checks[1::4], lhs, rhs)
+    return tuple(zip(checks[::4], passed, map(int, lhs), map(int, rhs)))
+
+
+def _decomposition(row: IdealRow) -> list:
+    """The decomposition checks of ``row``, flat: id, relation, lhs, rhs, ...
+
+    Each check is one line, evaluated once; the relation is ``eq``, ``le``
+    or ``ge`` of the two sides.  Conditional statements (those whose
+    hypothesis is a property of S or I) are included only when the
+    hypothesis holds, so tallies count genuine instances; the ids that a
+    row includes, in order, are its signature.
     """
     table = row.table
     S = table.S
     r, delta, c, n = S.type, S.genus, S.conductor, S.n
     c_i = row.conductor
     n_i = c_i - delta
-    checks: list[CheckTuple] = []
 
     unmarked = row.unmarked_bits
     n_unmarked = unmarked.bit_count()
@@ -622,101 +674,81 @@ def decomposition_checks(row: IdealRow) -> tuple[CheckTuple, ...]:
     l_bid_gamma = bid_length - table.tail_length(c_i)
     l_omega_growth = omega_length - row.length
     refl = row.bidual == row.bits
-    closed = row.closed
     stable = row.omega == row.bits
     # Translates of S stand in for the ring itself, whose d depends on
     # the embedding; statements about almost-symmetric parents quantify
     # over the non-trivial ideals only.
     principal = row.principal
     i0 = S.small_index(row.min_element)
-
-    # The two headline decompositions.
-    checks.append(_eq("a_from_type_sequence", a, excess_unmarked - l_bid - d))
-    checks.append(
-        _eq("b_from_type_sequence", b, defect_unmarked + r * l_bid + d)
-    )
-    checks.append(_eq("a_plus_b_split", a + b, (r - 1) * l_quot))
-    checks.append(_ge("b_nonnegative", b, 0))
-
-    # a against the canonical growth and the tail value.
     a_gamma = 2 * delta - c
     almost_gorenstein = r - 1 == a_gamma
-    checks.append(_le("a_at_most_tail_value", a, a_gamma))
-    checks.append(_eq("a_via_omega_growth", a, a_gamma - l_omega_growth))
-    checks.append(_eq("a_bidual_drop", a, row.l_dual - l_unit_bid - l_bid))
+    tail_c = table.tail_mask(c)
 
-    # Marked/unmarked sums against lengths.
-    checks.append(_le("marked_sum_lower", l_bid_gamma, sum_marked))
-    checks.append(_le("marked_sum_upper", sum_marked, l_tail_dual))
-    checks.append(_le("dual_length_bound", row.l_dual, sum_unmarked))
-    checks.append(
-        _eq("unmarked_sum_split", sum_unmarked, l_unit_bid + excess_unmarked)
-    )
-    checks.append(_ge("omega_growth_lower", l_omega_growth, excess_marked))
-    checks.append(_eq("marked_count_window", n_i - n_unmarked, l_bid_gamma))
-    # The unmarked h <= n are the unmarked s_{h-1} below c.
-    checks.append(
-        _eq(
-            "marked_count_small",
-            n - n_unmarked + (unmarked & table.tail_mask(c)).bit_count(),
-            (row.bidual | table.tail_mask(c)).bit_count() - table.tail_length(c),
-        )
-    )
-
-    # d and its windows.
-    checks.append(_ge("d_nonnegative", d, 0))
-    checks.append(_ge("d_window_lower", d, l_tail_dual - r * l_bid_gamma))
-    checks.append(_le("d_window_upper", d, l_tail_dual - l_bid_gamma))
-    checks.append(
-        _eq("d_via_omega_product", d, omega_length - bid_length - excess_marked)
-    )
-    checks.append(_eq("d_bidual_invariant", d, row.d_for(row.bidual_conductor)))
+    checks = [
+        # The two headline decompositions.
+        "a_from_type_sequence", eq, a, excess_unmarked - l_bid - d,
+        "b_from_type_sequence", eq, b, defect_unmarked + r * l_bid + d,
+        "a_plus_b_split", eq, a + b, (r - 1) * l_quot,
+        "b_nonnegative", ge, b, 0,
+        # a against the canonical growth and the tail value.
+        "a_at_most_tail_value", le, a, a_gamma,
+        "a_via_omega_growth", eq, a, a_gamma - l_omega_growth,
+        "a_bidual_drop", eq, a, row.l_dual - l_unit_bid - l_bid,
+        # Marked/unmarked sums against lengths.
+        "marked_sum_lower", le, l_bid_gamma, sum_marked,
+        "marked_sum_upper", le, sum_marked, l_tail_dual,
+        "dual_length_bound", le, row.l_dual, sum_unmarked,
+        "unmarked_sum_split", eq, sum_unmarked, l_unit_bid + excess_unmarked,
+        "omega_growth_lower", ge, l_omega_growth, excess_marked,
+        "marked_count_window", eq, n_i - n_unmarked, l_bid_gamma,
+        # The unmarked h <= n are the unmarked s_{h-1} below c.
+        "marked_count_small", eq,
+        n - n_unmarked + (unmarked & tail_c).bit_count(),
+        (row.bidual | tail_c).bit_count() - table.tail_length(c),
+        # d and its windows.
+        "d_nonnegative", ge, d, 0,
+        "d_window_lower", ge, d, l_tail_dual - r * l_bid_gamma,
+        "d_window_upper", le, d, l_tail_dual - l_bid_gamma,
+        "d_via_omega_product", eq, d, omega_length - bid_length - excess_marked,
+        "d_bidual_invariant", eq, d, row.d_for(row.bidual_conductor),
+    ]
     if row.bits & ~table.theta == 0:
-        checks.append(_eq("d_inside_different", d, omega_length - bid_length))
+        checks += "d_inside_different", eq, d, omega_length - bid_length
     if stable:
-        checks.append(_eq("d_zero_when_omega_stable", d, 0))
-    checks.append(
-        _eq(
-            "d_via_min_index",
-            d,
-            table.r_sum(unmarked & table.tail_mask(row.min_element))
-            - (row.dual_length - table.chain_dual_length(i0)),
-        )
+        checks += "d_zero_when_omega_stable", eq, d, 0
+    min_tail = table.tail_mask(row.min_element)
+    checks += (
+        "d_via_min_index", eq, d,
+        table.r_sum(unmarked & min_tail)
+        - (row.dual_length - table.chain_dual_length(i0)),
     )
-    if closed:
-        checks.append(_eq("d_zero_when_integrally_closed", d, 0))
+    if row.closed:
+        checks += "d_zero_when_integrally_closed", eq, d, 0
     if almost_gorenstein and not principal:
-        checks.append(_eq("d_zero_when_almost_gorenstein", d, 0))
+        checks += "d_zero_when_almost_gorenstein", eq, d, 0
 
-    # Distance to the tail.
     l_i_gamma = row.length - table.tail_length(c_i)
-    checks.append(_le("tail_length_bound", l_i_gamma, l_tail_dual))
-    eq_holds = l_i_gamma == l_tail_dual
-    # Every r_h >= 1, so no excess means r_h = 1 on every marked h.
-    cond = refl and d == 0 and excess_marked == 0
-    checks.append(_eq("tail_length_equality_iff", eq_holds, cond))
-
-    # Two-sided bounds on a and b.
     join_length = (row.bidual | table.theta).bit_count()
-    checks.append(
-        _le(
-            "a_upper_bound",
-            a,
-            (r - 1) * (table.unit_length - join_length) - l_bid,
-        )
-    )
-    checks.append(_ge("a_lower_bound", a, r - 1 - l_bid - d))
-    checks.append(_le("b_upper_bound", b, (r - 1) * (l_quot - 1) + l_bid + d))
-    checks.append(
-        _ge("b_lower_bound", b, (r - 1) * (join_length - row.length) + l_bid)
+    checks += (
+        # Distance to the tail.  Every r_h >= 1, so no excess means
+        # r_h = 1 on every marked h.
+        "tail_length_bound", le, l_i_gamma, l_tail_dual,
+        "tail_length_equality_iff", eq,
+        l_i_gamma == l_tail_dual, refl and d == 0 and excess_marked == 0,
+        # Two-sided bounds on a and b.
+        "a_upper_bound", le,
+        a, (r - 1) * (table.unit_length - join_length) - l_bid,
+        "a_lower_bound", ge, a, r - 1 - l_bid - d,
+        "b_upper_bound", le, b, (r - 1) * (l_quot - 1) + l_bid + d,
+        "b_lower_bound", ge, b, (r - 1) * (join_length - row.length) + l_bid,
     )
     if stable:
-        checks.append(_ge("a_lower_when_omega_stable", a, r - 1))
-    checks.append(_ge("b_at_least_reflexive_defect", b, r * l_bid))
-    b_zero = b == 0
+        checks += "a_lower_when_omega_stable", ge, a, r - 1
     # Every r_h <= r, so no defect means r_h = r on every unmarked h.
-    b_zero_cond = refl and d == 0 and defect_unmarked == 0
-    checks.append(_eq("b_vanishing_iff", b_zero, b_zero_cond))
+    checks += (
+        "b_at_least_reflexive_defect", ge, b, r * l_bid,
+        "b_vanishing_iff", eq, b == 0, refl and d == 0 and defect_unmarked == 0,
+    )
 
     # Special parents.  The subtrahend is the closed form of b on the
     # integral closure S cap tail(min): linear steps of r - 1 take over
@@ -727,12 +759,12 @@ def decomposition_checks(row: IdealRow) -> tuple[CheckTuple, ...]:
             b_floor = i0 * s_1 - row.min_element
         else:
             b_floor = n * s_1 - c + (i0 - n) * (r - 1)
-        checks.append(_le("a_bound_when_arf", a, (r - 1) * l_quot - b_floor))
+        checks += "a_bound_when_arf", le, a, (r - 1) * l_quot - b_floor
     if almost_gorenstein and refl and not principal:
-        checks.append(_eq("a_constant_when_ag_reflexive", a, a_gamma))
+        checks += "a_constant_when_ag_reflexive", eq, a, a_gamma
     if r == 1:
-        checks.append(_eq("a_zero_when_type_one", a, 0))
-    return tuple(checks)
+        checks += "a_zero_when_type_one", eq, a, 0
+    return checks
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Exhaustive enumeration, the theorem census, and the negative-a search."""
 
+import itertools
 import json
 from collections import Counter
 
@@ -21,8 +22,15 @@ from typeseq import (
     tail_ideal,
     verify_theorems,
 )
-from typeseq import Violation, census, cli
-from typeseq.invariants import IdealRow, _eq, _le
+from typeseq import Violation, census, cli, invariants
+from typeseq.ideals import colon_bits
+from typeseq.invariants import (
+    IdealRow,
+    IdealTable,
+    _eq,
+    _le,
+    decomposition_checks,
+)
 
 # Explicit encodings of several genera, for the semigroups= selector.
 EXPLICIT = (
@@ -378,7 +386,9 @@ class TestVerifyTheorems:
 
     def test_ideal_and_overring_violations_name_their_objects(self, monkeypatch):
         monkeypatch.setattr(
-            census, "decomposition_checks", lambda row: (_eq("t_ideal", 1, 2),)
+            census,
+            "decomposition_tally",
+            lambda row: (("t_ideal",), (_eq("t_ideal", 1, 2),)),
         )
         monkeypatch.setattr(
             census, "overring_checks", lambda S, T, row: (_eq("t_over", 1, 2),)
@@ -397,22 +407,94 @@ class TestVerifyTheorems:
         assert parallel.to_json() == serial.to_json()
         assert cli.main(["census", "--max-genus", "3", "--checks", "ideals"]) == 1
 
+    def test_planted_fault_fails_as_the_tuple_path_says(self, monkeypatch):
+        def dropped(a_bits, b_bits, e):
+            # a colon kernel that forgets the highest generator of B
+            gens = b_bits & ~(b_bits << e)
+            if gens & (gens - 1):
+                b_bits &= ~(1 << (gens.bit_length() - 1))
+            return colon_bits(a_bits, b_bits, e)
+
+        monkeypatch.setattr(invariants, "colon_bits", dropped)
+        query = dict(max_genus=5, window=2, checks=("ideals", "pairs"))
+        serial = verify_theorems(CensusQuery(sample_limit=10_000, **query))
+        parallel = verify_theorems(
+            CensusQuery(sample_limit=10_000, workers=2, **query)
+        )
+        tallies, want = Counter(), []
+        for S in enumerate_semigroups(max_genus=5):
+            enc = S.encode()
+            table = IdealTable(S, enumerate_ideals(S, 2))
+            for row in table.rows:
+                checks = decomposition_checks(row)
+                tallies.update(c[0] for c in checks)
+                want += [
+                    Violation(enc, row.ideal.encode(), c[0], *c[2:])
+                    for c in checks
+                    if not c[1]
+                ]
+            for X, Y in itertools.combinations(table.rows, 2):
+                if X.bits & ~Y.bits == 0:
+                    X, Y = Y, X
+                elif Y.bits & ~X.bits:
+                    continue
+                gap, r = X.length - Y.length, S.type
+                checks = (
+                    _le(
+                        "pair_dual_growth_bound",
+                        Y.dual_length - X.dual_length,
+                        r * gap,
+                    ),
+                    _le("pair_b_antitone", X.b, Y.b),
+                    _le("pair_a_upper", Y.a, X.a + (r - 1) * gap),
+                    _le("pair_a_lower", X.a - gap, Y.a),
+                )
+                tallies.update(c[0] for c in checks)
+                want += [Violation(enc, "", c[0], *c[2:]) for c in checks if not c[1]]
+        failing = {v.check_id for v in want}
+        assert "a_from_type_sequence" in failing and "pair_a_lower" in failing
+        assert serial.violations == sorted(want, key=Violation.sort_key)
+        assert serial.check_tallies == dict(tallies)
+        assert all(
+            type(v.lhs) is int and type(v.rhs) is int for v in serial.violations
+        )
+        assert parallel.to_json() == serial.to_json()
+
     def test_census_tallies_int_tuples_without_the_index_view(self, monkeypatch):
         def refuse(row):
             raise AssertionError("the census read row.unmarked")
 
         monkeypatch.setattr(IdealRow, "unmarked", property(refuse))
-        seen = []
-        add = census._Collector.add
+        added, failed = [], []
+        add, fail = census._Collector.add, census._Collector.fail
 
-        def record(self, sg, obj, checks):
-            seen.extend(checks)
+        def record_add(self, sg, obj, checks):
+            added.extend(checks)
             add(self, sg, obj, checks)
 
-        monkeypatch.setattr(census._Collector, "add", record)
-        rep = verify_theorems(CensusQuery(max_genus=7, window=2))
-        assert rep.passed and len(seen) == sum(rep.check_tallies.values())
-        assert all(type(c[2]) is int and type(c[3]) is int for c in seen)
+        def record_fail(self, sg, obj, checks):
+            failed.extend(checks)
+            fail(self, sg, obj, checks)
+
+        monkeypatch.setattr(census._Collector, "add", record_add)
+        monkeypatch.setattr(census._Collector, "fail", record_fail)
+        query = CensusQuery(max_genus=7, window=2)
+        rep = verify_theorems(query)
+        assert rep.passed
+        seen = added + failed
+        assert seen and all(type(c[2]) is int and type(c[3]) is int for c in seen)
+        # The signature counts stand for every tuple the tuple path emits.
+        monkeypatch.undo()
+        tuples = Counter(c[0] for c in added)
+        for S in census._selected(query):
+            table = IdealTable(S, enumerate_ideals(S, 2))
+            for row in table.rows:
+                tuples.update(c[0] for c in decomposition_checks(row))
+            count, pair_failures = census._pairs_group(S, table, query.sample_limit)
+            assert pair_failures == []
+            tuples.update(census._PAIR_IDS * count)
+        assert rep.check_tallies == dict(tuples)
+        assert sum(rep.check_tallies.values()) == sum(tuples.values())
 
     def test_report_json_is_canonical(self):
         rep = verify_theorems(CensusQuery(max_genus=4, window=1))

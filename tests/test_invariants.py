@@ -3,6 +3,7 @@
 import itertools
 import pickle
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -42,6 +43,7 @@ from typeseq import (
     unit_ideal,
     window_profile,
 )
+from typeseq.census import _Collector
 from typeseq.ideals import require_proper
 from typeseq.invariants import (
     _chain_dual_lengths,
@@ -50,8 +52,10 @@ from typeseq.invariants import (
     _le,
     conductor_ideal,
     decomposition_checks,
+    decomposition_tally,
     overring_checks,
 )
+from typeseq.semigroup import is_arf
 
 
 def brute_ab(S, I):
@@ -523,6 +527,43 @@ class TestOnePath:
                 assert overring_check(S, T, row).checks == (
                     overring_checks(S, T.bits_below(S.conductor), row)
                 ), (S.encode(), T.encode())
+
+    def test_signature_expansion_matches_the_tuple_path(self):
+        col, want, signatures = _Collector(), Counter(), set()
+        for S in semigroups_up_to(8):
+            for window in range(3):
+                for row in IdealTable(S, enumerate_ideals(S, window)).rows:
+                    checks = decomposition_checks(row)
+                    signature, failed = decomposition_tally(row)
+                    col.count(signature)
+                    want.update(c[0] for c in checks)
+                    signatures.add(signature)
+                    name = (S.encode(), window, row.ideal.encode())
+                    assert signature == tuple(c[0] for c in checks), name
+                    assert failed == () and all(c[1] for c in checks), name
+                    # The hypotheses of the conditional checks, read off the
+                    # row apart from the check body.
+                    ag = S.type - 1 == 2 * S.genus - S.conductor
+                    refl = row.bidual == row.bits
+                    hypotheses = {
+                        "d_inside_different": row.bits & ~row.table.theta == 0,
+                        "d_zero_when_omega_stable": row.omega == row.bits,
+                        "a_lower_when_omega_stable": row.omega == row.bits,
+                        "d_zero_when_integrally_closed": is_integrally_closed(
+                            row.ideal
+                        ),
+                        "d_zero_when_almost_gorenstein": ag and not row.principal,
+                        "a_bound_when_arf": is_arf(S),
+                        "a_constant_when_ag_reflexive": ag
+                        and refl
+                        and not row.principal,
+                        "a_zero_when_type_one": S.type == 1,
+                    }
+                    for cid, holds in hypotheses.items():
+                        assert (cid in signature) == holds, (name, cid)
+                    assert len(signature) == 28 + sum(hypotheses.values()), name
+        assert col.check_tallies() == dict(want)
+        assert 1 < len(signatures) <= 2 ** 7
 
     def test_popcount_sums_match_the_index_tuples(self):
         for table in _popcount_sum_tables():
