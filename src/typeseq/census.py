@@ -6,40 +6,38 @@ numerical semigroup other than N arises exactly once this way (adjoining
 the Frobenius number is the inverse step), genus grows by one per edge
 and the conductor grows strictly, so pruning by either bound is complete.
 
-Proper integral ideals are enumerated per ideal conductor c_E in a
-window above the conductor of S, by one iterative walk on S's membership
-bits.  A stack holds (undecided, chosen) pairs, undecided starting as
-the members of S in [1, c_E - 1); each step leaves out the lowest
-undecided x, or takes it with its closure x + S below c_E, which leaves
-undecided.  A closure that reaches c_E - 1 is pruned (that keeps the
-stored conductor tight, so each ideal appears once).
-
-The ideals, pairs, colon_growth and equivalences groups, and the
-negative-a search, read one ``IdealTable`` per semigroup, built whenever
-the ideals are enumerated; each row is the one record of its ideal's
-invariants.  The ideals group takes each row's signature, the sequence
-of check ids it ran, and one pass flag from ``decomposition_tally``; the
-pairs group counts the comparable pairs, which all run the same four
-checks, with one pass flag each.  The census counts objects per
-signature and expands the counts into per-id tallies at the end; the
-check tuples are built only for an object with a failing check.  The
-rows hold membership bits of I, I*, I** and K.I on one absolute window:
-bit k is the integer k - offset, and offset and top are both
-c + window + 1, where c is S's conductor.  Every ideal here is proper
-and integral with conductor at most c + window, so I* starts no lower
-than -(c + window) and every set a row reads is full from c + window
-on; a subset test is then one AND, a length one popcount difference,
-and a colon J - X one call of the table's colon kernel.  The
+The proper integral ideals with conductor in a window above that of S
+come from one stack walk on S's membership bits, ``IdealTable.family``:
+it yields each ideal as a table row and carries its dual I* down the
+walk by one AND per take, in place of a colon per ideal.  The ideals,
+pairs, colon_growth and equivalences groups, and the negative-a search,
+read this one table per semigroup; each row is the one record of its
+ideal's invariants.  The ideals group takes each row's signature, the
+sequence of check ids it ran, and one pass flag from
+``decomposition_tally``; the pairs group counts the comparable pairs,
+which all run the same four checks, with one pass flag each.  The census
+counts objects per signature and expands the counts into per-id tallies
+at the end; the check tuples are built only for an object with a failing
+check.  The rows hold membership bits of I, I*, I** and K.I on one
+absolute window: bit k is the integer k - offset, and offset and top are
+both c + window + 1, where c is S's conductor.  Every ideal here is
+proper and integral with conductor at most c + window, so I* starts no
+lower than -(c + window) and every set a row reads is full from
+c + window on; a subset test is then one AND, a length one popcount
+difference, and a colon J - X one call of the table's colon kernel.  The
 colon_growth group samples rows and takes its intersections, unions and
-colons on these bits.  The overrings group walks the oversemigroups T
-of S by reverse search (``oversemigroup_walk``), each once, with the bits
-of T and of its conductor ideal S - T, which comes down the tree by one
-AND per step.  A second table per semigroup holds these ideals
+colons on these bits: l((J - M)/J) once per row drawn, and the two
+colons of a sample with J filled and shifted once.  The semigroup group
+reads a and b of its chain, tail and shifted canonical ideals off one
+table.  The overrings group walks the oversemigroups T of S by reverse
+search (``oversemigroup_walk``), each once, with the bits of T and of
+its conductor ideal S - T, which comes down the tree by one AND per
+step.  A second table per semigroup holds these ideals
 (``IdealTable.inside``), and the group tallies the tuple
-``overring_checks`` produces from each row and T's bits; the colon
-S - T it takes there is a second path to the row.  No report is built on
-the way, nor a semigroup for T: an ideal or oversemigroup is encoded
-only when one of its checks fails, to name it in the violation.
+``overring_checks`` produces from each row and T's bits; the colon S - T
+it takes there is a second path to the row.  No report is built on the
+way, nor a semigroup for T: an ideal or oversemigroup is encoded only
+when one of its checks fails, to name it in the violation.
 
 ``verify_theorems`` runs named groups of checks over every enumerated
 semigroup (and ideal family); violations are collected, never raised, so
@@ -91,7 +89,6 @@ from .invariants import (
     IdealTable,
     _eq,
     _le,
-    ab_invariants,
     decomposition_tally,
     extended_type_sequence,
     overring_checks,
@@ -292,26 +289,10 @@ def enumerate_ideals(S: NumericalSemigroup, window: int) -> list[RelativeIdeal]:
     """All proper integral ideals with conductor within ``window`` of S's.
 
     For S = N the window alone supplies the conductors (the tails from
-    1 through ``window`` are the only proper integral ideals there).
+    1 through ``window`` are the only proper integral ideals there).  They
+    are the ideals of the rows of ``IdealTable.family``, in its order.
     """
-    _require_non_negative(window=window)
-    found: list[RelativeIdeal] = []
-    for c_e in range(max(S.conductor, 1), S.conductor + window + 1):
-        last = 1 << (c_e - 1)
-        stack = [(S.bits_below(c_e - 1) & ~1, 0)]
-        while stack:
-            undecided, chosen = stack.pop()
-            if not undecided:
-                m = (chosen & -chosen).bit_length() - 1 if chosen else c_e
-                found.append(RelativeIdeal(S, m, c_e, chosen >> m))
-                continue
-            x = (undecided & -undecided).bit_length() - 1
-            stack.append((undecided ^ (1 << x), chosen))  # x left out
-            closure = S.bits_below(c_e - x) << x  # x + S below c_E
-            if not closure & last:
-                stack.append((undecided & ~closure, chosen | closure))
-    found.sort(key=RelativeIdeal.sort_key)
-    return found
+    return [row.ideal for row in IdealTable.family(S, window).rows]
 
 
 # -- reports ---------------------------------------------------------------------
@@ -478,13 +459,21 @@ def _semigroup_group(S: NumericalSemigroup) -> list[CheckTuple]:
     chain = [
         integral_closure(principal_ideal(S, s)) for s in S.small_elements[1 : n + 1]
     ]
+    tails = [tail_ideal(S, c + k) for k in (1, 2)]
+    shifts = []  # g + K, inside S, for each nonzero g of the different S - K
+    if c:
+        K = canonical_ideal(S)
+        theta = dedekind_different(S)
+        gs = theta.window_members + (theta.conductor,)
+        shifts = [RelativeIdeal(S, g, g + K.conductor, K.mask) for g in gs if g]
+    rows = IdealTable(S, chain + tails + shifts).rows
     acc_a = 0
     acc_b = 0
     for i in range(1, n + 1):
         acc_a += ts.values[i - 1] - 1
         acc_b += r - ts.values[i - 1]
         s_i = S.small_elements[i]
-        a_i, b_i = ab_invariants(S, chain[i - 1])
+        a_i, b_i = rows[i - 1].a, rows[i - 1].b
         checks.append(_eq("sg_chain_a_partial", a_i, acc_a))
         checks.append(_eq("sg_chain_b_partial", b_i, acc_b))
         if arf:
@@ -492,20 +481,13 @@ def _semigroup_group(S: NumericalSemigroup) -> list[CheckTuple]:
             checks.append(
                 _eq("sg_arf_chain_b", b_i, i * S.small_elements[1] - s_i)
             )
-    for k in (1, 2):
-        a_t, b_t = ab_invariants(S, tail_ideal(S, c + k))
-        checks.append(_eq("sg_tail_a_constant", a_t, 2 * delta - c))
-        checks.append(_eq("sg_tail_b_linear", b_t, acc_b + k * (r - 1)))
+    for k, row in zip((1, 2), rows[n : n + 2]):
+        checks.append(_eq("sg_tail_a_constant", row.a, 2 * delta - c))
+        checks.append(_eq("sg_tail_b_linear", row.b, acc_b + k * (r - 1)))
     if c:
         sig = sigma(S)
-        K = canonical_ideal(S)
-        theta = dedekind_different(S)
-        for g in theta.window_members + (theta.conductor,):
-            if g == 0:
-                continue
-            shifted = RelativeIdeal(S, g, g + K.conductor, K.mask)
-            a_g, _ = ab_invariants(S, shifted)
-            checks.append(_eq("sg_different_shift_a_is_sigma", a_g, sig))
+        for row in rows[n + 2 :]:
+            checks.append(_eq("sg_different_shift_a_is_sigma", row.a, sig))
         # second computation path: r_i as the growth of the K-products
         p_prev = K
         for i in range(1, n + 1):
@@ -577,25 +559,31 @@ def _colon_growth_group(
     S: NumericalSemigroup,
     table: IdealTable,
     sample_limit: int,
-) -> list[CheckTuple]:
+) -> tuple[int, list[CheckTuple]]:
+    """(samples, the check tuples of those that fail).
+
+    Each sample draws rows J, X and Y and checks
+    l((J - X cap Y)/(J - X cup Y)) <= l((J - M)/J) l(X cup Y / X cap Y).
+    """
     rows = table.rows
     if not rows:
-        return []
+        return 0, []
     rng = random.Random("colon:" + S.encode())
-    colon = table.colon
-    maximal = table.maximal
-    checks: list[CheckTuple] = []
-    for _ in range(min(sample_limit, len(rows) ** 2)):
+    colons = table.colons
+    samples = min(sample_limit, len(rows) ** 2)
+    failed: list[CheckTuple] = []
+    for _ in range(samples):
         J = rng.choice(rows)
         X = rng.choice(rows)
         Y = rng.choice(rows)
         inner = X.bits & Y.bits
         outer = X.bits | Y.bits
-        t_j = colon(J.bits, maximal).bit_count() - J.length
-        lhs = colon(J.bits, inner).bit_count() - colon(J.bits, outer).bit_count()
-        rhs = t_j * (outer.bit_count() - inner.bit_count())
-        checks.append(_le("colon_growth_bound", lhs, rhs))
-    return checks
+        at_inner, at_outer = colons(J.bits, inner, outer)
+        lhs = at_inner.bit_count() - at_outer.bit_count()
+        rhs = J.maximal_growth * (outer.bit_count() - inner.bit_count())
+        if lhs > rhs:
+            failed.append(_le("colon_growth_bound", lhs, rhs))
+    return samples, failed
 
 
 def _classification_group(S: NumericalSemigroup) -> tuple[list[CheckTuple], str]:
@@ -660,8 +648,7 @@ def _run_semigroup(
     ``need_ideals`` says whether any of ``groups`` reads the ideal table.
     """
     enc = S.encode()
-    ideals = enumerate_ideals(S, window) if need_ideals else []
-    table = IdealTable(S, ideals) if need_ideals else None
+    table = IdealTable.family(S, window) if need_ideals else None
     tag = None
     if "semigroup" in groups:
         col.add(enc, "", _semigroup_group(S))
@@ -676,7 +663,9 @@ def _run_semigroup(
         col.count(_PAIR_IDS, count)
         col.fail(enc, "", checks)
     if "colon_growth" in groups:
-        col.add(enc, "", _colon_growth_group(S, table, sample_limit))
+        count, checks = _colon_growth_group(S, table, sample_limit)
+        col.count(("colon_growth_bound",), count)
+        col.fail(enc, "", checks)
     if "equivalences" in groups:
         col.add(enc, "", ring_classification(S, window, table).checks)
     if "overrings" in groups:
@@ -691,7 +680,7 @@ def _run_semigroup(
     if "classification" in groups:
         checks, tag = _classification_group(S)
         col.add(enc, "", checks)
-    return len(ideals), tag
+    return len(table.rows) if need_ideals else 0, tag
 
 
 def _selected(query: CensusQuery):
@@ -833,7 +822,7 @@ def search_negative_a(query: CensusQuery) -> SearchReport:
     report = SearchReport(query=query.to_dict())
     for S in _selected(query):
         report.semigroup_count += 1
-        table = IdealTable(S, enumerate_ideals(S, query.window))
+        table = IdealTable.family(S, query.window)
         report.ideal_count += len(table.rows)
         for row in table.rows:
             if row.a < 0:

@@ -87,9 +87,7 @@ def ring_classification(
     genuinely fails if they are included.
     """
     if ideals is None:
-        from .census import enumerate_ideals
-
-        ideals = enumerate_ideals(S, window)
+        ideals = IdealTable.family(S, window)
     table = ideals if isinstance(ideals, IdealTable) else IdealTable(S, ideals)
     r = S.type
     delta = S.genus

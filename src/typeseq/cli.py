@@ -23,12 +23,12 @@ as a JSON object with an ``error`` key.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import functools
 import io
 import json
 import math
+import os
 import sys
 
 from .census import (
@@ -457,27 +457,33 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # An unwritable --out is a usage error, found before any work is done.
+    # Opening it to append changes nothing, and a run that ends in an error
+    # leaves the path as it was found.
+    created = bool(args.out) and not os.path.lexists(args.out)
     try:
-        out = open(args.out, "w") if args.out else None
+        if args.out:
+            open(args.out, "a").close()
     except OSError as exc:
         _report_error("InvalidInput", f"cannot write --out: {exc}")
         return 2
-    with out or contextlib.nullcontext(sys.stdout) as fh:
-        try:
-            payload = args.fn(args)
-        except InternalInconsistency as exc:
-            _report_error(exc.code, str(exc))
-            return 3
-        except TypeseqError as exc:
-            _report_error(exc.code, str(exc))
-            return 2
-        if args.fmt == "json":
-            text = _render_json(payload)
-        elif args.fmt == "csv":
-            text = _render_csv(payload)
-        else:
-            text = _render_human(payload)
-        fh.write(text)
+    try:
+        payload = args.fn(args)
+    except TypeseqError as exc:
+        if created:
+            os.remove(args.out)
+        _report_error(exc.code, str(exc))
+        return 3 if isinstance(exc, InternalInconsistency) else 2
+    if args.fmt == "json":
+        text = _render_json(payload)
+    elif args.fmt == "csv":
+        text = _render_csv(payload)
+    else:
+        text = _render_human(payload)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return 0 if _all_checks_pass(payload) else 1
 
 

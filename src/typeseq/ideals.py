@@ -238,7 +238,7 @@ def colon_bits(a_bits: int, b_bits: int, e: int) -> int:
     of B, which is A - B on the caller's layout.  ``b_bits`` must reach
     B's conductor + e, so that every class has its least member there,
     and ``a_bits`` must be exact up to every bit the shifts read.
-    ``colon`` and ``IdealTable.colon`` both call it.
+    ``colon`` and ``IdealTable.colon``/``colons`` call it.
     """
     gens = b_bits & ~(b_bits << e)
     acc = -1

@@ -48,8 +48,10 @@ there and nowhere else, the lazy ones on first read, stored in the row
 without a lock.  K.I is the union of K's window bits shifted to I's
 least member in each residue class.  ``ab_invariants``, ``d_invariant``,
 ``decomposition_check`` and ``overring_check`` read the row of a one-row
-table built for their ideal; the census builds one table per semigroup
-and hands its rows to the ideals, pairs and equivalences groups.
+table built for their ideal.  The census builds one table per semigroup
+by ``IdealTable.family``, whose ideal walk carries I* down by one AND per
+step, and hands its rows to the ideals, pairs, colon_growth and
+equivalences groups.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from operator import eq, ge, le
+from operator import attrgetter, eq, ge, le
 from typing import NamedTuple
 
 from .errors import (
@@ -232,28 +234,28 @@ def ab_invariants(S: NumericalSemigroup, I: RelativeIdeal) -> tuple[int, int]:
 class IdealRow:
     """One ideal of an ``IdealTable``: the one record of its invariants.
 
-    I's window bits, min(I) and c_I read off them, I* (``dual``, the
-    table's colon S - I) with the popcounts, l(S/I), l(I*/S), a and b are
-    set when the row is built.  These are computed on first use, each from
-    the row's bits, and stored in the row's dict without a lock: I itself
-    (``ideal``), I** (``bidual``, the colon S - I*)
-    and its conductor (``bidual_conductor``), K.I (``omega``, from the
-    table's ``canonical`` bits), the flags ``principal`` (I = min(I) + S)
-    and ``closed`` (I = S from min(I) on), the unmarked bits
-    (``unmarked_bits``, S & ~I** below c_I), their r-sum and d.  The sums
-    of r_h over unmarked or marked indices are popcounts of these bits
-    against the table's level masks; the index tuple ``unmarked`` is only
-    the view a report shows.  ``decomposition_check`` reports are views of
-    ``decomposition_checks`` over the row, with its check tuples turned
-    into ``Check`` records.
+    I's window bits, min(I) and c_I read off them, I* (``dual``, which the
+    table hands in) with the popcounts, l(S/I), l(I*/S), a and b are set
+    when the row is built.  These are computed on first use, each from the
+    row's bits, and stored in the row's dict without a lock: I itself
+    (``ideal``), l((I - M)/I) (``maximal_growth``), I** (``bidual``, the
+    colon S - I*) and its conductor (``bidual_conductor``), K.I
+    (``omega``, from the table's ``canonical`` bits), the flags
+    ``principal`` (I = min(I) + S) and ``closed`` (I = S from min(I) on),
+    the unmarked bits (``unmarked_bits``, S & ~I** below c_I), their r-sum
+    and d.  The sums of r_h over unmarked or marked indices are popcounts
+    of these bits against the table's level masks; the index tuple
+    ``unmarked`` is only the view a report shows.  ``decomposition_check``
+    reports are views of ``decomposition_checks`` over the row, with its
+    check tuples turned into ``Check`` records.
     """
 
-    def __init__(self, table: IdealTable, bits: int):
+    def __init__(self, table: IdealTable, bits: int, dual: int):
         self.table = table
         self.bits = bits
         self.min_element = (bits & -bits).bit_length() - 1 - table.offset
         self.conductor = (bits ^ table.window).bit_length() - table.offset
-        self.dual = table.colon(table.unit, bits)
+        self.dual = dual
         self.length = self.bits.bit_count()
         self.dual_length = self.dual.bit_count()
         self.l_quotient = table.unit_length - self.length
@@ -271,6 +273,12 @@ class IdealRow:
     def bidual(self) -> int:
         """I** bits."""
         return self.table.colon(self.table.unit, self.dual)
+
+    @_lazy
+    def maximal_growth(self) -> int:
+        """l((I - M)/I), M the maximal ideal S without 0."""
+        table = self.table
+        return table.colon(self.bits, table.maximal).bit_count() - self.length
 
     @_lazy
     def bidual_drop(self) -> int:
@@ -408,14 +416,26 @@ class IdealTable:
     s_{h-1}, h <= n, with r_h >= k, so ``r_sum`` gives a sum of r_h over a
     set of S's window bits as popcounts.  A row's bits must lie in S
     without 0 (``maximal``): the ideal is proper and integral.  Building
-    the table computes each dual once; everything else, the masks
-    included, is computed on first use.
+    the table computes each dual once, as the colon S - I; the table of
+    ``family`` carries it down its ideal walk instead, one AND with a
+    ``translates`` entry S - x per member x taken.  Everything else, the
+    masks included, is computed on first use.
     """
 
     def __init__(self, S: NumericalSemigroup, ideals):
+        self._lay_out(S, max([S.conductor] + [E.conductor for E in ideals]) + 1)
+        for E in ideals:
+            if E.parent != S:
+                raise ParentMismatch("the ideal belongs to another semigroup")
+            if E.min_element < 1:
+                require_proper(E)  # raises: 0 or less is a member
+            self.rows.append(self._row(self.bits_of(E)))
+
+    def _lay_out(self, S: NumericalSemigroup, top: int) -> None:
+        """S's fields on the window of the given top, with no rows yet."""
         self.S = S
-        self.top = max([S.conductor] + [E.conductor for E in ideals]) + 1
-        self.offset = self.top
+        self.top = top
+        self.offset = top
         self.window = _ones(self.offset + self.top)
         self.unit = self.bits_of(unit_ideal(S))
         # The members past the window that ``colon`` fills in, on each side.
@@ -426,12 +446,46 @@ class IdealTable:
         self.maximal = self.unit & ~(1 << self.offset)  # S without 0
         self.unit_length = self.unit.bit_count()
         self.rows: list[IdealRow] = []
-        for E in ideals:
-            if E.parent != S:
-                raise ParentMismatch("the ideal belongs to another semigroup")
-            if E.min_element < 1:
-                require_proper(E)  # raises: 0 or less is a member
-            self.rows.append(self._row(self.bits_of(E)))
+
+    @classmethod
+    def family(cls, S: NumericalSemigroup, window: int) -> IdealTable:
+        """The table of every proper integral ideal within ``window`` of S.
+
+        One stack walk per conductor c_E in [max(c, 1), c + window] holds
+        (undecided, chosen, dual), undecided starting as the members of S
+        in [1, c_E - 1): a step leaves out the lowest undecided x, or takes
+        it with x + S below c_E, pruned if that reaches c_E - 1 (so each
+        ideal chosen + [c_E, oo) appears once).  The dual starts as the
+        tail from c - c_E, S - [c_E, oo), and each take of x ANDs in S - x
+        (``translates``).  Rows are in ``RelativeIdeal.sort_key`` order;
+        top is c + window + 1.
+        """
+        if window < 0:
+            raise InvalidInput(f"window must be non-negative, got {window}")
+        c = S.conductor
+        table = cls.__new__(cls)
+        table._lay_out(S, c + window + 1)
+        offset, top, translates = table.offset, table.top, table.translates
+        rows = table.rows
+        for c_e in range(max(c, 1), top):
+            last = 1 << (c_e - 1)
+            tail = _ones(top - c_e) << c_e
+            stack = [(S.bits_below(c_e - 1) & ~1, 0, table.tail_mask(c - c_e))]
+            while stack:
+                undecided, chosen, dual = stack.pop()
+                if not undecided:
+                    rows.append(IdealRow(table, (chosen | tail) << offset, dual))
+                    continue
+                x = (undecided & -undecided).bit_length() - 1
+                stack.append((undecided ^ (1 << x), chosen, dual))  # x left out
+                closure = S.bits_below(c_e - x) << x  # x + S below c_E
+                if not closure & last:
+                    stack.append(
+                        (undecided & ~closure, chosen | closure, dual & translates[x])
+                    )
+        # RelativeIdeal.sort_key: with min and c_E equal, bits order as masks
+        rows.sort(key=attrgetter("min_element", "conductor", "bits"))
+        return table
 
     @classmethod
     def inside(cls, S: NumericalSemigroup, members) -> IdealTable:
@@ -449,7 +503,7 @@ class IdealTable:
         if bits & ~self.maximal:
             require_proper(_normalized(self.S, -self.offset, self.top, bits))
             raise InternalInconsistency("an improper ideal passed require_proper")
-        return IdealRow(self, bits)
+        return IdealRow(self, bits, self.colon(self.unit, bits))
 
     def bits_of(self, E: RelativeIdeal) -> int:
         """E's members below top, placed on the absolute window."""
@@ -470,6 +524,12 @@ class IdealTable:
             a = (A | self._fill_a) << self.offset
         return colon_bits(a, B | self._fill_b, self.S.multiplicity) & self.window
 
+    def colons(self, A: int, *Bs: int) -> list[int]:
+        """Window bits of A - B for each B, with A filled and shifted once."""
+        a = (A | self._fill_a) << self.offset
+        e, fill, window = self.S.multiplicity, self._fill_b, self.window
+        return [colon_bits(a, B | fill, e) & window for B in Bs]
+
     def tail_length(self, start: int) -> int:
         """Window members of the tail from ``start``."""
         return self.top - start
@@ -484,6 +544,11 @@ class IdealTable:
         S - R_0 = S has c - genus members below c, and each step adds r_i.
         """
         return self.prefix[i] + self.top - self.S.genus
+
+    @_lazy
+    def translates(self) -> list[int]:
+        """Bits of S - x for x below top: S's bits, filled and shifted down by x."""
+        return [(self.unit | self._fill_a) >> x for x in range(self.top)]
 
     @_lazy
     def canonical(self) -> int:

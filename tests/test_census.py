@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -415,8 +416,19 @@ class TestVerifyTheorems:
                 b_bits &= ~(1 << (gens.bit_length() - 1))
             return colon_bits(a_bits, b_bits, e)
 
+        translates = IdealTable.translates.fn
+
+        def forgetful(table):
+            # an ideal walk that forgets S - e when it takes the multiplicity e
+            shifts = translates(table)
+            shifts[table.S.multiplicity] = -1
+            return shifts
+
         monkeypatch.setattr(invariants, "colon_bits", dropped)
-        query = dict(max_genus=5, window=2, checks=("ideals", "pairs"))
+        monkeypatch.setattr(IdealTable, "translates", property(forgetful))
+        query = dict(
+            max_genus=5, window=2, checks=("ideals", "pairs", "colon_growth")
+        )
         serial = verify_theorems(CensusQuery(sample_limit=10_000, **query))
         parallel = verify_theorems(
             CensusQuery(sample_limit=10_000, workers=2, **query)
@@ -424,7 +436,7 @@ class TestVerifyTheorems:
         tallies, want = Counter(), []
         for S in enumerate_semigroups(max_genus=5):
             enc = S.encode()
-            table = IdealTable(S, enumerate_ideals(S, 2))
+            table = IdealTable.family(S, 2)
             for row in table.rows:
                 checks = decomposition_checks(row)
                 tallies.update(c[0] for c in checks)
@@ -451,8 +463,26 @@ class TestVerifyTheorems:
                 )
                 tallies.update(c[0] for c in checks)
                 want += [Violation(enc, "", c[0], *c[2:]) for c in checks if not c[1]]
+            # colon_growth on the same draws, every colon taken by table.colon
+            rows, colon = table.rows, table.colon
+            rng = random.Random("colon:" + enc)
+            for _ in range(min(10_000, len(rows) ** 2)):
+                J = rng.choice(rows)
+                X = rng.choice(rows)
+                Y = rng.choice(rows)
+                inner, outer = X.bits & Y.bits, X.bits | Y.bits
+                t_j = colon(J.bits, table.maximal).bit_count() - J.length
+                check = _le(
+                    "colon_growth_bound",
+                    colon(J.bits, inner).bit_count() - colon(J.bits, outer).bit_count(),
+                    t_j * (outer.bit_count() - inner.bit_count()),
+                )
+                tallies[check[0]] += 1
+                if not check[1]:
+                    want.append(Violation(enc, "", check[0], *check[2:]))
         failing = {v.check_id for v in want}
         assert "a_from_type_sequence" in failing and "pair_a_lower" in failing
+        assert "colon_growth_bound" in failing
         assert serial.violations == sorted(want, key=Violation.sort_key)
         assert serial.check_tallies == dict(tallies)
         assert all(
@@ -493,6 +523,11 @@ class TestVerifyTheorems:
             count, pair_failures = census._pairs_group(S, table, query.sample_limit)
             assert pair_failures == []
             tuples.update(census._PAIR_IDS * count)
+            samples, growth_failures = census._colon_growth_group(
+                S, table, query.sample_limit
+            )
+            assert growth_failures == []
+            tuples["colon_growth_bound"] += samples
         assert rep.check_tallies == dict(tuples)
         assert sum(rep.check_tallies.values()) == sum(tuples.values())
 

@@ -227,6 +227,32 @@ class TestCensus:
         assert json.loads(out)["error"]["code"] == "InvalidInput"
         assert not target.parent.exists()
 
+    @pytest.mark.parametrize("existing", [True, False], ids=["report", "missing"])
+    def test_refused_run_leaves_out_as_found(
+        self, capsys, tmp_path, monkeypatch, existing
+    ):
+        target = tmp_path / "report.json"
+        if existing:
+            argv = ["census", "--max-genus", "3", "--out", str(target)]
+            assert run(argv, capsys)[0] == 0
+            before = target.read_bytes()
+            assert before
+        argv = ["census", "--max-genus", "99", "--out", str(target)]
+        code, out = run(argv, capsys)
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "BoundTooLarge"
+
+        def broken(S):
+            raise InternalInconsistency("paths disagree")
+
+        monkeypatch.setattr(cli, "type_sequence", broken)
+        code, _ = run(["info", "--gens", "3,4,5", "--out", str(target)], capsys)
+        assert code == 3
+        if existing:
+            assert target.read_bytes() == before
+        else:
+            assert not target.exists()
+
 
 class TestClassify:
     def test_single_semigroup(self, capsys):

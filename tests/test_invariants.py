@@ -438,6 +438,28 @@ class TestIdealTable:
                     == len(X_dual - Y_dual)
                 )
 
+    @pytest.mark.parametrize("window", range(4))
+    def test_walk_rows_match_the_colon_path(self, window):
+        # The walk carries I* down by one AND per take; the generic table
+        # takes the colon S - I.  S = N with window 0 has no rows.
+        for S in semigroups_up_to(8):
+            walk = IdealTable.family(S, window)
+            got = [(row.bits, row.dual) for row in walk.rows]
+            keys = [row.ideal.sort_key() for row in walk.rows]
+            colon = IdealTable(S, [row.ideal for row in walk.rows])
+            assert walk.top == colon.top == S.conductor + window + 1
+            assert bool(got) == (S.conductor + window > 0)
+            assert keys == sorted(keys), S.encode()
+            assert got == [(row.bits, row.dual) for row in colon.rows], S.encode()
+            if S.genus > 6:
+                continue
+            lo, hi = -walk.top, 2 * walk.top
+            A = {x for x in range(lo, hi) if x in S}
+            for row in walk.rows:
+                I = {x for x in range(lo, hi) if x in row.ideal}
+                want = oracles.colon_set(A, I, lo, walk.top, hi)
+                assert _window_set(walk, row.dual) == want, row.ideal.encode()
+
     def test_rejects_ideals_it_cannot_hold(self):
         S = from_generators((3, 4, 5))
         with pytest.raises(NotIntegralProper):
