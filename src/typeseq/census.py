@@ -5,6 +5,9 @@ sets S minus one minimal generator above the Frobenius number.  Every
 numerical semigroup other than N arises exactly once this way (adjoining
 the Frobenius number is the inverse step), genus grows by one per edge
 and the conductor grows strictly, so pruning by either bound is complete.
+A child inherits its facts from its parent (``NumericalSemigroup._child``):
+its small elements, minimal generators and pseudo-Frobenius bits come
+down the tree by slicing and one AND each, not from an Apery pass.
 
 The proper integral ideals with conductor in a window above that of S
 come from one stack walk on S's membership bits, ``IdealTable.family``:
@@ -35,7 +38,8 @@ its conductor ideal S - T, which comes down the tree by one AND per
 step.  A second table per semigroup holds these ideals
 (``IdealTable.inside``), and the group tallies the tuple
 ``overring_checks`` produces from each row and T's bits; the colon S - T
-it takes there is a second path to the row.  No report is built on the
+it takes there is a second path to the row, and a row it disagrees
+with raises ``InternalInconsistency``.  No report is built on the
 way, nor a semigroup for T: an ideal or oversemigroup is encoded only
 when one of its checks fails, to name it in the violation.
 
@@ -256,8 +260,7 @@ def _children(
         if max_conductor is not None and x + 1 > max_conductor:
             break
         if x > S.conductor - 1:
-            bits = S.bits_below(x + 1) & ~(1 << x)
-            out.append(NumericalSemigroup(x + 1, bits))
+            out.append(S._child(x))
     out.sort(key=NumericalSemigroup.encode)
     return out
 

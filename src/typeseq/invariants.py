@@ -871,6 +871,7 @@ def overring_check(
     """
     if S.bits_below(T.conductor) & ~T.mask:
         raise NotOversemigroup(f"{T.encode()} does not contain {S.encode()}")
+    mismatch = InternalInconsistency if row is None else InvalidInput
     if row is None:
         if T == S:
             return OverringReport(
@@ -884,7 +885,9 @@ def overring_check(
         row = IdealTable(S, [conductor_ideal(S, T)]).rows[0]
     elif row.table.S != S:
         raise ParentMismatch("the row belongs to another semigroup")
-    checks = _records(overring_checks(S, T.bits_below(S.conductor), row))
+    checks = _records(
+        overring_checks(S, T.bits_below(S.conductor), row, mismatch)
+    )
     return OverringReport(
         semigroup=S.encode(),
         oversemigroup=T.encode(),
@@ -896,7 +899,10 @@ def overring_check(
 
 
 def overring_checks(
-    S: NumericalSemigroup, members: int, row: IdealRow
+    S: NumericalSemigroup,
+    members: int,
+    row: IdealRow,
+    mismatch: type[Exception] = InternalInconsistency,
 ) -> tuple[CheckTuple, ...]:
     """The l(T/S) formulas for the row of I = S - T in a table of S.
 
@@ -904,14 +910,17 @@ def overring_checks(
     contains S, so it is full from c), as ``oversemigroup_walk`` yields
     them.  The row is checked against T by one colon on its table, a
     second path to the intersections the walk took; the census tallies
-    these tuples as they are.
+    these tuples as they are.  A row that is not S - T raises
+    ``mismatch``: ``InternalInconsistency`` when the row came from the
+    program's own walk, ``InvalidInput`` when a caller of
+    ``overring_check`` passed it.
     """
     table = row.table
     c = S.conductor
     t_bits = (members | _ones(table.top - c) << c) << table.offset
     if table.colon(table.unit, t_bits) != row.bits:
         T = from_bits(members, c)
-        raise InvalidInput(f"the row is not S - T for T = {T.encode()}")
+        raise mismatch(f"the row is not S - T for T = {T.encode()}")
     t_length = t_bits.bit_count()
     L = t_length - table.unit_length
     # T** = S - (S - T) is I*.

@@ -12,8 +12,11 @@ Each fact about a semigroup is computed once per instance.  ``n`` and
 ``genus`` are plain attributes set on construction.  One pass over the
 Apery set of the multiplicity yields both the minimal generators and the
 pseudo-Frobenius bits; the type is the popcount of those bits, and the
-``pseudo_frobenius`` tuple is built only when read.  ``encode()`` keeps
-its string after the first call.  None of these caches is pickled.
+``pseudo_frobenius`` tuple is built only when read.  A child S - {x} in
+the semigroup tree (``_child``) inherits its facts instead: its small
+elements, minimal generators and pseudo-Frobenius bits follow from its
+parent's by slicing and one AND each, with no Apery pass.  ``encode()``
+keeps its string after the first call.  None of these caches is pickled.
 """
 
 from __future__ import annotations
@@ -40,13 +43,22 @@ def _ones(width: int) -> int:
 
 
 def _bit_positions(bits: int) -> tuple[int, ...]:
-    """Positions of the set bits of a non-negative ``bits``, ascending."""
+    """Positions of the set bits of a non-negative ``bits``, ascending.
+
+    The reversed ``bin(bits)``, split at each 1, gives the runs of zeros
+    between set bits: one C scan, then one step per set bit.
+    """
     out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
+    k = -1
+    for zeros in bin(bits)[:1:-1].split("1")[:-1]:
+        k += len(zeros) + 1
+        out.append(k)
     return tuple(out)
+
+
+def _reflect(bits: int, axis: int) -> int:
+    """``bits`` (none above ``axis``) with bit k moved to bit axis - k."""
+    return int(bin(bits)[:1:-1], 2) << (axis + 1 - bits.bit_length())
 
 
 class NumericalSemigroup:
@@ -57,7 +69,8 @@ class NumericalSemigroup:
     number of nonzero small elements) and ``genus`` (c - n) are attributes.
     Instances are hashable and compare by value, so they can key caches.
     The minimal generators, the pseudo-Frobenius bits and the encoding are
-    computed on first use and kept in slots.
+    computed on first use and kept in slots; ``_child`` fills the first two
+    from the parent's.
     """
 
     __slots__ = (
@@ -157,6 +170,53 @@ class NumericalSemigroup:
         self._mingens = _bit_positions(nonzero & ~sums)
         self._pf_bits = pf
         return pf
+
+    def _child(self, x: int) -> "NumericalSemigroup":
+        """T = S - {x} for a minimal generator x > F(S), every fact from S's.
+
+        The tree walk's builder, in place of ``NumericalSemigroup(x + 1,
+        bits)`` and its Apery pass.  With c the conductor and e the
+        multiplicity of S:
+
+        - small elements: those of S below c, then c, ..., x - 1, x + 1;
+        - minimal generators: those of S but x, then x + e unless
+          x + e = a + b for members a, b of S in (e, x): one AND of those
+          bits with their reflection about x + e.  A new generator y of T
+          is x + s with s in S, as every split of y in S uses x, and
+          y <= x + e, as every generator of T is below c_T + e_T =
+          x + 1 + e.  Every generator of S is below c + e <= x + e, so
+          x + e goes last.  For x = e, S is ordinary (S = N included) and
+          T's generators are e + 1, ..., 2e + 1;
+        - pseudo-Frobenius bits: PF(T) = {x} + {f in PF(S) : x - f is a
+          gap of S}, one AND of PF(S) with the gap bits of S reflected
+          about x.  The gaps of T are those of S and x; a gap f of S is
+          pseudo-Frobenius in T exactly when it is in PF(S) and f + t != x
+          for every t in T.
+        """
+        c = self.conductor
+        gens = self.minimal_generators  # runs the Apery pass if not yet run
+        pf = self._pf_bits or 0  # unset only for S = N
+        e = gens[0]
+        T = NumericalSemigroup.__new__(NumericalSemigroup)
+        T.conductor = x + 1
+        T.mask = below = self.bits_below(x)
+        T.small_elements = small = (
+            self.small_elements[:-1] + tuple(range(c, x)) + (x + 1,)
+        )
+        T.n = len(small) - 1
+        T.genus = self.genus + 1
+        if x == e:
+            T._mingens = tuple(range(x + 1, 2 * x + 2))
+        else:
+            i = gens.index(x)
+            rest = gens[:i] + gens[i + 1 :]
+            inner = below & ~_ones(e + 1)
+            split = inner & _reflect(inner, x + e)
+            T._mingens = rest if split else rest + (x + e,)
+        T._pf_bits = (pf & _reflect(~self.mask & _ones(c), x)) | 1 << x
+        T._pf = None
+        T._enc = None
+        return T
 
     @property
     def minimal_generators(self) -> tuple[int, ...]:

@@ -11,6 +11,7 @@ import oracles
 from typeseq import (
     BoundTooLarge,
     CensusQuery,
+    InternalInconsistency,
     InvalidInput,
     NumericalSemigroup,
     WindowTooLarge,
@@ -217,6 +218,46 @@ class TestSemigroupEnumeration:
     def test_no_duplicates(self):
         seen = [S.encode() for S in enumerate_semigroups(max_genus=8)]
         assert len(seen) == len(set(seen))
+
+    @pytest.mark.parametrize(
+        "fault", ["never_append", "always_append", "skip_pf_filter"]
+    )
+    def test_planted_child_fault_is_caught(self, monkeypatch, fault):
+        # Each fault breaks one rule of NumericalSemigroup._child: the new
+        # generator x + e, dropped or added regardless of a split, or
+        # PF(S - {x}) taken as PF(S) + {x} without the gap filter.
+        child = NumericalSemigroup._child
+
+        def faulty(S, x):
+            T = child(S, x)
+            e, gens = S.multiplicity, T.minimal_generators
+            appended = x != e and gens[-1] == x + e
+            if fault == "never_append" and appended:
+                T._mingens = gens[:-1]
+            elif fault == "always_append" and x != e and not appended:
+                T._mingens = gens + (x + e,)
+            elif fault == "skip_pf_filter":
+                T._pf_bits = (S._pf_bits or 0) | 1 << x
+            return T
+
+        cached = (invariants.type_sequence, invariants.extended_type_sequence)
+        want = classification_census(max_conductor=16).to_json()
+        monkeypatch.setattr(NumericalSemigroup, "_child", faulty)
+        for fn in cached:
+            fn.cache_clear()
+        try:
+            seen = Counter(S.genus for S in enumerate_semigroups(max_genus=8))
+            caught = seen != {g: n for g, n in GENUS_COUNTS.items() if g <= 8}
+            if not caught:
+                try:
+                    got = classification_census(max_conductor=16).to_json()
+                except InternalInconsistency:
+                    got = None
+                caught = got != want
+        finally:
+            for fn in cached:
+                fn.cache_clear()
+        assert caught
 
 
 class TestIdealEnumeration:

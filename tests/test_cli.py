@@ -357,6 +357,23 @@ class TestErrorsAndExitCodes:
             "message": "paths disagree",
         }
 
+    def test_census_overring_row_mismatch_exits_three(self, capsys, monkeypatch):
+        # A walk that pairs each oversemigroup T with another T's S - T:
+        # the census's own row disagrees with its colon, which is a bug.
+        walk = census.oversemigroup_walk
+
+        def misaligned(S):
+            pairs = list(walk(S))
+            ideals = [ideal for _, ideal in pairs]
+            shifted = ideals[1:] + ideals[:1]
+            return [(members, ideal) for (members, _), ideal in zip(pairs, shifted)]
+
+        monkeypatch.setattr(census, "oversemigroup_walk", misaligned)
+        argv = ["census", "--max-genus", "4", "--checks", "overrings"]
+        code, out = run(argv, capsys)
+        assert code == 3
+        assert json.loads(out)["error"]["code"] == "InternalInconsistency"
+
     def test_non_positive_generator_has_typed_code(self, capsys):
         code, out = run(["info", "--gens", "0,3"], capsys)
         assert code == 2

@@ -353,6 +353,68 @@ class TestPredicates:
         assert not is_arf(from_generators((4, 5, 7)))
 
 
+def _facts(S):
+    return (
+        S.conductor,
+        S.mask,
+        S.small_elements,
+        S.n,
+        S.genus,
+        S.minimal_generators,
+        S.pseudo_frobenius,
+        S.type,
+        S.encode(),
+    )
+
+
+class TestTreeChildren:
+    """``_child`` builds S - {x} from S's facts, with no Apery pass."""
+
+    def test_walk_facts_equal_the_constructor(self):
+        walked = list(enumerate_semigroups(max_conductor=20))
+        assert len(walked) == 2616
+        for S in walked:
+            fresh = NumericalSemigroup(S.conductor, S.mask)
+            assert _facts(S) == _facts(fresh), S
+
+    def test_child_of_n(self):
+        T = NumericalSemigroup(0, 0)._child(1)
+        assert _facts(T) == (2, 1, (0, 2), 1, 1, (2, 3), (1,), 1, "0,2|2")
+
+    def test_ordinary_chain(self):
+        # x = e: {0, e, e + 1, ...} - {e} is ordinary with multiplicity e + 1
+        S = NumericalSemigroup(0, 0)
+        for e in range(1, 8):
+            S = S._child(e)
+            assert S.small_elements == (0, e + 1)
+            assert S.minimal_generators == tuple(range(e + 1, 2 * e + 2))
+            assert S.pseudo_frobenius == tuple(range(1, e + 1))
+            assert _facts(S) == _facts(NumericalSemigroup(S.conductor, S.mask))
+
+    @pytest.mark.parametrize(
+        "x, small, gens, pf",
+        [
+            (4, (0, 3, 5), (3, 5, 7), (2, 4)),  # x + e = 7 is a new generator
+            (5, (0, 3, 4, 6), (3, 4), (5,)),  # x + e = 8 = 4 + 4 splits
+        ],
+    )
+    def test_children_of_345(self, x, small, gens, pf):
+        S = from_generators((3, 4, 5))
+        S.type  # the parent's Apery pass has run
+        T = S._child(x)
+        assert (T.small_elements, T.minimal_generators) == (small, gens)
+        assert T.pseudo_frobenius == pf
+        assert _facts(T) == _facts(NumericalSemigroup(T.conductor, T.mask))
+
+    def test_parent_without_an_apery_pass(self):
+        S = NumericalSemigroup(5, 0b1001)  # <3, 5, 7> from its mask
+        assert S._pf_bits is None and S._mingens is None
+        for x, gens in ((5, (3, 7, 8)), (7, (3, 5))):
+            T = S._child(x)
+            assert T.minimal_generators == gens
+            assert _facts(T) == _facts(NumericalSemigroup(x + 1, T.mask))
+
+
 class TestOversemigroups:
     def test_chain_over_345(self):
         got = [T.encode() for T in oversemigroups(from_generators((3, 4, 5)))]
