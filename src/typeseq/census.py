@@ -13,10 +13,10 @@ The proper integral ideals with conductor in a window above that of S
 come from one stack walk on S's membership bits, ``IdealTable.family``:
 it yields each ideal as a table row and carries its dual I* down the
 walk by one AND per take, in place of a colon per ideal.  The ideals,
-pairs, colon_growth and equivalences groups, and the negative-a search,
-read this one table per semigroup; each row is the one record of its
-ideal's invariants.  The ideals group takes each row's signature, the
-sequence of check ids it ran, and one pass flag from
+pairs, colon_growth, equivalences and overrings groups, and the
+negative-a search, read this one table per semigroup; each row is the
+one record of its ideal's invariants.  The ideals group takes each row's
+signature, the sequence of check ids it ran, and one pass flag from
 ``decomposition_tally``; the pairs group counts the comparable pairs,
 which all run the same four checks, with one pass flag each.  The census
 counts objects per signature and expands the counts into per-id tallies
@@ -35,13 +35,15 @@ reads a and b of its chain, tail and shifted canonical ideals off one
 table.  The overrings group walks the oversemigroups T of S by reverse
 search (``oversemigroup_walk``), each once, with the bits of T and of
 its conductor ideal S - T, which comes down the tree by one AND per
-step.  A second table per semigroup holds these ideals
-(``IdealTable.inside``), and the group tallies the tuple
-``overring_checks`` produces from each row and T's bits; the colon S - T
-it takes there is a second path to the row, and a row it disagrees
-with raises ``InternalInconsistency``.  No report is built on the
-way, nor a semigroup for T: an ideal or oversemigroup is encoded only
-when one of its checks fails, to name it in the violation.
+step.  S - T is proper and integral with conductor c, so it is a row of
+the same table, found by its window bits among the rows of conductor c;
+the group tallies the tuple ``overring_checks`` produces from that row
+and T's bits.  The colon S - T it takes there is a second path to the
+row, and a row it disagrees with, or an S - T that is no row, raises
+``InternalInconsistency``.  Several T can share S - T, and then share
+its row.  No report is built on the way, nor a semigroup for T: an
+ideal or oversemigroup is encoded only when one of its checks fails, to
+name it in the violation.
 
 ``verify_theorems`` runs named groups of checks over every enumerated
 semigroup (and ideal family); violations are collected, never raised, so
@@ -69,6 +71,7 @@ from .classification import (
     TAG_B_EQ_RM1_CASE1,
     TAG_B_EQ_RM1_CASE2,
     TAG_B_LT,
+    _multiples_then_tail,
     b_of_tail,
     case_j_semigroups,
     classify_b,
@@ -77,7 +80,7 @@ from .classification import (
     ring_classification,
     window_profile,
 )
-from .errors import BoundTooLarge, InvalidInput, WindowTooLarge
+from .errors import BoundTooLarge, InternalInconsistency, InvalidInput, WindowTooLarge
 from .ideals import (
     RelativeIdeal,
     canonical_ideal,
@@ -602,13 +605,8 @@ def _classification_group(S: NumericalSemigroup) -> tuple[list[CheckTuple], str]
     checks.append(_eq("class_b_lt_type_seq", small_b, ts_pat))
     if S.conductor and not S.is_gorenstein:
         if b == r - 1:
-            case1 = value_pat or (
-                all(
-                    S.small_elements[i] == i * e
-                    for i in range(len(S.small_elements) - 1)
-                )
-                and S.conductor == (len(S.small_elements) - 2) * e + 2
-            )
+            multiples, p = _multiples_then_tail(S)
+            case1 = value_pat or (multiples and S.conductor == p * e + 2)
             case2 = outcome.tag == TAG_B_EQ_RM1_CASE2 and outcome.passed
             if outcome.tag == TAG_B_EQ_RM1_CASE1:
                 case1 = outcome.passed
@@ -648,10 +646,12 @@ def _run_semigroup(
 ) -> tuple[int, str | None]:
     """Run the requested groups on S; returns (ideal count, class tag).
 
-    ``need_ideals`` says whether any of ``groups`` reads the ideal table.
+    ``need_ideals`` says whether any of ``groups`` other than overrings
+    reads the ideal table; only then are its rows counted.
     """
     enc = S.encode()
-    table = IdealTable.family(S, window) if need_ideals else None
+    need_table = need_ideals or "overrings" in groups
+    table = IdealTable.family(S, window) if need_table else None
     tag = None
     if "semigroup" in groups:
         col.add(enc, "", _semigroup_group(S))
@@ -672,10 +672,14 @@ def _run_semigroup(
     if "equivalences" in groups:
         col.add(enc, "", ring_classification(S, window, table).checks)
     if "overrings" in groups:
-        overs = list(oversemigroup_walk(S))
-        conductors = IdealTable.inside(S, [ideal for _, ideal in overs])
         c = S.conductor
-        for (members, _), row in zip(overs, conductors.rows):
+        tail = table.tail_mask(c)
+        at_c = {row.bits: row for row in table.rows if row.conductor == c}
+        for members, ideal in oversemigroup_walk(S):
+            row = at_c.get(ideal << table.offset | tail)
+            if row is None:
+                T = from_bits(members, c).encode()
+                raise InternalInconsistency(f"S - T for T = {T} is not a table row")
             checks = overring_checks(S, members, row)
             col.add(enc, lambda: from_bits(members, c).encode(), checks)
     if "profile" in groups and S.conductor:

@@ -42,13 +42,14 @@ from .errors import BoundTooLarge, InternalInconsistency, InvalidInput, TypeseqE
 from .ideals import RelativeIdeal, ideal_from_generators, tail_ideal
 from .invariants import (
     IdealTable,
+    conductor_ideal,
     decomposition_check,
-    overring_check,
+    overring_checks,
     sigma,
     type_sequence,
 )
 from .semigroup import (
-    NumericalSemigroup, from_generators, from_small_elements, ordered_oversemigroups,
+    NumericalSemigroup, from_generators, from_small_elements, oversemigroups,
     schur_bound,
 )
 
@@ -98,9 +99,10 @@ def _ideal_from_arg(S: NumericalSemigroup, text: str) -> RelativeIdeal:
 
 
 def _check_rows(checks) -> list[dict]:
+    """Rows of ``Check`` records or of plain (id, passed, lhs, rhs) tuples."""
     return [
-        {"id": c.id, "pass": c.passed, "lhs": c.lhs, "rhs": c.rhs}
-        for c in checks
+        {"id": cid, "pass": passed, "lhs": lhs, "rhs": rhs}
+        for cid, passed, lhs, rhs in checks
     ]
 
 
@@ -169,17 +171,17 @@ def _cmd_ideal(args) -> dict:
 def _cmd_overrings(args) -> dict:
     S = _semigroup_from_args(args)
     limit = None if args.allow_large else _OVERSEMIGROUP_GUARD
-    overs = ordered_oversemigroups(S, limit)
-    table = IdealTable.inside(S, [ideal for _, ideal in overs])
+    overs = oversemigroups(S, limit)[1:]
+    table = IdealTable(S, [conductor_ideal(S, T) for T in overs])
     rows = []
-    for (T, _), row in zip(overs, table.rows):
-        rep = overring_check(S, T, row)
+    for T, row in zip(overs, table.rows):
+        checks = overring_checks(S, T.bits_below(S.conductor), row)
         rows.append(
             {
                 "overring": T.encode(),
                 "genus": T.genus,
-                "length": rep.length,
-                "checks": _check_rows(rep.checks),
+                "length": S.genus - T.genus,
+                "checks": _check_rows(checks),
             }
         )
     return {"semigroup": _semigroup_payload(S), "overrings": rows}

@@ -48,10 +48,12 @@ there and nowhere else, the lazy ones on first read, stored in the row
 without a lock.  K.I is the union of K's window bits shifted to I's
 least member in each residue class.  ``ab_invariants``, ``d_invariant``,
 ``decomposition_check`` and ``overring_check`` read the row of a one-row
-table built for their ideal.  The census builds one table per semigroup
-by ``IdealTable.family``, whose ideal walk carries I* down by one AND per
-step, and hands its rows to the ideals, pairs, colon_growth and
-equivalences groups.
+table built for their ideal; no caller hands in a row.  The census builds
+one table per semigroup by ``IdealTable.family``, whose ideal walk carries
+I* down by one AND per step, and hands its rows to the ideals, pairs,
+colon_growth and equivalences groups.  The overrings group reads the same
+table: every conductor ideal S - T is proper and integral with conductor
+c, so it is a row of conductor c, whatever the window.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ from .ideals import (
     tail_ideal,
     unit_ideal,
 )
-from .semigroup import NumericalSemigroup, _ones, from_bits, is_arf
+from .semigroup import NumericalSemigroup, _bit_positions, _ones, from_bits, is_arf
 
 try:
     from operator import call
@@ -340,28 +342,14 @@ class IdealRow:
     def unmarked(self) -> tuple[int, ...]:
         """The h in [1, n_I] with s_{h-1} outside I**; the others are marked.
 
-        s_{h-1} runs over the set bits x of ``unmarked_bits``, and h - 1
-        counts the members of S below x: a running count along the small
-        elements below c, and x - genus from c on.  The bits are found in
-        their text, read from the low end, so the walk stays linear in c_I.
-        The invariants read the bits; this is the view reports show.
+        s_{h-1} runs over the set bits of ``unmarked_bits``, and h - 1 is
+        its index among the extended small elements.  The invariants read
+        the bits; this is the view reports show.
         """
         table = self.table
-        small, genus = table.S.small_elements, table.S.genus
-        flags = bin(self.unmarked_bits >> table.offset)
-        end = len(flags) - 1  # bit x is character end - x
-        out = []
-        below = 0
-        p = flags.rfind("1", 2)
-        while p > 1:
-            x = end - p
-            if x < small[-1]:
-                while small[below] < x:
-                    below += 1
-                out.append(below + 1)
-            else:
-                out.append(x - genus + 1)
-            p = flags.rfind("1", 2, p)
+        small_index = table.S.small_index
+        bits = self.unmarked_bits >> table.offset
+        out = [small_index(x) + 1 for x in _bit_positions(bits)]
         return tuple(out)
 
     @_lazy
@@ -429,7 +417,11 @@ class IdealTable:
                 raise ParentMismatch("the ideal belongs to another semigroup")
             if E.min_element < 1:
                 require_proper(E)  # raises: 0 or less is a member
-            self.rows.append(self._row(self.bits_of(E)))
+            bits = self.bits_of(E)
+            if bits & ~self.maximal:
+                require_proper(E)  # raises: a gap of S is a member
+                raise InternalInconsistency("an improper ideal passed require_proper")
+            self.rows.append(IdealRow(self, bits, self.colon(self.unit, bits)))
 
     def _lay_out(self, S: NumericalSemigroup, top: int) -> None:
         """S's fields on the window of the given top, with no rows yet."""
@@ -486,24 +478,6 @@ class IdealTable:
         # RelativeIdeal.sort_key: with min and c_E equal, bits order as masks
         rows.sort(key=attrgetter("min_element", "conductor", "bits"))
         return table
-
-    @classmethod
-    def inside(cls, S: NumericalSemigroup, members) -> IdealTable:
-        """The table of ideals inside S given by their bits below c, like S - T.
-
-        Each is full from the conductor c of S, so top is c + 1.
-        """
-        table = cls(S, [])
-        tail = 1 << S.conductor
-        table.rows = [table._row((bits | tail) << table.offset) for bits in members]
-        return table
-
-    def _row(self, bits: int) -> IdealRow:
-        """The row of window bits inside S without 0, or the error of its ideal."""
-        if bits & ~self.maximal:
-            require_proper(_normalized(self.S, -self.offset, self.top, bits))
-            raise InternalInconsistency("an improper ideal passed require_proper")
-        return IdealRow(self, bits, self.colon(self.unit, bits))
 
     def bits_of(self, E: RelativeIdeal) -> int:
         """E's members below top, placed on the absolute window."""
@@ -640,21 +614,15 @@ class IdealInvariantReport:
 
 
 def decomposition_check(
-    S: NumericalSemigroup, I: RelativeIdeal | IdealRow
+    S: NumericalSemigroup, I: RelativeIdeal
 ) -> IdealInvariantReport:
     """Evaluate every decomposition identity and bound for (S, I).
 
-    I is a proper integral ideal of S or a row of an ``IdealTable`` of S.
-    The report is a view of the row and of ``decomposition_checks(row)``,
-    the one path that evaluates the checks.
+    I is a proper integral ideal of S.  The report is a view of I's row in
+    a one-row table and of ``decomposition_checks(row)``, the one path that
+    evaluates the checks.
     """
-    if isinstance(I, IdealRow):
-        row = I
-        if row.table.S != S:
-            raise ParentMismatch("the row belongs to another semigroup")
-    else:
-        row = IdealTable(S, [I]).rows[0]
-    I = row.ideal
+    row = IdealTable(S, [I]).rows[0]
     return IdealInvariantReport(
         semigroup=S.encode(),
         ideal=I.encode(),
@@ -856,71 +824,50 @@ def conductor_ideal(S: NumericalSemigroup, T: NumericalSemigroup) -> RelativeIde
     return dual(E_t)
 
 
-def overring_check(
-    S: NumericalSemigroup, T: NumericalSemigroup, row: IdealRow | None = None
-) -> OverringReport:
+def overring_check(S: NumericalSemigroup, T: NumericalSemigroup) -> OverringReport:
     """Verify the formulas for l(T/S) via the conductor ideal I = S - T.
 
-    ``row`` is I's row in an ``IdealTable`` of S, as the CLI passes it
-    from one table over all of S's conductor ideals; without it a one-row
-    table is built.  T = S is allowed without a row and yields the
-    all-zeros record: the conductor ideal would be S itself, which is not
-    proper, and every formula degenerates.  The report is a view of
-    ``overring_checks``, the one path that evaluates the checks; l(T/S) is
-    the genus difference, which they verify on the row's bits.
+    T = S is allowed and yields the all-zeros record: the conductor ideal
+    would be S itself, which is not proper, and every formula degenerates.
+    Otherwise the report is a view of ``overring_checks`` on I's row in a
+    one-row table, the one path that evaluates the checks; l(T/S) is the
+    genus difference, which they verify on the row's bits.
     """
     if S.bits_below(T.conductor) & ~T.mask:
         raise NotOversemigroup(f"{T.encode()} does not contain {S.encode()}")
-    mismatch = InternalInconsistency if row is None else InvalidInput
-    if row is None:
-        if T == S:
-            return OverringReport(
-                semigroup=S.encode(),
-                oversemigroup=T.encode(),
-                conductor_ideal="",
-                length=0,
-                min_index=0,
-                checks=(),
-            )
-        row = IdealTable(S, [conductor_ideal(S, T)]).rows[0]
-    elif row.table.S != S:
-        raise ParentMismatch("the row belongs to another semigroup")
-    checks = _records(
-        overring_checks(S, T.bits_below(S.conductor), row, mismatch)
-    )
+    if T == S:
+        return OverringReport(S.encode(), T.encode(), "", 0, 0, ())
+    row = IdealTable(S, [conductor_ideal(S, T)]).rows[0]
     return OverringReport(
         semigroup=S.encode(),
         oversemigroup=T.encode(),
         conductor_ideal=row.ideal.encode(),
         length=S.genus - T.genus,
         min_index=S.small_index(row.min_element),
-        checks=checks,
+        checks=_records(overring_checks(S, T.bits_below(S.conductor), row)),
     )
 
 
 def overring_checks(
-    S: NumericalSemigroup,
-    members: int,
-    row: IdealRow,
-    mismatch: type[Exception] = InternalInconsistency,
+    S: NumericalSemigroup, members: int, row: IdealRow
 ) -> tuple[CheckTuple, ...]:
     """The l(T/S) formulas for the row of I = S - T in a table of S.
 
     ``members`` holds the members of T below the conductor c of S (T
     contains S, so it is full from c), as ``oversemigroup_walk`` yields
-    them.  The row is checked against T by one colon on its table, a
-    second path to the intersections the walk took; the census tallies
-    these tuples as they are.  A row that is not S - T raises
-    ``mismatch``: ``InternalInconsistency`` when the row came from the
-    program's own walk, ``InvalidInput`` when a caller of
-    ``overring_check`` passed it.
+    them.  I is proper and integral with conductor c, so it is a row of
+    any table that holds S's ideals of conductor c, whatever its top.  The
+    row is checked against T by one colon on its table, a second path to
+    the intersections the walk took; the census and the CLI tally or show
+    these tuples as they are.  A row that is not S - T is a fault of the
+    program that chose it and raises ``InternalInconsistency``.
     """
     table = row.table
     c = S.conductor
     t_bits = (members | _ones(table.top - c) << c) << table.offset
     if table.colon(table.unit, t_bits) != row.bits:
         T = from_bits(members, c)
-        raise mismatch(f"the row is not S - T for T = {T.encode()}")
+        raise InternalInconsistency(f"the row is not S - T for T = {T.encode()}")
     t_length = t_bits.bit_count()
     L = t_length - table.unit_length
     # T** = S - (S - T) is I*.

@@ -440,20 +440,6 @@ def oversemigroup_walk(S: NumericalSemigroup):
                 stack.append((child, g, child_ideal))
 
 
-def ordered_oversemigroups(
-    S: NumericalSemigroup, limit: int | None = None
-) -> list[tuple[NumericalSemigroup, int]]:
-    """(T, S - T bits) from ``oversemigroup_walk``, in ``oversemigroups`` order."""
-    if limit is not None and limit < 0:
-        raise InvalidInput(f"limit must be non-negative, got {limit}")
-    found = list(itertools.islice(oversemigroup_walk(S), limit))
-    if limit is not None and len(found) >= limit:  # S makes len(found) + 1
-        raise BoundTooLarge(f"more than {limit} oversemigroups (genus {S.genus})")
-    pairs = [(from_bits(members, S.conductor), ideal) for members, ideal in found]
-    pairs.sort(key=lambda pair: (-pair[0].genus, pair[0].small_elements))
-    return pairs
-
-
 def oversemigroups(
     S: NumericalSemigroup, limit: int | None = None
 ) -> list[NumericalSemigroup]:
@@ -465,4 +451,11 @@ def oversemigroups(
     and ``BoundTooLarge`` is raised, as soon as the list would pass it; a
     negative ``limit`` is an ``InvalidInput``.
     """
-    return [S] + [T for T, _ in ordered_oversemigroups(S, limit)]
+    if limit is not None and limit < 0:
+        raise InvalidInput(f"limit must be non-negative, got {limit}")
+    found = list(itertools.islice(oversemigroup_walk(S), limit))
+    if limit is not None and len(found) >= limit:  # S makes len(found) + 1
+        raise BoundTooLarge(f"more than {limit} oversemigroups (genus {S.genus})")
+    overs = [from_bits(members, S.conductor) for members, _ in found]
+    overs.sort(key=lambda T: (-T.genus, T.small_elements))
+    return [S] + overs

@@ -588,6 +588,41 @@ class TestVerifyTheorems:
         assert rep.violations == []
         assert rep.check_tallies == GROUP_TALLIES_GENUS_7[group]
 
+    def test_overrings_do_not_depend_on_the_window(self):
+        # Every S - T has conductor c, so each window's table holds it; the
+        # overrings group alone counts no ideals.
+        reports = [
+            verify_theorems(
+                CensusQuery(max_genus=8, checks=("overrings",), window=window)
+            )
+            for window in range(4)
+        ]
+        assert reports[0].check_tallies["overring_length_split"] > 0
+        for rep in reports:
+            assert rep.ideal_count == 0
+            assert rep.check_tallies == reports[0].check_tallies
+
+    def test_overrings_take_one_colon_per_oversemigroup(self, monkeypatch):
+        # The rows of S - T are the census's own rows, whose duals and
+        # biduals the ideal groups already took; only the check's colon
+        # S - T is new, once per oversemigroup.
+        calls = []
+        kernel = invariants.colon_bits
+
+        def counted(a, b, e):
+            calls.append(e)
+            return kernel(a, b, e)
+
+        monkeypatch.setattr(invariants, "colon_bits", counted)
+        without = tuple(g for g in census.GROUPS if g != "overrings")
+        counts = []
+        for checks in (census.GROUPS, without):
+            calls.clear()
+            verify_theorems(CensusQuery(max_genus=7, window=2, checks=checks))
+            counts.append(len(calls))
+        overs = GROUP_TALLIES_GENUS_7["overrings"]["overring_length_split"]
+        assert counts[0] - counts[1] == overs == 1031
+
     def test_wall_time_recorded(self):
         rep = verify_theorems(CensusQuery(max_genus=3, window=1))
         assert rep.wall_ms >= 0

@@ -374,6 +374,35 @@ class TestErrorsAndExitCodes:
         assert code == 3
         assert json.loads(out)["error"]["code"] == "InternalInconsistency"
 
+    def test_census_overring_outside_the_table_exits_three(self, capsys, monkeypatch):
+        # A walk that yields T's own bits for S - T: they hold 0, so no row
+        # of the ideal table has them, and the census names that a bug.
+        walk = census.oversemigroup_walk
+
+        def unproper(S):
+            return [(members, members) for members, _ in walk(S)]
+
+        monkeypatch.setattr(census, "oversemigroup_walk", unproper)
+        argv = ["census", "--max-genus", "4", "--checks", "overrings"]
+        code, out = run(argv, capsys)
+        assert code == 3
+        assert json.loads(out)["error"]["code"] == "InternalInconsistency"
+
+    def test_overrings_row_mismatch_exits_three(self, capsys, monkeypatch):
+        # Each T paired with the next T's S - T: the table's rows disagree
+        # with the colon S - T that ``overring_checks`` takes, which is a
+        # bug of the command, not bad input.
+        real = cli.conductor_ideal
+
+        def next_ideal(S, T):
+            overs = cli.oversemigroups(S)[1:]
+            return real(S, overs[(overs.index(T) + 1) % len(overs)])
+
+        monkeypatch.setattr(cli, "conductor_ideal", next_ideal)
+        code, out = run(["overrings", "--gens", "4,5,7"], capsys)
+        assert code == 3
+        assert json.loads(out)["error"]["code"] == "InternalInconsistency"
+
     def test_non_positive_generator_has_typed_code(self, capsys):
         code, out = run(["info", "--gens", "0,3"], capsys)
         assert code == 2

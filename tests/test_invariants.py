@@ -13,7 +13,7 @@ from conftest import negative_a_semigroup, semigroups_up_to, small_semigroup_st
 from typeseq import (
     Check,
     IdealTable,
-    InvalidInput,
+    InternalInconsistency,
     NotIntegralProper,
     NotOversemigroup,
     NumericalSemigroup,
@@ -55,7 +55,7 @@ from typeseq.invariants import (
     decomposition_tally,
     overring_checks,
 )
-from typeseq.semigroup import is_arf
+from typeseq.semigroup import from_bits, is_arf, oversemigroup_walk
 
 
 def brute_ab(S, I):
@@ -347,30 +347,38 @@ class TestOverrings:
 
 
     def test_row_route_matches_one_row_tables(self):
+        # The census's route: S - T found by the walk's bits among the
+        # family table's rows of conductor c, against the one-row table of
+        # the public report.
         for S in semigroups_up_to(8):
-            overs = oversemigroups(S)[1:]
-            table = IdealTable(S, [conductor_ideal(S, T) for T in overs])
-            for T, row in zip(overs, table.rows):
-                assert overring_check(S, T, row) == overring_check(S, T), (
-                    S.encode(),
-                    T.encode(),
-                )
+            c = S.conductor
+            walk = list(oversemigroup_walk(S))
+            want = {
+                (members, overring_check(S, from_bits(members, c)).checks)
+                for members, _ in walk
+            }
+            for window in range(3):
+                table = IdealTable.family(S, window)
+                at_c = {row.bits: row for row in table.rows if row.conductor == c}
+                got = set()
+                for members, ideal in walk:
+                    row = at_c[ideal << table.offset | table.tail_mask(c)]
+                    got.add((members, overring_checks(S, members, row)))
+                assert got == want, (S.encode(), window)
 
     def test_row_must_be_the_conductor_ideal_of_t(self):
         S = from_generators((4, 5, 7))
-        overs = oversemigroups(S)[1:]
-        rows = IdealTable(S, [conductor_ideal(S, T) for T in overs]).rows
-        T = overs[0]
-        assert rows[0].bits != rows[-1].bits
-        with pytest.raises(InvalidInput):
-            overring_check(S, T, rows[-1])
-        with pytest.raises(InvalidInput):
-            overring_check(S, S, rows[0])
+        T = oversemigroups(S)[1]
+        table = IdealTable.family(S, 0)
+        own = table.bits_of(conductor_ideal(S, T))
+        other = next(row for row in table.rows if row.bits != own)
+        with pytest.raises(InternalInconsistency, match=T.encode()):
+            overring_checks(S, T.bits_below(S.conductor), other)
+        rep = overring_check(S, S)
+        assert (rep.length, rep.min_index, rep.conductor_ideal) == (0, 0, "")
+        assert rep.checks == ()
         with pytest.raises(NotOversemigroup):
-            overring_check(S, from_generators((5, 6, 7, 8, 9)), rows[0])
-        foreign = IdealTable(T, [conductor_ideal(T, from_generators((1,)))])
-        with pytest.raises(ParentMismatch):
-            overring_check(S, T, foreign.rows[0])
+            overring_check(S, from_generators((5, 6, 7, 8, 9)))
 
 
 class TestDomainErrors:
@@ -468,23 +476,21 @@ class TestIdealTable:
             IdealTable(S, [tail_ideal(from_generators((2, 3)), 3)])
 
     def test_properness_on_bits_keeps_the_messages(self):
-        # Ideals given as objects, or as their bits below c = 3 to
-        # ``inside``, fail as ``require_proper`` fails on them.
+        # Ideals that hold 0, a gap of S or a negative fail in a table, where
+        # properness is read off their window bits, as ``require_proper``
+        # fails on them.
         S = from_generators((3, 4, 5))
         cases = [
-            (unit_ideal(S), 0b001),
-            (ideal_from_generators(S, (1,)), 0b010),
-            (tail_ideal(S, 2), 0b100),
-            (ideal_from_generators(S, (-4,)), None),
+            unit_ideal(S),
+            ideal_from_generators(S, (1,)),
+            tail_ideal(S, 2),
+            ideal_from_generators(S, (-4,)),
         ]
-        for E, bits in cases:
+        for E in cases:
             with pytest.raises(NotIntegralProper) as want:
                 require_proper(E)
             with pytest.raises(NotIntegralProper, match=str(want.value)):
                 IdealTable(S, [E])
-            if bits is not None:
-                with pytest.raises(NotIntegralProper, match=str(want.value)):
-                    IdealTable.inside(S, [bits])
 
 
 def _table_bits(table, members):
@@ -540,13 +546,13 @@ class TestOnePath:
         for S in semigroups_up_to(7):
             for window in range(3):
                 for row in IdealTable(S, enumerate_ideals(S, window)).rows:
-                    assert decomposition_check(S, row).checks == (
+                    assert decomposition_check(S, row.ideal).checks == (
                         decomposition_checks(row)
                     ), (S.encode(), window, row.ideal.encode())
             overs = oversemigroups(S)[1:]
             table = IdealTable(S, [conductor_ideal(S, T) for T in overs])
             for T, row in zip(overs, table.rows):
-                assert overring_check(S, T, row).checks == (
+                assert overring_check(S, T).checks == (
                     overring_checks(S, T.bits_below(S.conductor), row)
                 ), (S.encode(), T.encode())
 
@@ -604,12 +610,8 @@ class TestOnePath:
     def test_public_reports_hold_check_records(self):
         for S in semigroups_up_to(6):
             table = IdealTable(S, enumerate_ideals(S, 2))
-            reports = [decomposition_check(S, row) for row in table.rows]
-            overs = oversemigroups(S)[1:]
-            conductors = IdealTable(S, [conductor_ideal(S, T) for T in overs])
-            reports += [
-                overring_check(S, T, row) for T, row in zip(overs, conductors.rows)
-            ]
+            reports = [decomposition_check(S, row.ideal) for row in table.rows]
+            reports += [overring_check(S, T) for T in oversemigroups(S)[1:]]
             reports += [classify_b(S), ring_classification(S, 2, table)]
             if S.conductor:
                 reports.append(window_profile(S))
