@@ -146,18 +146,14 @@ class TypeSequence:
         return iter(self.values)
 
 
-def _require(holds: bool, message: str) -> None:
-    if not holds:
-        raise InternalInconsistency(message)
-
-
 def _chain_dual_lengths(S: NumericalSemigroup, m: int) -> tuple[int, ...]:
     """(L_0, ..., L_m) for m >= n: L_i counts the members below c of S - R_i.
 
     Bit k of the walk stands for k - s_m: each S - R_i contains S and lies
     in S - R_m, so [-s_m, c) decides it.  For i >= n, S - R_i is the tail
-    from -(i - n), so L_i = s_i and r_i = 1; that is verified here, and
-    ``IdealTable`` extends the cached ``type_sequence`` by these ones.
+    from -(i - n), so L_i = s_i and r_i = 1; the census checks these ones
+    as ``sg_ts_extension_ones``, and ``IdealTable`` extends the cached
+    ``type_sequence`` by them.
     """
     c, top = S.conductor, S.small_element(m)
     members = S.bits_below(c + top)
@@ -167,8 +163,6 @@ def _chain_dual_lengths(S: NumericalSemigroup, m: int) -> tuple[int, ...]:
         acc &= members << (top - S.small_element(i - 1))
         lengths.append(acc.bit_count())
     lengths.reverse()
-    tails_ok = lengths[S.n :] == list(range(c, top + 1))
-    _require(tails_ok, "entries beyond the chain are tails and contribute 1")
     return tuple(lengths)
 
 
@@ -179,28 +173,17 @@ def type_sequence(S: NumericalSemigroup) -> TypeSequence:
     L_i counts the members below c of S - R_i, accumulated backwards from
     S - R_n = N by one shift and one AND per step, not by a colon each.
 
-    Always-on consistency: r_1 must equal the type, every entry lies in
-    [1, r_1], the entries sum to the genus and the excesses sum to l(K/S).
+    The census checks the entries: r_1 is the type (``sg_ts_first_is_type``),
+    each lies in [1, r_1] (``sg_ts_entries_in_range``), they sum to the
+    genus (``sg_ts_sum_is_genus``) and their excesses to l(K/S)
+    (``sg_ts_deficit_sum``).
     """
     L = _chain_dual_lengths(S, S.n)
-    values = [L[i] - L[i - 1] for i in range(1, S.n + 1)]
-    if values:
-        _require(values[0] == S.type, "first entry must equal the type")
-        _require(
-            all(1 <= v <= values[0] for v in values),
-            "entries must lie in [1, type]",
-        )
-    _require(sum(values) == S.genus, "entries must sum to the genus")
-    _require(
-        sum(v - 1 for v in values) == 2 * S.genus - S.conductor,
-        "excesses must sum to 2 * genus - conductor",
-    )
-    return TypeSequence(S, tuple(values))
+    return TypeSequence(S, tuple(L[i] - L[i - 1] for i in range(1, S.n + 1)))
 
 
-@functools.lru_cache(maxsize=4096)
 def extended_type_sequence(S: NumericalSemigroup, m: int) -> tuple[int, ...]:
-    """(r_1, ..., r_m) for m >= n; entries beyond n are verified to be 1."""
+    """(r_1, ..., r_m) for m >= n; the entries beyond n are 1."""
     if m < S.n:
         raise InvalidInput(f"extension length {m} is below n = {S.n}")
     L = _chain_dual_lengths(S, m)
@@ -539,11 +522,14 @@ class IdealTable:
         """(L_2, ..., L_r): L_k has the window bits of s_{h-1}, h <= n, r_h >= k.
 
         Built in one visit of each h <= n and of each unit of its excess
-        r_h - 1, O(n + 2 genus - c) in all; see ``r_sum``.
+        r_h - 1, O(n + 2 genus - c) in all; see ``r_sum``.  The list is
+        sized by the largest entry, which is r_1 = r, so an entry above the
+        type shows as a failed check of the census, not as an error here.
         """
         S = self.S
-        levels = [0] * (S.type - 1)
-        for s, r in zip(S.small_elements, type_sequence(S).values):
+        values = type_sequence(S).values
+        levels = [0] * (max(values, default=1) - 1)
+        for s, r in zip(S.small_elements, values):
             for k in range(r - 1):
                 levels[k] |= 1 << s
         return tuple(level << self.offset for level in levels)

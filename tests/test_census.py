@@ -8,10 +8,10 @@ from collections import Counter
 import pytest
 
 import oracles
+from test_kill_matrix import planted
 from typeseq import (
     BoundTooLarge,
     CensusQuery,
-    InternalInconsistency,
     InvalidInput,
     NumericalSemigroup,
     WindowTooLarge,
@@ -25,7 +25,6 @@ from typeseq import (
     verify_theorems,
 )
 from typeseq import Violation, census, cli, invariants
-from typeseq.ideals import colon_bits
 from typeseq.invariants import (
     IdealRow,
     IdealTable,
@@ -219,46 +218,6 @@ class TestSemigroupEnumeration:
         seen = [S.encode() for S in enumerate_semigroups(max_genus=8)]
         assert len(seen) == len(set(seen))
 
-    @pytest.mark.parametrize(
-        "fault", ["never_append", "always_append", "skip_pf_filter"]
-    )
-    def test_planted_child_fault_is_caught(self, monkeypatch, fault):
-        # Each fault breaks one rule of NumericalSemigroup._child: the new
-        # generator x + e, dropped or added regardless of a split, or
-        # PF(S - {x}) taken as PF(S) + {x} without the gap filter.
-        child = NumericalSemigroup._child
-
-        def faulty(S, x):
-            T = child(S, x)
-            e, gens = S.multiplicity, T.minimal_generators
-            appended = x != e and gens[-1] == x + e
-            if fault == "never_append" and appended:
-                T._mingens = gens[:-1]
-            elif fault == "always_append" and x != e and not appended:
-                T._mingens = gens + (x + e,)
-            elif fault == "skip_pf_filter":
-                T._pf_bits = (S._pf_bits or 0) | 1 << x
-            return T
-
-        cached = (invariants.type_sequence, invariants.extended_type_sequence)
-        want = classification_census(max_conductor=16).to_json()
-        monkeypatch.setattr(NumericalSemigroup, "_child", faulty)
-        for fn in cached:
-            fn.cache_clear()
-        try:
-            seen = Counter(S.genus for S in enumerate_semigroups(max_genus=8))
-            caught = seen != {g: n for g, n in GENUS_COUNTS.items() if g <= 8}
-            if not caught:
-                try:
-                    got = classification_census(max_conductor=16).to_json()
-                except InternalInconsistency:
-                    got = None
-                caught = got != want
-        finally:
-            for fn in cached:
-                fn.cache_clear()
-        assert caught
-
 
 class TestIdealEnumeration:
     @pytest.mark.parametrize(
@@ -449,24 +408,8 @@ class TestVerifyTheorems:
         assert parallel.to_json() == serial.to_json()
         assert cli.main(["census", "--max-genus", "3", "--checks", "ideals"]) == 1
 
-    def test_planted_fault_fails_as_the_tuple_path_says(self, monkeypatch):
-        def dropped(a_bits, b_bits, e):
-            # a colon kernel that forgets the highest generator of B
-            gens = b_bits & ~(b_bits << e)
-            if gens & (gens - 1):
-                b_bits &= ~(1 << (gens.bit_length() - 1))
-            return colon_bits(a_bits, b_bits, e)
-
-        translates = IdealTable.translates.fn
-
-        def forgetful(table):
-            # an ideal walk that forgets S - e when it takes the multiplicity e
-            shifts = translates(table)
-            shifts[table.S.multiplicity] = -1
-            return shifts
-
-        monkeypatch.setattr(invariants, "colon_bits", dropped)
-        monkeypatch.setattr(IdealTable, "translates", property(forgetful))
+    @planted("colon_kernel_drops_generator", "translates_forget_multiplicity")
+    def test_planted_fault_fails_as_the_tuple_path_says(self):
         query = dict(
             max_genus=5, window=2, checks=("ideals", "pairs", "colon_growth")
         )

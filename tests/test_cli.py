@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from test_kill_matrix import planted
 from typeseq import InternalInconsistency, census, cli, ideals
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -357,34 +358,32 @@ class TestErrorsAndExitCodes:
             "message": "paths disagree",
         }
 
-    def test_census_overring_row_mismatch_exits_three(self, capsys, monkeypatch):
+    def test_census_names_a_perturbed_chain_walk(self, capsys):
+        # type_sequence holds no check of its own: the census's sg_ts_* ids
+        # catch a wrong entry as a violation, not as an internal error.
+        argv = ["census", "--max-genus", "5", "--checks", "semigroup"]
+        argv += ["--format", "json"]
+        with planted("chain_length_perturbed"):
+            code, out = run(argv, capsys)
+        assert code == 1
+        failed = {v["check_id"] for v in json.loads(out)["violations"]}
+        assert "sg_ts_first_is_type" in failed
+
+    def test_census_overring_row_mismatch_exits_three(self, capsys):
         # A walk that pairs each oversemigroup T with another T's S - T:
         # the census's own row disagrees with its colon, which is a bug.
-        walk = census.oversemigroup_walk
-
-        def misaligned(S):
-            pairs = list(walk(S))
-            ideals = [ideal for _, ideal in pairs]
-            shifted = ideals[1:] + ideals[:1]
-            return [(members, ideal) for (members, _), ideal in zip(pairs, shifted)]
-
-        monkeypatch.setattr(census, "oversemigroup_walk", misaligned)
         argv = ["census", "--max-genus", "4", "--checks", "overrings"]
-        code, out = run(argv, capsys)
+        with planted("oversemigroup_walk_pairs_next_ideal"):
+            code, out = run(argv, capsys)
         assert code == 3
         assert json.loads(out)["error"]["code"] == "InternalInconsistency"
 
-    def test_census_overring_outside_the_table_exits_three(self, capsys, monkeypatch):
+    def test_census_overring_outside_the_table_exits_three(self, capsys):
         # A walk that yields T's own bits for S - T: they hold 0, so no row
         # of the ideal table has them, and the census names that a bug.
-        walk = census.oversemigroup_walk
-
-        def unproper(S):
-            return [(members, members) for members, _ in walk(S)]
-
-        monkeypatch.setattr(census, "oversemigroup_walk", unproper)
         argv = ["census", "--max-genus", "4", "--checks", "overrings"]
-        code, out = run(argv, capsys)
+        with planted("oversemigroup_walk_yields_t_as_s_minus_t"):
+            code, out = run(argv, capsys)
         assert code == 3
         assert json.loads(out)["error"]["code"] == "InternalInconsistency"
 
