@@ -57,12 +57,14 @@ a serial run is share 0 of 1.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import random
+from _json import make_encoder
 from collections import _count_elements
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from json import JSONEncoder
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter, le
 
 from .classification import (
@@ -86,9 +88,6 @@ from .ideals import (
     canonical_ideal,
     dedekind_different,
     ideal_product,
-    integral_closure,
-    length_between,
-    principal_ideal,
     tail_ideal,
 )
 from .invariants import (
@@ -304,6 +303,79 @@ def enumerate_ideals(S: NumericalSemigroup, window: int) -> list[RelativeIdeal]:
 # -- reports ---------------------------------------------------------------------
 
 
+def canonical_json(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
+
+    The stdlib falls back to its pure-Python encoder whenever ``indent`` is
+    set.  Here Python walks only the containers that hold containers.  A
+    flat one, holding scalars only, is written by the C encoder in one
+    call whose item separator breaks the line and indents it to its items'
+    depth; the walk then puts its brackets on lines of their own.  Dict
+    keys are sorted before they are converted, as the stdlib does.
+    ``obj`` must be a tree: nothing checks for cycles.  Needs CPython's
+    ``_json`` module, which every CPython 3.10+ ships.
+    """
+    if isinstance(obj, _CONTAINERS) and obj:
+        out: list[str] = []
+        _render(obj, 0, out)
+        return "".join(out)
+    return _level(0)[2](obj, 0)[0]
+
+
+# depth -> (newline and indent of that depth, the same after a comma, and
+# the C encoder with that comma separator), each built once.
+_LEVELS: dict[int, tuple] = {}
+_CONTAINERS = (dict, list, tuple)
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _level(depth: int) -> tuple:
+    level = _LEVELS.get(depth)
+    if level is None:
+        newline = "\n" + "  " * depth
+        encode = make_encoder(
+            None, JSONEncoder().default, encode_basestring_ascii, None,
+            ": ", "," + newline, True, False, True,
+        )
+        level = _LEVELS[depth] = (newline, "," + newline, encode)
+    return level
+
+
+def _key(key) -> str:
+    """A dict key as the stdlib writes it: non-str keys in their JSON text."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"%s"' % _level(0)[2](key, 0)[0]
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+    )
+
+
+def _render(obj, depth: int, out: list[str]) -> None:
+    """Append the text of ``obj``, a non-empty container, at ``depth``."""
+    newline, comma, encode = _level(depth + 1)
+    is_dict = isinstance(obj, dict)
+    if _SCALARS.issuperset(map(type, obj.values() if is_dict else obj)):
+        text = encode(obj, 0)[0]
+        out += (text[0], newline, text[1:-1], _level(depth)[0], text[-1])
+        return
+    sep = newline
+    out.append("{" if is_dict else "[")
+    for item in sorted(obj.items()) if is_dict else obj:
+        if is_dict:
+            key, item = item
+            out += (sep, _key(key), ": ")
+        else:
+            out.append(sep)
+        if isinstance(item, _CONTAINERS) and item:
+            _render(item, depth + 1, out)
+        else:
+            out.append(encode(item, 0)[0])
+        sep = comma
+    out += (_level(depth)[0], "}" if is_dict else "]")
+
+
 @dataclass(frozen=True)
 class Violation:
     semigroup: str
@@ -369,11 +441,7 @@ class CensusReport:
         return out
 
     def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(
-            self.to_dict(include_timing=include_timing),
-            sort_keys=True,
-            indent=2,
-        )
+        return canonical_json(self.to_dict(include_timing=include_timing))
 
 
 _ids = itemgetter(0)
@@ -461,10 +529,8 @@ def _semigroup_group(S: NumericalSemigroup) -> list[CheckTuple]:
         checks.append(_le("sg_type_bound", r, S.multiplicity - 1))
     checks.append(_eq("sg_gorenstein_iff_type_one", S.is_gorenstein, r == 1))
     arf = is_arf(S)
-    # R_i, the members of S from s_i on, for i = 1, ..., n
-    chain = [
-        integral_closure(principal_ideal(S, s)) for s in S.small_elements[1 : n + 1]
-    ]
+    # R_i, the members of S from s_i on, for i = 1, ..., n, read off S's bits
+    chain = [RelativeIdeal(S, s, c, S.mask >> s) for s in S.small_elements[1 : n + 1]]
     tails = [tail_ideal(S, c + k) for k in (1, 2)]
     shifts = []  # g + K, inside S, for each nonzero g of the different S - K
     if c:
@@ -494,18 +560,17 @@ def _semigroup_group(S: NumericalSemigroup) -> list[CheckTuple]:
         sig = sigma(S)
         for row in rows[n + 2 :]:
             checks.append(_eq("sg_different_shift_a_is_sigma", row.a, sig))
-        # second computation path: r_i as the growth of the K-products
-        p_prev = K
+        # second computation path: r_i = l((K + R_{i-1}) / (K + R_i)), the
+        # drop in members below a top where every K + R_i is full.  Counts
+        # need no containment, so a walk that yields a non-semigroup fails
+        # the check instead of stopping the group.
+        products = [K] + [ideal_product(K, R) for R in chain]
+        top = max(P.conductor for P in products)
+        counts = [P.bits_below(top).bit_count() for P in products]
         for i in range(1, n + 1):
-            p_cur = ideal_product(K, chain[i - 1])
             checks.append(
-                _eq(
-                    "sg_ts_two_paths",
-                    ts.values[i - 1],
-                    length_between(p_prev, p_cur),
-                )
+                _eq("sg_ts_two_paths", ts.values[i - 1], counts[i - 1] - counts[i])
             )
-            p_prev = p_cur
         # a small element inside the different forces the next entry to be 1
         for i in range(n):
             if S.small_elements[i] in theta:
@@ -819,7 +884,7 @@ class SearchReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return canonical_json(self.to_dict())
 
 
 def search_negative_a(query: CensusQuery) -> SearchReport:

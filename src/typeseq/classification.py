@@ -210,10 +210,14 @@ def window_profile(S: NumericalSemigroup) -> WindowProfile:
     unit = unit_ideal(S)
     gamma = tail_ideal(S, c)
 
-    # z is the least member with z + e past the conductor.
-    z = next(s for s in small if s >= c - e)
-    late = tuple(h for h in range(1, n + 1) if small[h] > z)
-    early = tuple(h for h in range(1, n + 1) if small[h] <= z)
+    # z = s_{h0 - 1} is the least member with z + e past the conductor; the
+    # late indices are h0, ..., n (s_h > z) and the early ones 1, ..., h0 - 1.
+    h0 = next(h for h, s in enumerate(small, 1) if s >= c - e)
+    z = small[h0 - 1]
+    late = tuple(range(h0, n + 1))
+    early = tuple(range(1, h0))
+    late_sum = sum(ts.values[h0 - 1 :])
+    early_deficit = r * (h0 - 1) - sum(ts.values[: h0 - 1])
 
     l_quot = quotient_length(S)
     # Independent count: members below c whose difference with e is a gap.
@@ -234,18 +238,10 @@ def window_profile(S: NumericalSemigroup) -> WindowProfile:
         _eq("profile_late_count_is_socle", len(late), l_socle),
         _ge("profile_quotient_at_least_e_minus_r", l_quot, e - r),
         _ge("profile_e_minus_r_positive", e - r, 1),
-        _le("profile_late_sum_bound", ts.sum_r(late), e - 1),
-        _eq(
-            "profile_b_split",
-            b + ts.sum_r(late),
-            sum(r - ts.r(h) for h in early) + r * l_quot,
-        ),
-        _le("profile_b_split_upper", b + ts.sum_r(late), b + e - 1),
-        _ge(
-            "profile_b_lower_bound",
-            b,
-            (r - 1) * (e - r - 1) + sum(r - ts.r(h) for h in early),
-        ),
+        _le("profile_late_sum_bound", late_sum, e - 1),
+        _eq("profile_b_split", b + late_sum, early_deficit + r * l_quot),
+        _le("profile_b_split_upper", b + late_sum, b + e - 1),
+        _ge("profile_b_lower_bound", b, (r - 1) * (e - r - 1) + early_deficit),
         _le("profile_p_lower", c - e, p * e),
         _le("profile_p_upper", p * e, c - 1),
         _ge("profile_gap_count_lower", gap_count, 1),

@@ -33,6 +33,7 @@ import sys
 
 from .census import (
     CensusQuery,
+    canonical_json,
     classification_census,
     search_negative_a,
     verify_theorems,
@@ -157,7 +158,7 @@ def _cmd_ideal(args) -> dict:
         S, classify_b(S), report.a, report.b, report.d, report.checks
     )
     payload["ideal"] = {
-        "encoding": I.encode(),
+        "encoding": report.ideal,
         "min_element": I.min_element,
         "conductor": I.conductor,
         "reflexive": report.reflexive,
@@ -243,10 +244,6 @@ def _all_checks_pass(payload: dict) -> bool:
         for row in over["checks"]:
             ok = ok and row["pass"]
     return ok
-
-
-def _render_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _render_csv(payload: dict) -> str:
@@ -476,7 +473,7 @@ def main(argv: list[str] | None = None) -> int:
         _report_error(exc.code, str(exc))
         return 3 if isinstance(exc, InternalInconsistency) else 2
     if args.fmt == "json":
-        text = _render_json(payload)
+        text = canonical_json(payload) + "\n"
     elif args.fmt == "csv":
         text = _render_csv(payload)
     else:

@@ -24,7 +24,7 @@ from .errors import (
     NotIntegralProper,
     ParentMismatch,
 )
-from .semigroup import NumericalSemigroup, _ones
+from .semigroup import NumericalSemigroup, _bit_positions, _ones
 
 
 class RelativeIdeal:
@@ -78,13 +78,8 @@ class RelativeIdeal:
     @property
     def window_members(self) -> tuple[int, ...]:
         """Members below the conductor, in increasing order."""
-        out = []
-        bits = self.mask
-        while bits:
-            low = bits & -bits
-            out.append(self.min_element + low.bit_length() - 1)
-            bits ^= low
-        return tuple(out)
+        m = self.min_element
+        return tuple([m + k for k in _bit_positions(self.mask)])
 
     def is_subset_of(self, other: "RelativeIdeal") -> bool:
         if self.parent != other.parent:
@@ -99,7 +94,7 @@ class RelativeIdeal:
 
     def encode(self) -> str:
         """Canonical text form: ``min|members below conductor|conductor``."""
-        body = ",".join(str(x) for x in self.window_members)
+        body = ",".join(map(str, self.window_members))
         return f"{self.min_element}|{body}|{self.conductor}"
 
     @classmethod

@@ -7,9 +7,11 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from test_kill_matrix import planted
 from typeseq import InternalInconsistency, census, cli, ideals
+from typeseq.census import canonical_json
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -514,6 +516,58 @@ class TestParser:
         # Neither --format csv nor --gorenstein-only carries over: 8 of genus <= 3.
         assert run(census, capsys)[1].startswith("semigroups: 8\n")
         assert cli.build_parser.cache_info().misses == 1
+
+
+def _stdlib_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+_text = st.text() | st.sampled_from(['", ', "}", "\n", "a\nb", "é ü 中", '{"k": [1]}'])
+_scalar = (
+    st.none() | st.booleans() | st.integers() | st.floats() | _text
+    | st.integers(min_value=10**20, max_value=10**60)
+)
+# Keys of one dict must sort against each other, as for the stdlib.
+_payload = st.recursive(
+    _scalar,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(_text, inner, max_size=5)
+    | st.dictionaries(st.integers() | st.booleans(), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+class TestCanonicalJson:
+    @given(_payload)
+    @example({10: [1, 2], 9: {"b": [], "a": {}}})
+    @example({True: [[]], 2: {False: ()}, 0: {}})
+    @example([{}, [], (), [[], {}], {"x": [[{}]]}])
+    @example({"s": ['", ', "}", "\n", "é"], "f": [float("nan"), float("inf"), -0.0]})
+    @example({"n": [None, True, False, 10**80, -(10**40), 1.5e300]})
+    @example({None: [1]})
+    @example({1.5: [1], 2: {"": [""]}, float("inf"): 3})
+    @settings(max_examples=300, deadline=None)
+    def test_renderer_matches_the_stdlib(self, payload):
+        assert canonical_json(payload) == _stdlib_json(payload)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["info", "--gens", "3,4,5"],
+            ["ideal", "--gens", "9,15,17,23,25,29,31", "--ideal", "38,44,50"],
+            ["overrings", "--gens", "5,7,9"],
+            ["census", "--max-genus", "5", "--window", "1"],
+            ["classify", "--max-conductor", "12"],
+            ["search", "--negative-a", "--max-genus", "8"],
+        ],
+    )
+    def test_json_output_is_the_stdlib_rendering(self, argv, capsys):
+        args = cli.build_parser().parse_args(argv)
+        payload = args.fn(args)
+        code, out = run(argv + ["--format", "json"], capsys)
+        assert code == 0
+        assert out == _stdlib_json(payload) + "\n"
 
 
 class TestDocumentedExamples:

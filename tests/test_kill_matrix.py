@@ -9,9 +9,10 @@ one group at a time: the overrings group stops on purpose with
 together with the others it would hide what they catch.  A fault is caught
 when a group fails a check id, raises ``InternalInconsistency``, or moves
 ``semigroups_per_genus`` or ``check_tallies`` away from the clean run.  A
-fault in the tree walk can also hand a group a set that is not a
-semigroup, which a library call refuses with another typed error (exit
-code 2); any other exception fails the test.
+group that stops with another typed error, the exit code 2 of bad input,
+fails the test: every set a group sees comes from the census's own walk,
+even when a fault in the walk hands it a set that is not a semigroup.  Any
+other exception fails the test as well.
 
 This is mutation testing (DeMillo, Lipton & Sayward, 1978): the table
 shows that every fault is caught and that every check id, apart from the
@@ -548,6 +549,20 @@ def test_wrong_type_sequence_fails_named_ids(name):
     failed, signals = matrix()[name]
     assert "sg_ts_first_is_type" in failed
     assert not [s for s in signals if s.startswith("exit")]
+
+
+def test_no_fault_stops_a_group_as_bad_input():
+    stopped = [
+        (name, signal)
+        for name, (_, signals) in matrix().items()
+        for signal in signals
+        if signal.startswith("exit 2")
+    ]
+    assert stopped == []
+    # A walk that yields non-semigroups is caught by the semigroup group's
+    # second path to the type sequence, not refused as input.
+    failed, _ = matrix()["child_always_append"]
+    assert "sg_ts_two_paths" in failed
 
 
 def main() -> None:
