@@ -319,7 +319,7 @@ def canonical_json(obj) -> str:
         out: list[str] = []
         _render(obj, 0, out)
         return "".join(out)
-    return _level(0)[2](obj, 0)[0]
+    return "".join(_level(0)[2](obj, 0))
 
 
 # depth -> (newline and indent of that depth, the same after a comma, and
@@ -346,7 +346,7 @@ def _key(key) -> str:
     if isinstance(key, str):
         return encode_basestring_ascii(key)
     if key is None or isinstance(key, (int, float)):
-        return '"%s"' % _level(0)[2](key, 0)[0]
+        return '"%s"' % "".join(_level(0)[2](key, 0))
     raise TypeError(
         f"keys must be str, int, float, bool or None, not {type(key).__name__}"
     )
@@ -357,7 +357,7 @@ def _render(obj, depth: int, out: list[str]) -> None:
     newline, comma, encode = _level(depth + 1)
     is_dict = isinstance(obj, dict)
     if _SCALARS.issuperset(map(type, obj.values() if is_dict else obj)):
-        text = encode(obj, 0)[0]
+        text = "".join(encode(obj, 0))
         out += (text[0], newline, text[1:-1], _level(depth)[0], text[-1])
         return
     sep = newline
@@ -371,7 +371,7 @@ def _render(obj, depth: int, out: list[str]) -> None:
         if isinstance(item, _CONTAINERS) and item:
             _render(item, depth + 1, out)
         else:
-            out.append(encode(item, 0)[0])
+            out += encode(item, 0)
         sep = comma
     out += (_level(depth)[0], "}" if is_dict else "]")
 

@@ -130,15 +130,6 @@ class TypeSequence:
     parent: NumericalSemigroup
     values: tuple[int, ...]
 
-    def r(self, h: int) -> int:
-        """r_h extended by 1 beyond the chain (tails of consecutive sets)."""
-        if h < 1:
-            raise InvalidInput("indices start at 1")
-        return self.values[h - 1] if h <= len(self.values) else 1
-
-    def sum_r(self, indices) -> int:
-        return sum(self.r(h) for h in indices)
-
     def __len__(self) -> int:
         return len(self.values)
 

@@ -551,6 +551,14 @@ class TestCanonicalJson:
     def test_renderer_matches_the_stdlib(self, payload):
         assert canonical_json(payload) == _stdlib_json(payload)
 
+    def test_long_flat_containers_render_whole(self):
+        # The C encoder may hand back its text in several chunks (before
+        # CPython 3.12 a new one every 100,000 pieces, about 50,000 items).
+        flat = list(range(120_000))
+        wide = {f"k{i}": i for i in range(60_000)}
+        for payload in (flat, {"a": flat}, [flat, [1]], wide, {"w": wide, "x": []}):
+            assert canonical_json(payload) == _stdlib_json(payload)
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -600,11 +600,15 @@ class TestOnePath:
             for row in table.rows:
                 n_i = row.ideal.conductor - S.genus
                 unmarked = set(row.unmarked)
-                assert row.unmarked_sum == ts.sum_r(unmarked), row.ideal.encode()
+                # r_h extended by 1 beyond the chain, indexed from 1.
+                r = (0, *ts.values) + (1,) * max(0, n_i - len(ts.values))
+                assert row.unmarked_sum == sum(r[h] for h in unmarked), (
+                    row.ideal.encode()
+                )
                 marked = 0
                 for m in range(n_i + 1):
                     if m and m not in unmarked:
-                        marked += ts.r(m)
+                        marked += r[m]
                     assert row.marked_sum(m) == marked, (row.ideal.encode(), m)
 
     def test_public_reports_hold_check_records(self):
