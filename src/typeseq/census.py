@@ -88,6 +88,7 @@ from .ideals import (
     canonical_ideal,
     dedekind_different,
     ideal_product,
+    members_from,
     tail_ideal,
 )
 from .invariants import (
@@ -529,8 +530,8 @@ def _semigroup_group(S: NumericalSemigroup) -> list[CheckTuple]:
         checks.append(_le("sg_type_bound", r, S.multiplicity - 1))
     checks.append(_eq("sg_gorenstein_iff_type_one", S.is_gorenstein, r == 1))
     arf = is_arf(S)
-    # R_i, the members of S from s_i on, for i = 1, ..., n, read off S's bits
-    chain = [RelativeIdeal(S, s, c, S.mask >> s) for s in S.small_elements[1 : n + 1]]
+    # R_i, the members of S from s_i on, for i = 1, ..., n
+    chain = [members_from(S, s) for s in S.small_elements[1 : n + 1]]
     tails = [tail_ideal(S, c + k) for k in (1, 2)]
     shifts = []  # g + K, inside S, for each nonzero g of the different S - K
     if c:

@@ -9,7 +9,9 @@ is the least member, so equal ideals have equal normal forms.
 
 Each operation computes membership on a finite window that provably
 contains all undecided values; the one-line justification for the window
-bounds sits next to each implementation.
+bounds sits next to each implementation.  An operation aligns its
+operands, makes one call and normalizes: one AND or OR on ``_aligned``
+bits, or one call of the generator kernels ``colon_bits``/``sum_bits``.
 """
 
 from __future__ import annotations
@@ -24,13 +26,20 @@ from .errors import (
     NotIntegralProper,
     ParentMismatch,
 )
-from .semigroup import NumericalSemigroup, _bit_positions, _ones
+from .semigroup import (
+    NumericalSemigroup,
+    _bit_positions,
+    _ones,
+    _reflect,
+    colon_bits,
+    sum_bits,
+)
 
 
 class RelativeIdeal:
     """Immutable relative ideal in ``(min_element, conductor, mask)`` form."""
 
-    __slots__ = ("parent", "min_element", "conductor", "mask", "_dual")
+    __slots__ = ("parent", "min_element", "conductor", "mask")
 
     def __init__(
         self,
@@ -54,7 +63,6 @@ class RelativeIdeal:
         self.min_element = min_element
         self.conductor = conductor
         self.mask = mask
-        self._dual: RelativeIdeal | None = None
 
     # -- membership and views ------------------------------------------------
 
@@ -82,12 +90,7 @@ class RelativeIdeal:
         return tuple([m + k for k in _bit_positions(self.mask)])
 
     def is_subset_of(self, other: "RelativeIdeal") -> bool:
-        if self.parent != other.parent:
-            raise ParentMismatch("ideals belong to different semigroups")
-        lo = min(self.min_element, other.min_element)
-        hi = max(self.conductor, other.conductor)
-        mine = self.bits_below(hi) << (self.min_element - lo)
-        theirs = other.bits_below(hi) << (other.min_element - lo)
+        _, _, mine, theirs = _aligned(self, other)
         return mine & ~theirs == 0
 
     # -- encoding ------------------------------------------------------------
@@ -176,6 +179,20 @@ def _normalized(
     return RelativeIdeal(parent, mn, cond, win >> (mn - lo))
 
 
+def _aligned(E: RelativeIdeal, F: RelativeIdeal) -> tuple[int, int, int, int]:
+    """(lo, hi, e_bits, f_bits): E and F as membership bits on [lo, hi).
+
+    lo is the lesser minimum and hi the greater conductor, so every
+    integer >= hi is in both and none below lo is in either.
+    """
+    if E.parent != F.parent:
+        raise ParentMismatch("ideals belong to different semigroups")
+    lo = min(E.min_element, F.min_element)
+    hi = max(E.conductor, F.conductor)
+    e_bits = E.bits_below(hi) << (E.min_element - lo)
+    return lo, hi, e_bits, F.bits_below(hi) << (F.min_element - lo)
+
+
 # -- constructors -------------------------------------------------------------
 
 
@@ -189,14 +206,14 @@ def tail_ideal(S: NumericalSemigroup, start: int) -> RelativeIdeal:
     return RelativeIdeal(S, start, start, 0)
 
 
+def members_from(S: NumericalSemigroup, m: int) -> RelativeIdeal:
+    """The ideal of the members of S from m >= 0 on; the tail if m >= c."""
+    return _normalized(S, m, max(S.conductor, m), S.mask >> m)
+
+
 def maximal_ideal(S: NumericalSemigroup) -> RelativeIdeal:
     """Nonzero members of S; for S = N this is the tail from 1."""
-    if S.conductor == 0:
-        return tail_ideal(S, 1)
-    e = S.multiplicity
-    return RelativeIdeal(
-        S, e, S.conductor, (S.mask >> e) & _ones(S.conductor - e)
-    )
+    return members_from(S, 1)
 
 
 def principal_ideal(S: NumericalSemigroup, g: int) -> RelativeIdeal:
@@ -224,33 +241,11 @@ def ideal_from_generators(S: NumericalSemigroup, generators) -> RelativeIdeal:
 # -- arithmetic ----------------------------------------------------------------
 
 
-def colon_bits(a_bits: int, b_bits: int, e: int) -> int:
-    """The translate intersection behind every colon: AND of a_bits >> g.
-
-    g runs over the bit positions of ``b_bits`` that hold the least member
-    of their residue class mod e.  With e the multiplicity these generate
-    B (e is in S), so bit i of the result says i + g is in A for every g
-    of B, which is A - B on the caller's layout.  ``b_bits`` must reach
-    B's conductor + e, so that every class has its least member there,
-    and ``a_bits`` must be exact up to every bit the shifts read.
-    ``colon`` and ``IdealTable.colon``/``colons`` call it.
-    """
-    gens = b_bits & ~(b_bits << e)
-    acc = -1
-    while gens:
-        low = gens & -gens
-        acc &= a_bits >> (low.bit_length() - 1)
-        gens ^= low
-    return acc
-
-
 def colon(A: RelativeIdeal, B: RelativeIdeal) -> RelativeIdeal:
     """The ideal quotient A - B = {z : z + B inside A}.
 
-    Generators: with e the multiplicity, the least member of B in each
-    residue class mod e generates B (e is in S), so A - B is the
-    intersection of the translates A - g over these at most e members g;
-    ``colon_bits`` is that intersection, shared with ``IdealTable``.
+    Generators: A - B is the intersection of the translates A - g over
+    the generators g of B that ``colon_bits`` reads, one per residue class.
 
     Window: z >= conductor(A) - min(B) shifts all of B into the tail of A,
     and z < min(A) - min(B) sends min(B) below min(A); so the window
@@ -269,10 +264,8 @@ def colon(A: RelativeIdeal, B: RelativeIdeal) -> RelativeIdeal:
 
 
 def dual(E: RelativeIdeal) -> RelativeIdeal:
-    """S - E, cached on the instance (idempotent, so safe to race)."""
-    if E._dual is None:
-        E._dual = colon(unit_ideal(E.parent), E)
-    return E._dual
+    """S - E."""
+    return colon(unit_ideal(E.parent), E)
 
 
 def bidual(E: RelativeIdeal) -> RelativeIdeal:
@@ -282,8 +275,12 @@ def bidual(E: RelativeIdeal) -> RelativeIdeal:
 def ideal_product(E: RelativeIdeal, F: RelativeIdeal) -> RelativeIdeal:
     """Sumset E + F (the ideal product in the value model).
 
+    Generators: E + S = E, so E + F is the union of the translates E + g
+    over the generators g of F that ``sum_bits`` reads, one per residue class.
+
     Window: everything >= conductor(E) + min(F) is min(F) plus a tail
-    member of E, and symmetrically; the smaller of the two bounds is used.
+    member of E, and symmetrically; the smaller of the two bounds, hi, is
+    used.  A generator of F at or past hi - min(E) adds nothing below hi.
     """
     if E.parent != F.parent:
         raise ParentMismatch("ideals belong to different semigroups")
@@ -291,47 +288,26 @@ def ideal_product(E: RelativeIdeal, F: RelativeIdeal) -> RelativeIdeal:
         E, F = F, E
     lo = E.min_element + F.min_element
     hi = E.conductor + F.min_element
-    acc = 0
-    fb = F.bits_below(hi - E.min_element)
-    while fb:
-        low = fb & -fb
-        j = low.bit_length() - 1
-        fb ^= low
-        acc |= E.bits_below(hi - (F.min_element + j)) << j
+    e = E.parent.multiplicity
+    b = F.bits_below(hi - E.min_element)
+    acc = sum_bits(E.bits_below(hi - F.min_element), b, e)
     return _normalized(E.parent, lo, hi, acc)
 
 
 def ideal_union(E: RelativeIdeal, F: RelativeIdeal) -> RelativeIdeal:
     """Module sum E + F as sets (union of members)."""
-    if E.parent != F.parent:
-        raise ParentMismatch("ideals belong to different semigroups")
-    lo = min(E.min_element, F.min_element)
-    hi = max(E.conductor, F.conductor)
-    acc = (E.bits_below(hi) << (E.min_element - lo)) | (
-        F.bits_below(hi) << (F.min_element - lo)
-    )
-    return _normalized(E.parent, lo, hi, acc)
+    lo, hi, e_bits, f_bits = _aligned(E, F)
+    return _normalized(E.parent, lo, hi, e_bits | f_bits)
 
 
 def ideal_intersection(E: RelativeIdeal, F: RelativeIdeal) -> RelativeIdeal:
-    if E.parent != F.parent:
-        raise ParentMismatch("ideals belong to different semigroups")
-    lo = max(E.min_element, F.min_element)
-    hi = max(E.conductor, F.conductor)
-    acc = (E.bits_below(hi) >> (lo - E.min_element)) & (
-        F.bits_below(hi) >> (lo - F.min_element)
-    )
-    return _normalized(E.parent, lo, hi, acc)
+    lo, hi, e_bits, f_bits = _aligned(E, F)
+    return _normalized(E.parent, lo, hi, e_bits & f_bits)
 
 
 def length_between(E: RelativeIdeal, F: RelativeIdeal) -> int:
     """l(E/F): the number of members of E outside F (F must sit inside E)."""
-    if E.parent != F.parent:
-        raise ParentMismatch("ideals belong to different semigroups")
-    lo = min(E.min_element, F.min_element)
-    hi = max(E.conductor, F.conductor)
-    e_bits = E.bits_below(hi) << (E.min_element - lo)
-    f_bits = F.bits_below(hi) << (F.min_element - lo)
+    _, _, e_bits, f_bits = _aligned(E, F)
     if f_bits & ~e_bits:
         raise NotContained("l(E/F) needs F inside E")
     return (e_bits & ~f_bits).bit_count()
@@ -346,14 +322,11 @@ def canonical_ideal(S: NumericalSemigroup) -> RelativeIdeal:
 
     Window: for x >= conductor the difference drops below 0, always a gap,
     and for x < 0 it exceeds the frobenius, always a member; so K has
-    minimum 0 and conductor equal to S's.
+    minimum 0 and conductor equal to S's.  Its window bits are the gap
+    bits of S reflected about c - 1.
     """
     c = S.conductor
-    bits = 0
-    for x in range(c):
-        if not (S.mask >> (c - 1 - x)) & 1:
-            bits |= 1 << x
-    return RelativeIdeal(S, 0, c, bits)
+    return RelativeIdeal(S, 0, c, _reflect(~S.mask & _ones(c), c - 1))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -375,11 +348,7 @@ def require_proper(E: RelativeIdeal) -> None:
 def integral_closure(E: RelativeIdeal) -> RelativeIdeal:
     """Members of S at or above min(E): the largest ideal with E's minimum."""
     require_proper(E)
-    S = E.parent
-    m = E.min_element
-    if m >= S.conductor:
-        return tail_ideal(S, m)
-    return RelativeIdeal(S, m, S.conductor, (S.mask >> m) & _ones(S.conductor - m))
+    return members_from(E.parent, E.min_element)
 
 
 def is_integrally_closed(E: RelativeIdeal) -> bool:

@@ -45,15 +45,16 @@ relation; the census tallies those tuples as they are.
 The row of an ``IdealTable`` is the one record of these per-ideal
 quantities: a and b, the lengths, I**, K.I, the marks and d are computed
 there and nowhere else, the lazy ones on first read, stored in the row
-without a lock.  K.I is the union of K's window bits shifted to I's
-least member in each residue class.  ``ab_invariants``, ``d_invariant``,
-``decomposition_check`` and ``overring_check`` read the row of a one-row
-table built for their ideal; no caller hands in a row.  The census builds
-one table per semigroup by ``IdealTable.family``, whose ideal walk carries
-I* down by one AND per step, and hands its rows to the ideals, pairs,
-colon_growth and equivalences groups.  The overrings group reads the same
-table: every conductor ideal S - T is proper and integral with conductor
-c, so it is a row of conductor c, whatever the window.
+without a lock.  Colons and K.I are one call each of the semigroup
+module's kernels ``colon_bits`` and ``sum_bits``.  ``ab_invariants``,
+``d_invariant``, ``decomposition_check`` and ``overring_check`` read the
+row of a one-row table built for their ideal; no caller hands in a row.
+The census builds one table per semigroup by ``IdealTable.family``,
+whose ideal walk carries I* down by one AND per step, and hands its rows
+to the ideals, pairs, colon_growth and equivalences groups.  The
+overrings group reads the same table: every conductor ideal S - T is
+proper and integral with conductor c, so it is a row of conductor c,
+whatever the window.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from operator import attrgetter, eq, ge, le
+from operator import attrgetter, eq, ge, le, sub
 from typing import NamedTuple
 
 from .errors import (
@@ -74,7 +75,6 @@ from .ideals import (
     RelativeIdeal,
     _normalized,
     canonical_ideal,
-    colon_bits,
     dedekind_different,
     dual,
     length_between,
@@ -82,7 +82,15 @@ from .ideals import (
     tail_ideal,
     unit_ideal,
 )
-from .semigroup import NumericalSemigroup, _bit_positions, _ones, from_bits, is_arf
+from .semigroup import (
+    NumericalSemigroup,
+    _bit_positions,
+    _ones,
+    colon_bits,
+    from_bits,
+    is_arf,
+    sum_bits,
+)
 
 try:
     from operator import call
@@ -150,8 +158,9 @@ def _chain_dual_lengths(S: NumericalSemigroup, m: int) -> tuple[int, ...]:
     members = S.bits_below(c + top)
     acc = _ones(top) << c  # S - R_m, the tail from c - s_m
     lengths = [top]
-    for i in range(m, 0, -1):
-        acc &= members << (top - S.small_element(i - 1))
+    # s_{m-1}, ..., s_0: the extended small elements below s_m, backwards
+    for s in reversed(S.small_elements[:-1] + tuple(range(c, top))):
+        acc &= members << (top - s)
         lengths.append(acc.bit_count())
     lengths.reverse()
     return tuple(lengths)
@@ -170,7 +179,7 @@ def type_sequence(S: NumericalSemigroup) -> TypeSequence:
     (``sg_ts_deficit_sum``).
     """
     L = _chain_dual_lengths(S, S.n)
-    return TypeSequence(S, tuple(L[i] - L[i - 1] for i in range(1, S.n + 1)))
+    return TypeSequence(S, tuple(map(sub, L[1:], L[:-1])))
 
 
 def extended_type_sequence(S: NumericalSemigroup, m: int) -> tuple[int, ...]:
@@ -178,7 +187,7 @@ def extended_type_sequence(S: NumericalSemigroup, m: int) -> tuple[int, ...]:
     if m < S.n:
         raise InvalidInput(f"extension length {m} is below n = {S.n}")
     L = _chain_dual_lengths(S, m)
-    return tuple(L[i] - L[i - 1] for i in range(1, m + 1))
+    return tuple(map(sub, L[1:], L[:-1]))
 
 
 class _lazy:
@@ -271,20 +280,14 @@ class IdealRow:
     def omega(self) -> int:
         """K.I bits, the product with the canonical ideal, cut to the window.
 
-        With e the multiplicity, the least member g of I in each residue
-        class mod e generates I (the generators ``colon_bits`` uses), so
-        K.I is the union of the translates K + g.  A generator at or past
-        top adds nothing below top, where K.I is full anyway.
+        One ``sum_bits`` call: K + g over I's generators g.  I is proper,
+        so its bits shifted down by offset lose nothing and keep each shift
+        of K narrow.  A generator at or past top adds nothing below top,
+        where K.I is full anyway.
         """
         table = self.table
-        canonical, offset = table.canonical, table.offset
-        gens = self.bits & ~(self.bits << table.S.multiplicity)
-        acc = 0
-        while gens:
-            low = gens & -gens
-            acc |= canonical << (low.bit_length() - 1 - offset)
-            gens ^= low
-        return acc & table.window
+        gens = self.bits >> table.offset
+        return sum_bits(table.canonical, gens, table.S.multiplicity) & table.window
 
     @_lazy
     def principal(self) -> bool:
@@ -370,8 +373,8 @@ class IdealTable:
     J - X for rows J and X (it starts above -offset and is full from top
     on).  On this layout E is inside F exactly when ``E & ~F == 0``, and
     l(F/E) is then the difference of the popcounts.  ``colon`` takes
-    these colons on the window through ``ideals.colon_bits``, the kernel
-    of ``ideals.colon``.  The chain data read the cached ``type_sequence``
+    these colons on the window through ``colon_bits``, the kernel of
+    ``ideals.colon`` and of the Apery pass.  The chain data read the cached ``type_sequence``
     of S, extended by r_h = 1 past n: ``prefix`` holds its running sums,
     ``chain_dual_length`` the lengths of the S - R_i, and the level masks
     L_2, ..., L_r (``levels``) the window bits of the small elements

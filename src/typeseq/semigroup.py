@@ -8,14 +8,18 @@ normal form used everywhere in this package is the pair
 x in [0, conductor); every integer >= conductor is a member by definition
 of the conductor, so no bits are stored for the tail.
 
+An ideal of S is generated by its least member in each residue class mod
+the multiplicity e.  The kernels ``colon_bits`` and ``sum_bits`` hold this
+rule; every colon, product and Apery pass in the package is one call of one.
+
 Each fact about a semigroup is computed once per instance.  ``n`` and
 ``genus`` are plain attributes set on construction.  One pass over the
 Apery set of the multiplicity yields both the minimal generators and the
 pseudo-Frobenius bits; the type is the popcount of those bits, and the
-``pseudo_frobenius`` tuple is built only when read.  A child S - {x} in
-the semigroup tree (``_child``) inherits its facts instead: its small
-elements, minimal generators and pseudo-Frobenius bits follow from its
-parent's by slicing and one AND each, with no Apery pass.  ``encode()``
+``pseudo_frobenius`` tuple is built from them on each read.  A child
+S - {x} in the semigroup tree (``_child``) inherits its facts instead: its
+small elements, minimal generators and pseudo-Frobenius bits follow from
+its parent's by slicing and one AND each, with no Apery pass.  ``encode()``
 keeps its string after the first call.  None of these caches is pickled.
 """
 
@@ -61,6 +65,42 @@ def _reflect(bits: int, axis: int) -> int:
     return int(bin(bits)[:1:-1], 2) << (axis + 1 - bits.bit_length())
 
 
+def colon_bits(a_bits: int, b_bits: int, e: int) -> int:
+    """The translate intersection behind every colon: AND of a_bits >> g.
+
+    g runs over the bit positions of ``b_bits`` that hold the least member
+    of their residue class mod e.  With e the multiplicity these generate
+    B (e is in S), so bit i of the result says i + g is in A for every g
+    of B, which is A - B on the caller's layout.  ``b_bits`` must reach
+    B's conductor + e, so that every class has its least member there,
+    and ``a_bits`` must be exact up to every bit the shifts read.
+    """
+    gens = b_bits & ~(b_bits << e)
+    acc = -1
+    while gens:
+        low = gens & -gens
+        acc &= a_bits >> (low.bit_length() - 1)
+        gens ^= low
+    return acc
+
+
+def sum_bits(a_bits: int, b_bits: int, e: int) -> int:
+    """The translate union behind every product: OR of a_bits << g.
+
+    g runs over the class minima of ``b_bits`` as in ``colon_bits``, so for
+    A + S = A the result is A + B, exact where the shifts read exact bits.
+    ``b_bits`` may stop early where every later generator would shift
+    ``a_bits`` past the caller's window.
+    """
+    gens = b_bits & ~(b_bits << e)
+    acc = 0
+    while gens:
+        low = gens & -gens
+        acc |= a_bits << (low.bit_length() - 1)
+        gens ^= low
+    return acc
+
+
 class NumericalSemigroup:
     """Immutable numerical semigroup in ``(conductor, mask)`` normal form.
 
@@ -81,7 +121,6 @@ class NumericalSemigroup:
         "genus",
         "_mingens",
         "_pf_bits",
-        "_pf",
         "_enc",
     )
 
@@ -104,7 +143,6 @@ class NumericalSemigroup:
         self.genus = conductor - n
         self._mingens: tuple[int, ...] | None = None
         self._pf_bits: int | None = None
-        self._pf: tuple[int, ...] | None = None
         self._enc: str | None = None
 
     # -- membership and views ------------------------------------------------
@@ -143,31 +181,24 @@ class NumericalSemigroup:
     def _apery_pass(self) -> int:
         """Fill the minimal generators and pseudo-Frobenius bits (c > 0).
 
-        With e the multiplicity, every nonzero member is w + k*e with w in
-        the Apery set Ap(S, e), whose nonzero part is the bits of
-        B & ~(B << e) & ~1 for B the membership bits below c + e.
+        With e the multiplicity, the class minima of M, the nonzero members
+        below c + e, are e and the nonzero part of the Apery set Ap(S, e).
 
-        Generators: a sum x = a + b of nonzero members with x - e not in S
-        has a and b in Ap(S, e), so the generators are the bits of
-        M & ~((M << e) | OR over those w of (M << w)), with M = B & ~1.
+        Generators: the bits of M outside M + M.  M + S is M below c + e,
+        so M + M is ``sum_bits(M, M, e)`` there.
 
         Pseudo-Frobenius: a gap x has x + s in S for every nonzero member s
-        exactly when x + e and every x + w are members, so the gap bits
-        are ANDed with W >> e and each W >> w, W the bits below 2c + e.
+        exactly when x plus each class minimum is a member, so the gap bits
+        are ANDed with ``colon_bits(W, M, e)``, W the bits below 2c + e.
 
         Returns the pseudo-Frobenius bits.
         """
         c = self.conductor
         e = self.small_elements[1]
         wide = self.bits_below(2 * c + e)
-        members = wide & _ones(c + e)
-        nonzero = members & ~1
-        sums = nonzero << e
-        pf = ~self.mask & _ones(c) & (wide >> e)
-        for w in _bit_positions(members & ~(members << e) & ~1):
-            sums |= nonzero << w
-            pf &= wide >> w
-        self._mingens = _bit_positions(nonzero & ~sums)
+        nonzero = wide & _ones(c + e) & ~1
+        pf = ~self.mask & _ones(c) & colon_bits(wide, nonzero, e)
+        self._mingens = _bit_positions(nonzero & ~sum_bits(nonzero, nonzero, e))
         self._pf_bits = pf
         return pf
 
@@ -214,7 +245,6 @@ class NumericalSemigroup:
             split = inner & _reflect(inner, x + e)
             T._mingens = rest if split else rest + (x + e,)
         T._pf_bits = (pf & _reflect(~self.mask & _ones(c), x)) | 1 << x
-        T._pf = None
         T._enc = None
         return T
 
@@ -235,15 +265,10 @@ class NumericalSemigroup:
         For S = N the same colon-style definition gives {-1}, matching the
         convention that the valuation ring has type 1.
         """
-        if self._pf is None:
-            if self.conductor == 0:
-                self._pf = (-1,)
-            else:
-                pf = self._pf_bits
-                self._pf = _bit_positions(
-                    self._apery_pass() if pf is None else pf
-                )
-        return self._pf
+        if self.conductor == 0:
+            return (-1,)
+        pf = self._pf_bits
+        return _bit_positions(self._apery_pass() if pf is None else pf)
 
     @property
     def type(self) -> int:

@@ -37,6 +37,8 @@ from typeseq import (
 S345 = from_generators((3, 4, 5))
 S35 = from_generators((3, 5))
 N = from_generators((1,))
+# Conductors in the hundreds, past what the hypothesis strategies draw.
+WIDE = [from_generators((2, 401)), from_generators((17, 23, 41))]
 
 
 @st.composite
@@ -208,7 +210,8 @@ class TestCanonical:
         assert 0 in K and 1 in K and 2 not in K
 
     def test_canonical_matches_set_oracle(self):
-        for gens in ((3, 4, 5), (2, 3), (4, 5, 7), (5, 6, 9)):
+        # (2, 401) and (17, 23, 41) have conductors 400 and 176.
+        for gens in ((3, 4, 5), (2, 3), (4, 5, 7), (5, 6, 9), (2, 401), (17, 23, 41)):
             S = from_generators(gens)
             K = canonical_ideal(S)
             top = S.conductor + 4
@@ -233,9 +236,16 @@ class TestCanonical:
 
 
 class TestProductLattice:
-    @given(ideal_st(parent=S345), ideal_st(parent=S345))
+    @given(ideal_pair_st())
+    @example(  # generator 5 of the first adds 11, the product window's last bit
+        (
+            RelativeIdeal.decode(from_generators((3, 7, 8)), "4|4,5,7,8|10"),
+            RelativeIdeal.decode(from_generators((3, 7, 8)), "6|6|8"),
+        )
+    )
     @settings(max_examples=80, deadline=None)
-    def test_product_matches_sumset_oracle(self, E, F):
+    def test_product_matches_sumset_oracle(self, pair):
+        E, F = pair
         got = ideal_product(E, F)
         top = got.conductor + 5
         # any sum below top uses a <= top - F.min, so read that far into E
@@ -243,6 +253,21 @@ class TestProductLattice:
         B = oracles.ideal_set(F, top - F.conductor - E.min_element)
         want = {x for x in oracles.sum_set(A, B, top) if x < top}
         assert {x for x in range(got.min_element, top) if x in got} == want
+
+    @pytest.mark.parametrize("S", [N, S345] + WIDE, ids=lambda S: f"c{S.conductor}")
+    def test_wide_and_far_apart_products_match_sumset_oracle(self, S):
+        c = S.conductor
+        wide = ideal_from_generators(S, (S.multiplicity + 1, c // 2))
+        negative = ideal_from_generators(S, (-7, 2))
+        far = ideal_from_generators(S, (3 * c + 50, 3 * c + 53))
+        for E, F in ((wide, wide), (wide, negative), (negative, far), (far, wide)):
+            got = ideal_product(E, F)
+            assert got.min_element == E.min_element + F.min_element
+            top = got.conductor + 5
+            A = oracles.ideal_set(E, top - E.conductor - F.min_element)
+            B = oracles.ideal_set(F, top - F.conductor - E.min_element)
+            want = oracles.sum_set(A, B, top)
+            assert {x for x in range(got.min_element, top) if x in got} == want
 
     @given(ideal_st(parent=S345), ideal_st(parent=S345))
     @settings(max_examples=60, deadline=None)
@@ -323,6 +348,23 @@ class TestClosureAndLengths:
         assert integral_closure(E) == tail_ideal(S345, 4)
         assert not is_integrally_closed(E)
         assert is_integrally_closed(maximal_ideal(S345))
+
+    @pytest.mark.parametrize("S", [N, S345] + WIDE, ids=lambda S: f"c{S.conductor}")
+    def test_maximal_ideal_and_closure_match_set_oracle(self, S):
+        # S = N is all tail; from the conductor on, the closure is a tail.
+        c = S.conductor
+        members = oracles.semigroup_set(S, 8)
+        top = c + 8
+
+        def as_set(E):
+            return {x for x in range(-1, top + 1) if x in E}
+
+        assert as_set(maximal_ideal(S)) == members - {0}
+        for m in {S.multiplicity, S.small_element(2), c, c + 1, c + 3} - {0}:
+            closure = integral_closure(principal_ideal(S, m))
+            assert as_set(closure) == {x for x in members if x >= m}
+            if m >= c:
+                assert closure == tail_ideal(S, m)
 
     def test_length_between_counts_members(self):
         E = ideal_from_generators(S345, (4, 5))

@@ -214,7 +214,13 @@ def _drop_top_generator(kernel):
 @fault
 def colon_kernel_drops_generator(mp):
     """The colon kernel forgets the highest generator of B."""
-    _rebind(mp, ideals, "colon_bits", _drop_top_generator)
+    _rebind(mp, semigroup, "colon_bits", _drop_top_generator)
+
+
+@fault
+def sum_kernel_drops_generator(mp):
+    """The sum kernel forgets the highest generator of B."""
+    _rebind(mp, semigroup, "sum_bits", _drop_top_generator)
 
 
 def _with_frobenius(K, S):
@@ -549,6 +555,13 @@ def test_wrong_type_sequence_fails_named_ids(name):
     failed, signals = matrix()[name]
     assert "sg_ts_first_is_type" in failed
     assert not [s for s in signals if s.startswith("exit")]
+
+
+def test_sum_kernel_fault_fails_the_product_checks():
+    # A row's K.I and the semigroup group's K + R_i are sum_bits calls, so
+    # a lost generator shows in the checks that read them.
+    failed, _ = matrix()["sum_kernel_drops_generator"]
+    assert {"a_via_omega_growth", "d_via_omega_product", "sg_ts_two_paths"} <= failed
 
 
 def test_no_fault_stops_a_group_as_bad_input():
