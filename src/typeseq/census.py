@@ -10,9 +10,9 @@ its small elements, minimal generators and pseudo-Frobenius bits come
 down the tree by slicing and one AND each, not from an Apery pass.
 
 The proper integral ideals with conductor in a window above that of S
-come from one stack walk on S's membership bits, ``IdealTable.family``:
-it yields each ideal as a table row and carries its dual I* down the
-walk by one AND per take, in place of a colon per ideal.  The ideals,
+come from one reverse search, ``IdealTable.family``: the parent of an
+ideal J is J minus min(J), every node is a table row, and I* comes down
+the tree by one AND per step, in place of a colon per ideal.  The ideals,
 pairs, colon_growth, equivalences and overrings groups, and the
 negative-a search, read this one table per semigroup; each row is the
 one record of its ideal's invariants.  The ideals group takes each row's
@@ -31,8 +31,8 @@ difference, and a colon J - X one call of the table's colon kernel.  The
 colon_growth group samples rows and takes its intersections, unions and
 colons on these bits: l((J - M)/J) once per row drawn, and the two
 colons of a sample with J filled and shifted once.  The semigroup group
-reads a and b of its chain, tail and shifted canonical ideals off one
-table.  The overrings group walks the oversemigroups T of S by reverse
+reads a, b and K.R_i of its chain, tail and shifted canonical ideals off
+one table.  The overrings group walks the oversemigroups T of S by reverse
 search (``oversemigroup_walk``), each once, with the bits of T and of
 its conductor ideal S - T, which comes down the tree by one AND per
 step.  S - T is proper and integral with conductor c, so it is a row of
@@ -87,7 +87,6 @@ from .ideals import (
     RelativeIdeal,
     canonical_ideal,
     dedekind_different,
-    ideal_product,
     members_from,
     tail_ideal,
 )
@@ -151,7 +150,7 @@ class CensusQuery:
     """Range and options for one census run.
 
     Exactly one of ``max_genus``, ``max_conductor`` or ``semigroups``
-    (explicit encodings) selects the population.
+    (explicit encodings, decoded and guarded here) selects the population.
     """
 
     max_genus: int | None = None
@@ -180,6 +179,7 @@ class CensusQuery:
         bad = [g for g in self.groups() if g not in GROUPS]
         if bad:
             raise InvalidInput(f"unknown check groups: {bad}")
+        explicit = [NumericalSemigroup.decode(text) for text in self.semigroups or ()]
         if not self.allow_large:
             guard = _genus_guard()
             cond_guard = max(_CONDUCTOR_GUARD, 2 * guard)
@@ -187,6 +187,9 @@ class CensusQuery:
                 raise BoundTooLarge(
                     f"max_genus {self.max_genus} above guard {guard}"
                 )
+            genus = max((S.genus for S in explicit), default=0)
+            if genus > guard:
+                raise BoundTooLarge(f"a semigroup of genus {genus} above guard {guard}")
             if self.max_conductor is not None and self.max_conductor > cond_guard:
                 raise BoundTooLarge(
                     f"max_conductor {self.max_conductor} above guard {cond_guard}"
@@ -539,7 +542,8 @@ def _semigroup_group(S: NumericalSemigroup) -> list[CheckTuple]:
         theta = dedekind_different(S)
         gs = theta.window_members + (theta.conductor,)
         shifts = [RelativeIdeal(S, g, g + K.conductor, K.mask) for g in gs if g]
-    rows = IdealTable(S, chain + tails + shifts).rows
+    table = IdealTable(S, chain + tails + shifts)
+    rows = table.rows
     acc_a = 0
     acc_b = 0
     for i in range(1, n + 1):
@@ -561,13 +565,11 @@ def _semigroup_group(S: NumericalSemigroup) -> list[CheckTuple]:
         sig = sigma(S)
         for row in rows[n + 2 :]:
             checks.append(_eq("sg_different_shift_a_is_sigma", row.a, sig))
-        # second computation path: r_i = l((K + R_{i-1}) / (K + R_i)), the
-        # drop in members below a top where every K + R_i is full.  Counts
-        # need no containment, so a walk that yields a non-semigroup fails
-        # the check instead of stopping the group.
-        products = [K] + [ideal_product(K, R) for R in chain]
-        top = max(P.conductor for P in products)
-        counts = [P.bits_below(top).bit_count() for P in products]
+        # second path: r_i = l((K + R_{i-1}) / (K + R_i)), from the window
+        # counts of K and of the chain rows' K.I.  Counts need no containment,
+        # so a walk that yields a non-semigroup fails the check, not the group.
+        counts = [table.canonical.bit_count()]
+        counts += [row.omega.bit_count() for row in rows[:n]]
         for i in range(1, n + 1):
             checks.append(
                 _eq("sg_ts_two_paths", ts.values[i - 1], counts[i - 1] - counts[i])
@@ -736,7 +738,7 @@ def _run_semigroup(
         col.count(("colon_growth_bound",), count)
         col.fail(enc, "", checks)
     if "equivalences" in groups:
-        col.add(enc, "", ring_classification(S, window, table).checks)
+        col.add(enc, "", ring_classification(S, ideals=table).checks)
     if "overrings" in groups:
         c = S.conductor
         tail = table.tail_mask(c)

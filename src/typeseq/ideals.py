@@ -337,7 +337,7 @@ def dedekind_different(S: NumericalSemigroup) -> RelativeIdeal:
 
 def require_proper(E: RelativeIdeal) -> None:
     """Raise unless E is integral (inside S) and proper (0 not a member)."""
-    if E.min_element < 1:
+    if 0 in E:
         raise NotIntegralProper("0 must not be a member")
     if E.conductor < E.parent.conductor or not E.is_subset_of(
         unit_ideal(E.parent)

@@ -49,12 +49,13 @@ without a lock.  Colons and K.I are one call each of the semigroup
 module's kernels ``colon_bits`` and ``sum_bits``.  ``ab_invariants``,
 ``d_invariant``, ``decomposition_check`` and ``overring_check`` read the
 row of a one-row table built for their ideal; no caller hands in a row.
-The census builds one table per semigroup by ``IdealTable.family``,
-whose ideal walk carries I* down by one AND per step, and hands its rows
-to the ideals, pairs, colon_growth and equivalences groups.  The
-overrings group reads the same table: every conductor ideal S - T is
-proper and integral with conductor c, so it is a row of conductor c,
-whatever the window.
+The census builds one table per semigroup by ``IdealTable.family``, a
+reverse search in which the parent of an ideal is the ideal minus its
+least member, every node is a row and I* comes down by one AND per step;
+it hands the rows to the ideals, pairs, colon_growth and equivalences
+groups.  The overrings group reads the same table: every conductor ideal
+S - T is proper and integral with conductor c, so it is a row of
+conductor c, whatever the window.
 """
 
 from __future__ import annotations
@@ -383,7 +384,7 @@ class IdealTable:
     without 0 (``maximal``): the ideal is proper and integral.  Building
     the table computes each dual once, as the colon S - I; the table of
     ``family`` carries it down its ideal walk instead, one AND with a
-    ``translates`` entry S - x per member x taken.  Everything else, the
+    ``translates`` entry S - x per member x added.  Everything else, the
     masks included, is computed on first use.
     """
 
@@ -420,38 +421,36 @@ class IdealTable:
     def family(cls, S: NumericalSemigroup, window: int) -> IdealTable:
         """The table of every proper integral ideal within ``window`` of S.
 
-        One stack walk per conductor c_E in [max(c, 1), c + window] holds
-        (undecided, chosen, dual), undecided starting as the members of S
-        in [1, c_E - 1): a step leaves out the lowest undecided x, or takes
-        it with x + S below c_E, pruned if that reaches c_E - 1 (so each
-        ideal chosen + [c_E, oo) appears once).  The dual starts as the
-        tail from c - c_E, S - [c_E, oo), and each take of x ANDs in S - x
-        (``translates``).  Rows are in ``RelativeIdeal.sort_key`` order;
-        top is c + window + 1.
+        These are the ideals J that hold the tail from t = c + window, and a
+        reverse search from that tail (Avis & Fukuda 1996) reaches each once.
+        The parent of J is J minus m = min(J), again such an ideal: m < t,
+        and y + s = m with y in J, s in S forces s = 0.  The children of J
+        are the J + {x} for the members x of S in [1, m) with x + (S - {0})
+        inside J; every node is a row.  The duals come down by one AND each from the root's tail
+        from -window: S - (J + {x}) = (S - J) & (S - x), ``translates[x]``.
+        S = N at window 0 has no rows, its tail from 0 being S.  Rows are in
+        ``RelativeIdeal.sort_key`` order; top is t + 1.
         """
         if window < 0:
             raise InvalidInput(f"window must be non-negative, got {window}")
-        c = S.conductor
+        t = S.conductor + window
         table = cls.__new__(cls)
-        table._lay_out(S, c + window + 1)
-        offset, top, translates = table.offset, table.top, table.translates
-        rows = table.rows
-        for c_e in range(max(c, 1), top):
-            last = 1 << (c_e - 1)
-            tail = _ones(top - c_e) << c_e
-            stack = [(S.bits_below(c_e - 1) & ~1, 0, table.tail_mask(c - c_e))]
-            while stack:
-                undecided, chosen, dual = stack.pop()
-                if not undecided:
-                    rows.append(IdealRow(table, (chosen | tail) << offset, dual))
-                    continue
-                x = (undecided & -undecided).bit_length() - 1
-                stack.append((undecided ^ (1 << x), chosen, dual))  # x left out
-                closure = S.bits_below(c_e - x) << x  # x + S below c_E
-                if not closure & last:
-                    stack.append(
-                        (undecided & ~closure, chosen | closure, dual & translates[x])
-                    )
+        table._lay_out(S, t + 1)
+        offset, translates, rows = table.offset, table.translates, table.rows
+        whole, maximal = table.window, table.maximal
+        root = IdealRow(table, table.tail_mask(t), table.tail_mask(-window))
+        stack = [root] if t else []
+        while stack:
+            row = stack.pop()
+            rows.append(row)
+            bits = row.bits
+            holes, below = whole & ~bits, maximal & ((bits & -bits) - 1)
+            while below:  # the members x of S in [1, m)
+                low = below & -below
+                below ^= low
+                x = low.bit_length() - 1 - offset
+                if not (maximal << x) & holes:  # x + (S - {0}) inside J
+                    stack.append(IdealRow(table, bits | low, row.dual & translates[x]))
         # RelativeIdeal.sort_key: with min and c_E equal, bits order as masks
         rows.sort(key=attrgetter("min_element", "conductor", "bits"))
         return table

@@ -12,6 +12,7 @@ from test_kill_matrix import planted
 from typeseq import (
     BoundTooLarge,
     CensusQuery,
+    EncodingError,
     InvalidInput,
     NumericalSemigroup,
     WindowTooLarge,
@@ -408,7 +409,7 @@ class TestVerifyTheorems:
         assert parallel.to_json() == serial.to_json()
         assert cli.main(["census", "--max-genus", "3", "--checks", "ideals"]) == 1
 
-    @planted("colon_kernel_drops_generator", "translates_forget_multiplicity")
+    @planted("colon_kernel_drops_generator", "dual_loses_minimum_above_c")
     def test_planted_fault_fails_as_the_tuple_path_says(self):
         query = dict(
             max_genus=5, window=2, checks=("ideals", "pairs", "colon_growth")
@@ -696,6 +697,22 @@ class TestGuards:
     def test_worker_count_positive(self):
         with pytest.raises(ValueError):
             CensusQuery(max_genus=5, workers=0)
+
+    def test_explicit_semigroups_are_decoded_and_guarded(self, monkeypatch):
+        # Each encoding is decoded when the query is built, before any work
+        # and outside any pool worker, and its genus meets max_genus's guard.
+        with pytest.raises(EncodingError):
+            CensusQuery(semigroups=("garbage",))
+        with pytest.raises(EncodingError):
+            CensusQuery(semigroups=("0,3|3", "0,3"), allow_large=True)
+        with pytest.raises(BoundTooLarge, match="genus 39"):
+            CensusQuery(semigroups=EXPLICIT + ("0,40|40",))
+        query = CensusQuery(semigroups=("0,40|40",), allow_large=True)
+        assert query.to_dict()["semigroups"] == ["0,40|40"]
+        monkeypatch.setenv("TYPESEQ_MAX_GENUS", "5")
+        with pytest.raises(BoundTooLarge, match="genus 6"):
+            CensusQuery(semigroups=EXPLICIT)
+        assert CensusQuery(semigroups=EXPLICIT[:3]).semigroups == EXPLICIT[:3]
 
     def test_worker_guard(self):
         with pytest.raises(BoundTooLarge):

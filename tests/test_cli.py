@@ -122,6 +122,19 @@ class TestIdeal:
         assert json.loads(out)["error"]["code"] == "NotIntegralProper"
 
 
+    def test_ideal_with_a_negative_member_is_outside_the_semigroup(self, capsys):
+        # -1 + S misses 0, so the fault named is the negative member.
+        for text, message in (
+            ("-1", "the ideal must sit inside its semigroup"),
+            ("-4", "0 must not be a member"),
+        ):
+            argv = ["ideal", "--gens", "3,4,5", "--ideal", text, "--format", "json"]
+            code, out = run(argv, capsys)
+            assert code == 2, text
+            error = json.loads(out)["error"]
+            assert error == {"code": "NotIntegralProper", "message": message}, text
+
+
 class TestOverrings:
     def test_chain_of_345(self, capsys):
         code, out = run(["overrings", "--gens", "3,4,5", "--format", "json"], capsys)

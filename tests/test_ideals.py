@@ -382,3 +382,13 @@ class TestClosureAndLengths:
             ab_invariants(S345, unit_ideal(S345))
         with pytest.raises(NotIntegralProper):
             ab_invariants(S345, ideal_from_generators(S345, (-3,)))
+
+    def test_require_proper_names_the_fault(self):
+        from typeseq.ideals import require_proper
+
+        # -1 + S = {-1, 2, 3, ...} misses 0 but leaves S; -4 + S holds 0.
+        with pytest.raises(NotIntegralProper, match="sit inside its semigroup"):
+            require_proper(ideal_from_generators(S345, (-1,)))
+        with pytest.raises(NotIntegralProper, match="0 must not be a member"):
+            require_proper(ideal_from_generators(S345, (-4,)))
+        require_proper(ideal_from_generators(S345, (3,)))

@@ -485,6 +485,7 @@ class TestIdealTable:
             ideal_from_generators(S, (1,)),
             tail_ideal(S, 2),
             ideal_from_generators(S, (-4,)),
+            ideal_from_generators(S, (-1,)),
         ]
         for E in cases:
             with pytest.raises(NotIntegralProper) as want:

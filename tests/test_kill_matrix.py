@@ -324,6 +324,21 @@ def translates_forget_multiplicity(mp):
     _replace(mp, IdealTable, "translates", _then(_forget_multiplicity))
 
 
+def _dual_loses_minimum(init):
+    def faulty(row, table, bits, dual):
+        init(row, table, bits, dual)
+        if row.conductor > table.S.conductor:
+            init(row, table, bits, dual & (dual - 1))
+
+    return faulty
+
+
+@fault
+def dual_loses_minimum_above_c(mp):
+    """I* loses its least member on rows whose conductor is above c."""
+    _replace(mp, IdealRow, "__init__", _dual_loses_minimum)
+
+
 @fault
 def levels_shifted(mp):
     """r_sum reads the level masks from L_3 on, one level short."""
