@@ -73,10 +73,9 @@ from .classification import (
     TAG_B_EQ_RM1_CASE1,
     TAG_B_EQ_RM1_CASE2,
     TAG_B_LT,
+    _classify,
     _multiples_then_tail,
-    b_of_tail,
     case_j_semigroups,
-    classify_b,
     matches_small_b_ts_pattern,
     matches_small_b_value_pattern,
     ring_classification,
@@ -101,7 +100,14 @@ from .invariants import (
     sigma,
     type_sequence,
 )
-from .semigroup import NumericalSemigroup, from_bits, is_arf, oversemigroup_walk
+from .semigroup import (
+    NumericalSemigroup,
+    from_bits,
+    from_small_elements,
+    is_arf,
+    oversemigroup_walk,
+    parse_encoding,
+)
 
 GROUPS = (
     "semigroup",
@@ -150,7 +156,8 @@ class CensusQuery:
     """Range and options for one census run.
 
     Exactly one of ``max_genus``, ``max_conductor`` or ``semigroups``
-    (explicit encodings, decoded and guarded here) selects the population.
+    (explicit encodings, guarded from their text, then decoded here)
+    selects the population.
     """
 
     max_genus: int | None = None
@@ -179,7 +186,7 @@ class CensusQuery:
         bad = [g for g in self.groups() if g not in GROUPS]
         if bad:
             raise InvalidInput(f"unknown check groups: {bad}")
-        explicit = [NumericalSemigroup.decode(text) for text in self.semigroups or ()]
+        explicit = [parse_encoding(text) for text in self.semigroups or ()]
         if not self.allow_large:
             guard = _genus_guard()
             cond_guard = max(_CONDUCTOR_GUARD, 2 * guard)
@@ -187,7 +194,14 @@ class CensusQuery:
                 raise BoundTooLarge(
                     f"max_genus {self.max_genus} above guard {guard}"
                 )
-            genus = max((S.genus for S in explicit), default=0)
+            # The genus is read off the text, before decoding allocates c
+            # bits: c minus the members listed below c.  c <= 2 * genus for
+            # every semigroup, so this refuses every c past 2 * guard, and
+            # an encoding that passes lists all but at most guard of its c.
+            genus = max(
+                (c - len({x for x in members if x < c}) for members, c in explicit),
+                default=0,
+            )
             if genus > guard:
                 raise BoundTooLarge(f"a semigroup of genus {genus} above guard {guard}")
             if self.max_conductor is not None and self.max_conductor > cond_guard:
@@ -202,6 +216,8 @@ class CensusQuery:
                 raise BoundTooLarge(
                     f"workers {self.workers} above guard {_WORKERS_GUARD}"
                 )
+        for members, c in explicit:
+            from_small_elements(members, c)  # a bad encoding fails here
         _require_non_negative(
             window=self.window,
             max_genus=self.max_genus,
@@ -256,10 +272,13 @@ def _children(
     """S minus one minimal generator above the Frobenius number, each.
 
     Only children within the bounds are built: each has genus one more
-    than S, and removing x gives conductor x + 1, so the first generator
-    with x + 1 past ``max_conductor`` ends the ascending scan.
+    than S, and removing x gives conductor x + 1 >= c + 1, so an S with
+    c + 1 past ``max_conductor`` has none, and otherwise the first
+    generator with x + 1 past it ends the ascending scan.
     """
     if max_genus is not None and S.genus + 1 > max_genus:
+        return []
+    if max_conductor is not None and S.conductor + 1 > max_conductor:
         return []
     out = []
     for x in S.minimal_generators:
@@ -661,44 +680,47 @@ def _colon_growth_group(
 
 
 def _classification_group(S: NumericalSemigroup) -> tuple[list[CheckTuple], str]:
-    r = S.type
-    e = S.multiplicity
-    b = b_of_tail(S)
-    outcome = classify_b(S)
-    checks = list(outcome.checks)
+    """The checks of ``_classify`` and the census's own, with S's tag.
+
+    The core's checks are read as plain tuples: no outcome, no records.
+    """
+    tag, b, r, e, _, own = _classify(S)
     value_pat = matches_small_b_value_pattern(S)
     ts_pat = matches_small_b_ts_pattern(S)
     small_b = 0 <= b < r - 1
-    checks.append(_eq("class_b_lt_value_set", small_b, value_pat))
-    checks.append(_eq("class_b_lt_type_seq", small_b, ts_pat))
-    if S.conductor and not S.is_gorenstein:
-        if b == r - 1:
+    checks = [
+        *own,
+        _eq("class_b_lt_value_set", small_b, value_pat),
+        _eq("class_b_lt_type_seq", small_b, ts_pat),
+    ]
+    if tag == TAG_B_EQ_RM1_CASE1 or tag == TAG_B_EQ_RM1_CASE2:
+        passed = all(map(_passes, own))
+        if tag == TAG_B_EQ_RM1_CASE1:
+            case1, case2 = passed, False
+        else:
             multiples, p = _multiples_then_tail(S)
             case1 = value_pat or (multiples and S.conductor == p * e + 2)
-            case2 = outcome.tag == TAG_B_EQ_RM1_CASE2 and outcome.passed
-            if outcome.tag == TAG_B_EQ_RM1_CASE1:
-                case1 = outcome.passed
-                case2 = False
-            checks.append(
-                (
-                    "class_b_eq_rm1_unique_pattern",
-                    int(case1) + int(case2) == 1,
-                    int(case1),
-                    int(case2),
-                )
+            case2 = passed
+        checks.append(
+            (
+                "class_b_eq_rm1_unique_pattern",
+                int(case1) + int(case2) == 1,
+                int(case1),
+                int(case2),
             )
-        if b == r:
-            g_case = outcome.tag == TAG_B_EQ_R_G and outcome.passed
-            j_case = S in case_j_semigroups()
-            checks.append(
-                (
-                    "class_b_eq_r_family",
-                    int(g_case) + int(j_case) == 1,
-                    int(g_case),
-                    int(j_case),
-                )
+        )
+    elif tag == TAG_B_EQ_R_G or tag == TAG_B_EQ_R_J:
+        g_case = tag == TAG_B_EQ_R_G and all(map(_passes, own))
+        j_case = S in case_j_semigroups()
+        checks.append(
+            (
+                "class_b_eq_r_family",
+                int(g_case) + int(j_case) == 1,
+                int(g_case),
+                int(j_case),
             )
-    return checks, outcome.tag
+        )
+    return checks, tag
 
 
 _IDEAL_GROUPS = ("ideals", "pairs", "colon_growth", "equivalences")

@@ -12,7 +12,12 @@ ideal and verifies the splitting of b = b(tail) it induces.
 type r and, for b <= r, verifies the complete list of member patterns,
 type-sequence patterns, and quotient lengths that the classification
 asserts for that bucket; any miss is reported as a failed check rather
-than an exception.
+than an exception.  One core, ``_classify``, does this work: it reads
+r, e and b once, returns at b > r before any pattern is looked at, and
+hands back the tag, the parameters and plain check tuples.
+``classify_b`` is its public view, with a ``ClassificationOutcome`` and
+``Check`` records; the census and ``window_profile`` call the core
+itself and build neither.
 """
 
 from __future__ import annotations
@@ -269,7 +274,7 @@ def window_profile(S: NumericalSemigroup) -> WindowProfile:
         z=z,
         late_indices=late,
         early_indices=early,
-        classification_tag=classify_b(S).tag,
+        classification_tag=_classify(S)[0],
         checks=_records(checks),
     )
 
@@ -290,11 +295,17 @@ class ClassificationOutcome:
 
 
 def _multiples_then_tail(S: NumericalSemigroup) -> tuple[bool, int]:
-    """Whether the members below c are exactly 0, e, 2e, ..., pe."""
+    """Whether the members below c are exactly 0, e, 2e, ..., pe; and p.
+
+    There are n of them, so p = n - 1 and the pattern says that S.mask is
+    the base-2^e repunit of n digits, (2^(ne) - 1) / (2^e - 1).  Its top
+    member (n - 1)e is below c, so ne >= c + e rules the pattern out, and
+    the repunit is built only below that.
+    """
     e = S.multiplicity
-    below = S.small_elements[:-1]
-    ok = all(below[i] == i * e for i in range(len(below)))
-    return ok, len(below) - 1
+    n = S.n
+    ok = n * e < S.conductor + e and S.mask == ((1 << n * e) - 1) // ((1 << e) - 1)
+    return ok, n - 1
 
 
 def _head_constant_ts(S: NumericalSemigroup, value: int) -> bool:
@@ -372,50 +383,49 @@ TAG_B_EQ_R_J = "B_EQ_R_CASE_J"
 TAG_B_GT = "B_GT_R"
 
 
-def classify_b(S: NumericalSemigroup) -> ClassificationOutcome:
-    """Tag S by the position of b = b(tail) relative to the type.
+def _classify(S: NumericalSemigroup):
+    """The one classification: (tag, b, r, e, extra parameters, checks).
 
-    For every b <= r tag the asserted member pattern, type-sequence
-    pattern and quotient length are verified independently; a pattern miss
-    is reported as a failed check so censuses can surface it.
+    Reads r = S.type, e = S.multiplicity and b = ``b_of_tail(S)`` once.
+    The checks are plain tuples.  For S = N, a Gorenstein S and b > r
+    there are none and the extra parameters are None: no pattern is
+    looked at.
     """
-    if S.conductor == 0 or S.is_gorenstein:
-        return ClassificationOutcome(S.encode(), TAG_GORENSTEIN, {}, ())
-    e = S.multiplicity
-    c = S.conductor
     r = S.type
+    e = S.multiplicity
     b = b_of_tail(S)
-    checks: list[CheckTuple] = []
-    params: dict[str, int | str] = {"b": b, "r": r, "e": e}
+    if S.conductor == 0 or S.is_gorenstein:
+        return TAG_GORENSTEIN, b, r, e, None, ()
+    if b > r:
+        return TAG_B_GT, b, r, e, None, ()
+    c = S.conductor
 
     if b < r - 1:
         _, p = _multiples_then_tail(S)
-        params["p"] = p
         ts = type_sequence(S).values
-        value_ok = matches_small_b_value_pattern(S)
-        ts_ok = matches_small_b_ts_pattern(S)
-        checks.append(_eq("classify_value_pattern", value_ok, True))
-        checks.append(_eq("classify_ts_pattern", ts_ok, True))
-        checks.append(_eq("classify_quotient_length", quotient_length(S), 1))
-        checks.append(_eq("classify_conductor_value", c, (p + 1) * e - b))
-        checks.append(_eq("classify_type_value", r, e - 1))
-        checks.append(_eq("classify_last_entry", ts[-1], e - 1 - b))
-        return ClassificationOutcome(S.encode(), TAG_B_LT, params, _records(checks))
+        checks = [
+            _eq("classify_value_pattern", matches_small_b_value_pattern(S), True),
+            _eq("classify_ts_pattern", matches_small_b_ts_pattern(S), True),
+            _eq("classify_quotient_length", quotient_length(S), 1),
+            _eq("classify_conductor_value", c, (p + 1) * e - b),
+            _eq("classify_type_value", r, e - 1),
+            _eq("classify_last_entry", ts[-1], e - 1 - b),
+        ]
+        return TAG_B_LT, b, r, e, {"p": p}, checks
 
     if b == r - 1:
         if r == e - 1:
             mult_ok, p = _multiples_then_tail(S)
-            params["p"] = p
             ts = type_sequence(S).values
             value_ok = mult_ok and c == p * e + 2
             ts_ok = _head_constant_ts(S, e - 1) and ts[-1] == 1
-            checks.append(_eq("classify_value_pattern", value_ok, True))
-            checks.append(_eq("classify_ts_pattern", ts_ok, True))
-            checks.append(_eq("classify_quotient_length", quotient_length(S), 1))
-            return ClassificationOutcome(
-                S.encode(), TAG_B_EQ_RM1_CASE1, params, _records(checks)
-            )
-        checks.append(_eq("classify_type_value", r, e - 2))
+            checks = [
+                _eq("classify_value_pattern", value_ok, True),
+                _eq("classify_ts_pattern", ts_ok, True),
+                _eq("classify_quotient_length", quotient_length(S), 1),
+            ]
+            return TAG_B_EQ_RM1_CASE1, b, r, e, {"p": p}, checks
+        checks = [_eq("classify_type_value", r, e - 2)]
         ts = type_sequence(S).values
         small = S.small_elements
         fam = None
@@ -435,28 +445,38 @@ def classify_b(S: NumericalSemigroup) -> ClassificationOutcome:
         if fam is None:
             checks.append(_eq("classify_value_pattern", False, True))
         else:
-            params.update(fam)
             checks.append(_eq("classify_value_pattern", True, True))
             checks.append(_eq("classify_ts_pattern", ts_ok, True))
         checks.append(_eq("classify_quotient_length", quotient_length(S), 2))
-        return ClassificationOutcome(
-            S.encode(), TAG_B_EQ_RM1_CASE2, params, _records(checks)
-        )
+        return TAG_B_EQ_RM1_CASE2, b, r, e, fam, checks
 
-    if b == r:
-        shape = _case_g_shapes(S)
-        if shape is not None:
-            params.update(shape)
-            checks.append(_eq("classify_type_value", r, e - 2))
-            checks.append(_eq("classify_quotient_length", quotient_length(S), 2))
-            return ClassificationOutcome(
-                S.encode(), TAG_B_EQ_R_G, params, _records(checks)
-            )
-        in_j = S in case_j_semigroups()
-        checks.append(_eq("classify_value_pattern", in_j, True))
-        checks.append(_eq("classify_type_value", r, 2))
-        checks.append(_eq("classify_multiplicity_value", e, 5))
-        checks.append(_eq("classify_quotient_length", quotient_length(S), 3))
-        return ClassificationOutcome(S.encode(), TAG_B_EQ_R_J, params, _records(checks))
+    shape = _case_g_shapes(S)
+    if shape is not None:
+        checks = [
+            _eq("classify_type_value", r, e - 2),
+            _eq("classify_quotient_length", quotient_length(S), 2),
+        ]
+        return TAG_B_EQ_R_G, b, r, e, shape, checks
+    checks = [
+        _eq("classify_value_pattern", S in case_j_semigroups(), True),
+        _eq("classify_type_value", r, 2),
+        _eq("classify_multiplicity_value", e, 5),
+        _eq("classify_quotient_length", quotient_length(S), 3),
+    ]
+    return TAG_B_EQ_R_J, b, r, e, None, checks
 
-    return ClassificationOutcome(S.encode(), TAG_B_GT, params, ())
+
+def classify_b(S: NumericalSemigroup) -> ClassificationOutcome:
+    """Tag S by the position of b = b(tail) relative to the type.
+
+    For every b <= r tag the asserted member pattern, type-sequence
+    pattern and quotient length are verified independently; a pattern miss
+    is reported as a failed check so censuses can surface it.  This is the
+    public view of ``_classify``: its parameters are b, r and e (none for
+    a Gorenstein S) and the tag's extra ones, its checks ``Check`` records.
+    """
+    tag, b, r, e, extra, checks = _classify(S)
+    params: dict[str, int | str] = {}
+    if tag != TAG_GORENSTEIN:
+        params = {"b": b, "r": r, "e": e, **(extra or {})}
+    return ClassificationOutcome(S.encode(), tag, params, _records(checks))

@@ -313,15 +313,7 @@ class NumericalSemigroup:
 
     @classmethod
     def decode(cls, text: str) -> "NumericalSemigroup":
-        parts = text.split("|")
-        if len(parts) != 2:
-            raise EncodingError(f"bad semigroup encoding: {text!r}")
-        try:
-            conductor = int(parts[1])
-            elements = [int(t) for t in parts[0].split(",") if t != ""]
-        except ValueError as exc:
-            raise EncodingError(f"bad semigroup encoding: {text!r}") from exc
-        return from_small_elements(elements, conductor)
+        return from_small_elements(*parse_encoding(text))
 
     # -- value identity --------------------------------------------------------
 
@@ -373,6 +365,22 @@ def from_generators(generators) -> NumericalSemigroup:
             step *= 2
     t = (~mask & full).bit_length()  # one past the largest gap
     return NumericalSemigroup(t, mask & _ones(t))
+
+
+def parse_encoding(text: str) -> tuple[list[int], int]:
+    """The listed members and the conductor of an encoding, unchecked.
+
+    Reads the text only: nothing of the conductor's size is allocated.
+    """
+    parts = text.split("|")
+    if len(parts) != 2:
+        raise EncodingError(f"bad semigroup encoding: {text!r}")
+    try:
+        conductor = int(parts[1])
+        elements = [int(t) for t in parts[0].split(",") if t != ""]
+    except ValueError as exc:
+        raise EncodingError(f"bad semigroup encoding: {text!r}") from exc
+    return elements, conductor
 
 
 def from_small_elements(elements, conductor: int) -> NumericalSemigroup:

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -17,6 +18,7 @@ from typeseq import (
     NumericalSemigroup,
     WindowTooLarge,
     classification_census,
+    classify_b,
     enumerate_ideals,
     enumerate_semigroups,
     from_generators,
@@ -587,6 +589,15 @@ class TestClassificationCensus:
             "B_GT_R": 438,
         }
 
+    def test_tallies_equal_the_public_tags(self):
+        # The census classifies through the core; its tallies are those of
+        # classify_b's tags over the same walk.
+        rep = classification_census(max_conductor=20)
+        want = Counter(
+            classify_b(S).tag for S in enumerate_semigroups(max_conductor=20)
+        )
+        assert rep.classification_tallies == dict(want)
+
     def test_members_are_recorded_for_small_tags(self):
         rep = classification_census(max_conductor=14)
         assert set(rep.classification_members["B_EQ_R_CASE_J"]) == {
@@ -713,6 +724,21 @@ class TestGuards:
         with pytest.raises(BoundTooLarge, match="genus 6"):
             CensusQuery(semigroups=EXPLICIT)
         assert CensusQuery(semigroups=EXPLICIT[:3]).semigroups == EXPLICIT[:3]
+
+    def test_huge_conductor_is_refused_from_the_text(self, monkeypatch):
+        # The genus is read off the text, so a short encoding of a huge
+        # conductor is refused before decoding allocates c bits.
+        monkeypatch.delenv("TYPESEQ_MAX_GENUS", raising=False)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BoundTooLarge) as info:
+                CensusQuery(semigroups=("0|100000000",))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert info.value.code == "BoundTooLarge"
+        assert str(info.value) == "a semigroup of genus 99999999 above guard 12"
+        assert peak < 1 << 20
 
     def test_worker_guard(self):
         with pytest.raises(BoundTooLarge):

@@ -1,5 +1,7 @@
 """Ring classification by b of the tail, and the conductor-window profile."""
 
+import hashlib
+
 import pytest
 
 from conftest import negative_a_semigroup, semigroups_up_to
@@ -11,13 +13,16 @@ from typeseq import (
     case_j_semigroups,
     classify_b,
     enumerate_ideals,
+    enumerate_semigroups,
     from_generators,
+    from_small_elements,
     gamma_invariants,
     is_principal,
     quotient_length,
     ring_classification,
     window_profile,
 )
+from typeseq.classification import _multiples_then_tail
 
 
 class TestClassifyB:
@@ -98,6 +103,47 @@ class TestClassifyB:
     def test_parameters_example(self):
         out = classify_b(from_generators((3, 4, 5)))
         assert out.parameters == {"b": 0, "r": 2, "e": 3, "p": 0}
+
+
+    def test_public_view_is_pinned(self):
+        # (tag, parameters, checks) of every semigroup with c <= 22, as
+        # classify_b gave them before it became a view of _classify.
+        h = hashlib.sha256()
+        for S in enumerate_semigroups(max_conductor=22):
+            out = classify_b(S)
+            h.update(repr((out.tag, out.parameters, out.checks)).encode())
+        assert h.hexdigest()[:16] == "4d046a97e481ad01"
+
+
+def _multiples_by_scan(S):
+    """(members below c are 0, e, ..., pe; p) by a scan of the members."""
+    e = S.multiplicity
+    below = S.small_elements[:-1]
+    return all(s == i * e for i, s in enumerate(below)), len(below) - 1
+
+
+class TestMultiplesThenTail:
+    def test_bit_form_matches_a_scan(self):
+        wide = from_generators((3, 4))  # 0, 3, 4 below c = 6: ne = c + e
+        assert wide.n * wide.multiplicity >= wide.conductor + wide.multiplicity
+        cases = [
+            *enumerate_semigroups(max_conductor=20),
+            from_generators((1,)),
+            from_generators((2, 401)),
+            from_small_elements([0, 7, 14, 21], 23),
+            wide,
+        ]
+        for S in cases:
+            assert _multiples_then_tail(S) == _multiples_by_scan(S), S.encode()
+
+    def test_named_cases(self):
+        assert _multiples_then_tail(from_generators((1,))) == (True, -1)
+        assert _multiples_then_tail(from_generators((2, 401))) == (True, 199)
+        assert _multiples_then_tail(from_small_elements([0, 7, 14, 21], 23)) == (
+            True,
+            3,
+        )
+        assert _multiples_then_tail(from_generators((3, 4))) == (False, 2)
 
 
 class TestQuotientLength:
