@@ -32,11 +32,9 @@ colon_growth group samples rows and takes its intersections, unions and
 colons on these bits: l((J - M)/J) once per row drawn, and the two
 colons of a sample with J filled and shifted once.  The semigroup group
 reads a, b and K.R_i of its chain, tail and shifted canonical ideals off
-one table.  The overrings group walks the oversemigroups T of S by reverse
-search (``oversemigroup_walk``), each once, with the bits of T and of
-its conductor ideal S - T, which comes down the tree by one AND per
-step.  S - T is proper and integral with conductor c, so it is a row of
-the same table, found by its window bits among the rows of conductor c;
+one table.  The overrings group walks the oversemigroups T of S by the
+same reverse search on the same table (``IdealTable.oversemigroup_walk``),
+each once, with the window bits of T and of S - T, a row of conductor c;
 the group tallies the tuple ``overring_checks`` produces from that row
 and T's bits.  The colon S - T it takes there is a second path to the
 row, and a row it disagrees with, or an S - T that is no row, raises
@@ -105,7 +103,6 @@ from .semigroup import (
     from_bits,
     from_small_elements,
     is_arf,
-    oversemigroup_walk,
     parse_encoding,
 )
 
@@ -275,19 +272,25 @@ def _children(
     than S, and removing x gives conductor x + 1 >= c + 1, so an S with
     c + 1 past ``max_conductor`` has none, and otherwise the first
     generator with x + 1 past it ends the ascending scan.
+
+    Siblings are in the order of their encodings, by an integer key: T_x
+    and T_y with x < y agree up to x - 1, then read str(x + 1) and str(x),
+    of equal length, so T_x sorts after T_y, unless x + 1 = 10^k, where
+    "1" < "9" puts T_x first.  At most one generator is such an x: all lie
+    in [c, c + e), e <= c, and 10^k - 1 >= c is 9 * 10^k below the next.
     """
     if max_genus is not None and S.genus + 1 > max_genus:
         return []
     if max_conductor is not None and S.conductor + 1 > max_conductor:
         return []
-    out = []
+    xs = []
     for x in S.minimal_generators:
         if max_conductor is not None and x + 1 > max_conductor:
             break
         if x > S.conductor - 1:
-            out.append(S._child(x))
-    out.sort(key=NumericalSemigroup.encode)
-    return out
+            xs.append(x)
+    xs.sort(key=lambda x: (0, x) if str(x + 1).rstrip("0") == "1" else (1, -x))
+    return [S._child(x) for x in xs]
 
 
 def enumerate_semigroups(
@@ -487,7 +490,7 @@ class _Collector:
         self.signatures: dict[tuple[str, ...], int] = {}
         self.violations: list[Violation] = []
 
-    def add(self, sg: str, name, checks) -> None:
+    def add(self, sg, name, checks) -> None:
         """Tally a sequence of checks on an object of S, or on S for "".
 
         The ids are counted at C speed; the failures go to ``fail``.
@@ -501,19 +504,16 @@ class _Collector:
         if k:
             self.signatures[signature] = self.signatures.get(signature, 0) + k
 
-    def fail(self, sg: str, name, checks) -> None:
+    def fail(self, sg, name, checks) -> None:
         """Record the failed ones of ``checks`` as violations.
 
-        ``name`` is the object's encoding, or a function that returns it,
-        called only here, when one of the checks failed.
+        ``sg`` and ``name`` are the encodings of S and of the object, or
+        functions that return them, called only here, when a check failed.
         """
-        if not isinstance(name, str):
-            name = name()
-        self.violations.extend(
-            Violation(sg, name, cid, lhs, rhs)
-            for cid, passed, lhs, rhs in checks
-            if not passed
-        )
+        failed = [(cid, lhs, rhs) for cid, passed, lhs, rhs in checks if not passed]
+        if failed:
+            sg, name = (x if isinstance(x, str) else x() for x in (sg, name))
+            self.violations += (Violation(sg, name, *check) for check in failed)
 
     def check_tallies(self) -> dict[str, int]:
         """The tally of each check id, the signatures' ones included."""
@@ -739,7 +739,7 @@ def _run_semigroup(
     ``need_ideals`` says whether any of ``groups`` other than overrings
     reads the ideal table; only then are its rows counted.
     """
-    enc = S.encode()
+    enc = S.encode  # called only to name a violation
     need_table = need_ideals or "overrings" in groups
     table = IdealTable.family(S, window) if need_table else None
     tag = None
@@ -763,15 +763,15 @@ def _run_semigroup(
         col.add(enc, "", ring_classification(S, ideals=table).checks)
     if "overrings" in groups:
         c = S.conductor
-        tail = table.tail_mask(c)
         at_c = {row.bits: row for row in table.rows if row.conductor == c}
-        for members, ideal in oversemigroup_walk(S):
-            row = at_c.get(ideal << table.offset | tail)
+        offset, top = table.offset, table.top
+        for members, ideal in table.oversemigroup_walk():
+            row = at_c.get(ideal)
             if row is None:
-                T = from_bits(members, c).encode()
+                T = from_bits(members >> offset, top).encode()
                 raise InternalInconsistency(f"S - T for T = {T} is not a table row")
             checks = overring_checks(S, members, row)
-            col.add(enc, lambda: from_bits(members, c).encode(), checks)
+            col.add(enc, lambda: from_bits(members >> offset, top).encode(), checks)
     if "profile" in groups and S.conductor:
         col.add(enc, "", window_profile(S).checks)
     if "classification" in groups:

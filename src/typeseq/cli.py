@@ -176,7 +176,7 @@ def _cmd_overrings(args) -> dict:
     table = IdealTable(S, [conductor_ideal(S, T) for T in overs])
     rows = []
     for T, row in zip(overs, table.rows):
-        checks = overring_checks(S, T.bits_below(S.conductor), row)
+        checks = overring_checks(S, T.bits_below(table.top) << table.offset, row)
         rows.append(
             {
                 "overring": T.encode(),

@@ -49,12 +49,12 @@ without a lock.  Colons and K.I are one call each of the semigroup
 module's kernels ``colon_bits`` and ``sum_bits``.  ``ab_invariants``,
 ``d_invariant``, ``decomposition_check`` and ``overring_check`` read the
 row of a one-row table built for their ideal; no caller hands in a row.
-The census builds one table per semigroup by ``IdealTable.family``, a
-reverse search in which the parent of an ideal is the ideal minus its
-least member, every node is a row and I* comes down by one AND per step;
-it hands the rows to the ideals, pairs, colon_growth and equivalences
-groups.  The overrings group reads the same table: every conductor ideal
-S - T is proper and integral with conductor c, so it is a row of
+The census builds one table per semigroup by ``IdealTable.family`` and
+hands its rows to the ideals, pairs, colon_growth and equivalences
+groups.  Its ideals and the oversemigroups T of S come from one reverse
+search on the table's window (``IdealTable._reverse_search``), each dual
+coming down by one AND per step; every conductor ideal S - T is proper
+and integral with conductor c, so the walk's S - T is a row of
 conductor c, whatever the window.
 """
 
@@ -383,9 +383,9 @@ class IdealTable:
     set of S's window bits as popcounts.  A row's bits must lie in S
     without 0 (``maximal``): the ideal is proper and integral.  Building
     the table computes each dual once, as the colon S - I; the table of
-    ``family`` carries it down its ideal walk instead, one AND with a
-    ``translates`` entry S - x per member x added.  Everything else, the
-    masks included, is computed on first use.
+    ``family`` carries it down its reverse search instead, one AND with
+    S - x, a shift of ``filled``, per member x added.  Everything else,
+    the masks included, is computed on first use.
     """
 
     def __init__(self, S: NumericalSemigroup, ideals):
@@ -412,7 +412,8 @@ class IdealTable:
         e, span = S.multiplicity, self.offset + self.top
         self._fill_a = _ones(self.top + e) << span
         self._fill_b = _ones(e) << span
-        self._unit_a = (self.unit | self._fill_a) << self.offset
+        self.filled = self.unit | self._fill_a  # S - x is filled >> x
+        self._unit_a = self.filled << self.offset
         self.maximal = self.unit & ~(1 << self.offset)  # S without 0
         self.unit_length = self.unit.bit_count()
         self.rows: list[IdealRow] = []
@@ -421,39 +422,69 @@ class IdealTable:
     def family(cls, S: NumericalSemigroup, window: int) -> IdealTable:
         """The table of every proper integral ideal within ``window`` of S.
 
-        These are the ideals J that hold the tail from t = c + window, and a
-        reverse search from that tail (Avis & Fukuda 1996) reaches each once.
-        The parent of J is J minus m = min(J), again such an ideal: m < t,
-        and y + s = m with y in J, s in S forces s = 0.  The children of J
-        are the J + {x} for the members x of S in [1, m) with x + (S - {0})
-        inside J; every node is a row.  The duals come down by one AND each from the root's tail
-        from -window: S - (J + {x}) = (S - J) & (S - x), ``translates[x]``.
-        S = N at window 0 has no rows, its tail from 0 being S.  Rows are in
-        ``RelativeIdeal.sort_key`` order; top is t + 1.
+        These are the ideals J that hold the tail from t = c + window: the
+        nodes of ``_reverse_search`` from that tail, with I* from the tail
+        from -window.  The parent of J is J minus m = min(J), again such an
+        ideal: m < t, and y + s = m with y in J, s in S forces s = 0.  Every
+        node is a row.  S = N at window 0 has no rows, its tail from 0 being
+        S.  Rows are in ``RelativeIdeal.sort_key`` order; top is t + 1.
         """
         if window < 0:
             raise InvalidInput(f"window must be non-negative, got {window}")
         t = S.conductor + window
         table = cls.__new__(cls)
         table._lay_out(S, t + 1)
-        offset, translates, rows = table.offset, table.translates, table.rows
-        whole, maximal = table.window, table.maximal
-        root = IdealRow(table, table.tail_mask(t), table.tail_mask(-window))
-        stack = [root] if t else []
+        if t:
+            root, dual = table.tail_mask(t), table.tail_mask(-window)
+            walk = table._reverse_search(0, table.maximal, 0, root, dual)
+            table.rows = [IdealRow(table, bits, dual) for bits, dual in walk]
+            # RelativeIdeal.sort_key: with min and c_E equal, bits order as masks
+            table.rows.sort(key=attrgetter("min_element", "conductor", "bits"))
+        return table
+
+    def oversemigroup_walk(self):
+        """Each oversemigroup T != S once, as the window bits of T and S - T.
+
+        The nodes of ``_reverse_search`` from S but S.  The parent of T is
+        T minus m = min(T - S), again an oversemigroup: the nonzero members
+        of T below m lie in S, and so do their sums.  S - T is proper and
+        integral with conductor c, so on the table of ``family`` it is a row.
+        """
+        unit = self.unit
+        gaps = self.tail_mask(0) & ~unit
+        walk = self._reverse_search(unit, gaps, self.tail_mask(1), unit, unit)
+        return itertools.islice(walk, 1, None)  # S itself is the root
+
+    def _reverse_search(self, base: int, pool: int, own: int, root: int, dual: int):
+        """Each node of a reverse search (Avis & Fukuda 1996) once, with its dual.
+
+        Yields window bits (X, S - X) from ``root`` and its ``dual`` on.  The
+        parent of X is X minus m = min(X - base); its children are the
+        X + {x} for x in ``pool`` below m (any at X = base), with x + C in
+        X + {x}, C being S - {0} and the members of X + {x} in ``own``.
+        S - (X + {x}) = (S - X) & (S - x), one shift of ``filled``.  The test
+        reads the sets shifted down by offset: no node has a negative member.
+        The argument sets: ideals (base 0, pool S - {0}, own 0, root a tail),
+        oversemigroups (base and root S, pool its gaps, own the integers from
+        1) and classes E with S + E = E, S inside E (as for T, but own 0).
+        """
+        offset, filled, whole = self.offset, self.filled, _ones(self.top)
+        maximal = self.maximal >> offset
+        base, pool, own = base >> offset, pool >> offset, own >> offset
+        stack = [(root, dual)]
         while stack:
-            row = stack.pop()
-            rows.append(row)
-            bits = row.bits
-            holes, below = whole & ~bits, maximal & ((bits & -bits) - 1)
-            while below:  # the members x of S in [1, m)
+            bits, dual = stack.pop()
+            yield bits, dual
+            node = bits >> offset
+            holes, new = whole & ~node, node & ~base
+            closure = maximal | (node & own)
+            below = pool & ((new & -new) - 1)  # all of pool when new is 0
+            while below:
                 low = below & -below
                 below ^= low
-                x = low.bit_length() - 1 - offset
-                if not (maximal << x) & holes:  # x + (S - {0}) inside J
-                    stack.append(IdealRow(table, bits | low, row.dual & translates[x]))
-        # RelativeIdeal.sort_key: with min and c_E equal, bits order as masks
-        rows.sort(key=attrgetter("min_element", "conductor", "bits"))
-        return table
+                x = low.bit_length() - 1
+                if not ((closure | (low & own)) << x) & holes:
+                    stack.append((bits | (low << offset), dual & (filled >> x)))
 
     def bits_of(self, E: RelativeIdeal) -> int:
         """E's members below top, placed on the absolute window."""
@@ -494,11 +525,6 @@ class IdealTable:
         S - R_0 = S has c - genus members below c, and each step adds r_i.
         """
         return self.prefix[i] + self.top - self.S.genus
-
-    @_lazy
-    def translates(self) -> list[int]:
-        """Bits of S - x for x below top: S's bits, filled and shifted down by x."""
-        return [(self.unit | self._fill_a) >> x for x in range(self.top)]
 
     @_lazy
     def canonical(self) -> int:
@@ -817,13 +843,14 @@ def overring_check(S: NumericalSemigroup, T: NumericalSemigroup) -> OverringRepo
     if T == S:
         return OverringReport(S.encode(), T.encode(), "", 0, 0, ())
     row = IdealTable(S, [conductor_ideal(S, T)]).rows[0]
+    members = T.bits_below(row.table.top) << row.table.offset
     return OverringReport(
         semigroup=S.encode(),
         oversemigroup=T.encode(),
         conductor_ideal=row.ideal.encode(),
         length=S.genus - T.genus,
         min_index=S.small_index(row.min_element),
-        checks=_records(overring_checks(S, T.bits_below(S.conductor), row)),
+        checks=_records(overring_checks(S, members, row)),
     )
 
 
@@ -832,22 +859,20 @@ def overring_checks(
 ) -> tuple[CheckTuple, ...]:
     """The l(T/S) formulas for the row of I = S - T in a table of S.
 
-    ``members`` holds the members of T below the conductor c of S (T
-    contains S, so it is full from c), as ``oversemigroup_walk`` yields
-    them.  I is proper and integral with conductor c, so it is a row of
-    any table that holds S's ideals of conductor c, whatever its top.  The
-    row is checked against T by one colon on its table, a second path to
-    the intersections the walk took; the census and the CLI tally or show
-    these tuples as they are.  A row that is not S - T is a fault of the
-    program that chose it and raises ``InternalInconsistency``.
+    ``members`` holds T's bits on the row's table window, as
+    ``IdealTable.oversemigroup_walk`` yields them.  I is proper and integral
+    with conductor c, so it is a row of any table that holds S's ideals of
+    conductor c, whatever its top.  The row is checked against T by one
+    colon on its table, a second path to the intersections the walk took;
+    the census and the CLI tally or show these tuples as they are.  A row
+    that is not S - T is a fault of the program that chose it and raises
+    ``InternalInconsistency``.
     """
     table = row.table
-    c = S.conductor
-    t_bits = (members | _ones(table.top - c) << c) << table.offset
-    if table.colon(table.unit, t_bits) != row.bits:
-        T = from_bits(members, c)
+    if table.colon(table.unit, members) != row.bits:
+        T = from_bits(members >> table.offset, table.top)
         raise InternalInconsistency(f"the row is not S - T for T = {T.encode()}")
-    t_length = t_bits.bit_count()
+    t_length = members.bit_count()
     L = t_length - table.unit_length
     # T** = S - (S - T) is I*.
     l_t_growth = row.dual_length - t_length

@@ -442,53 +442,25 @@ def from_bits(members: int, stop: int) -> NumericalSemigroup:
     return NumericalSemigroup(c, members & _ones(c))
 
 
-def oversemigroup_walk(S: NumericalSemigroup):
-    """Each oversemigroup T != S once, by reverse search, with S - T.
-
-    The parent of T is T minus m = min(T - S) (Avis & Fukuda 1996):
-    nonzero members of T below m lie in S, and so do their sums, so m is a
-    minimal generator of T.  The children of U are thus the U + {g} for
-    the gaps g of U below min(U - S), any at U = S, with g + (U - {0}) and
-    2g inside U.  S - T comes down the same tree: S - (U + {g}) = (S - U) & (S - g),
-    with S - g the bits of S shifted down by g.  T and S - T are full from
-    the conductor c of S and are yielded as bits on [0, c);
-    ``from_bits(members, c)`` is T.
-    """
-    c = S.conductor
-    window = _ones(c)
-    wide = S.bits_below(2 * c)  # S - g below c reads S below c + g
-    stack = [(S.mask, c, S.mask)]
-    while stack:
-        members, bound, ideal = stack.pop()
-        holes = window & ~members
-        nonzero = members & ~1
-        gaps = holes & _ones(bound)
-        while gaps:
-            low = gaps & -gaps
-            gaps ^= low
-            g = low.bit_length() - 1
-            if not ((nonzero | low) << g) & holes:  # g + (U - {0}), 2g in U
-                child, child_ideal = members | low, ideal & (wide >> g)
-                yield child, child_ideal
-                stack.append((child, g, child_ideal))
-
-
 def oversemigroups(
     S: NumericalSemigroup, limit: int | None = None
 ) -> list[NumericalSemigroup]:
     """All numerical semigroups containing S, including S and N.
 
-    They are S and ``oversemigroup_walk``, sorted by descending genus and
-    then by small elements, so S comes first and N last.  Their number
-    grows exponentially with the genus, so with a ``limit`` the walk stops,
-    and ``BoundTooLarge`` is raised, as soon as the list would pass it; a
-    negative ``limit`` is an ``InvalidInput``.
+    They are S and the T of ``IdealTable.oversemigroup_walk``, sorted by
+    descending genus and then by small elements, so S comes first and N
+    last.  Their number grows exponentially with the genus, so with a
+    ``limit`` the walk stops, and ``BoundTooLarge`` is raised, as soon as
+    the list would pass it; a negative ``limit`` is an ``InvalidInput``.
     """
+    from .invariants import IdealTable  # invariants imports this module
+
     if limit is not None and limit < 0:
         raise InvalidInput(f"limit must be non-negative, got {limit}")
-    found = list(itertools.islice(oversemigroup_walk(S), limit))
+    table = IdealTable(S, [])
+    found = [T for T, _ in itertools.islice(table.oversemigroup_walk(), limit)]
     if limit is not None and len(found) >= limit:  # S makes len(found) + 1
         raise BoundTooLarge(f"more than {limit} oversemigroups (genus {S.genus})")
-    overs = [from_bits(members, S.conductor) for members, _ in found]
+    overs = [from_bits(members >> table.offset, table.top) for members in found]
     overs.sort(key=lambda T: (-T.genus, T.small_elements))
     return [S] + overs

@@ -55,7 +55,7 @@ from typeseq.invariants import (
     decomposition_tally,
     overring_checks,
 )
-from typeseq.semigroup import from_bits, is_arf, oversemigroup_walk
+from typeseq.semigroup import from_bits, is_arf
 
 
 def brute_ab(S, I):
@@ -352,18 +352,18 @@ class TestOverrings:
         # the public report.
         for S in semigroups_up_to(8):
             c = S.conductor
-            walk = list(oversemigroup_walk(S))
             want = {
-                (members, overring_check(S, from_bits(members, c)).checks)
-                for members, _ in walk
+                (T.bits_below(c), overring_check(S, T).checks)
+                for T in oversemigroups(S)[1:]
             }
             for window in range(3):
                 table = IdealTable.family(S, window)
                 at_c = {row.bits: row for row in table.rows if row.conductor == c}
                 got = set()
-                for members, ideal in walk:
-                    row = at_c[ideal << table.offset | table.tail_mask(c)]
-                    got.add((members, overring_checks(S, members, row)))
+                for members, ideal in table.oversemigroup_walk():
+                    T = from_bits(members >> table.offset, table.top)
+                    checks = overring_checks(S, members, at_c[ideal])
+                    got.add((T.bits_below(c), checks))
                 assert got == want, (S.encode(), window)
 
     def test_row_must_be_the_conductor_ideal_of_t(self):
@@ -373,7 +373,7 @@ class TestOverrings:
         own = table.bits_of(conductor_ideal(S, T))
         other = next(row for row in table.rows if row.bits != own)
         with pytest.raises(InternalInconsistency, match=T.encode()):
-            overring_checks(S, T.bits_below(S.conductor), other)
+            overring_checks(S, T.bits_below(table.top) << table.offset, other)
         rep = overring_check(S, S)
         assert (rep.length, rep.min_index, rep.conductor_ideal) == (0, 0, "")
         assert rep.checks == ()
@@ -554,7 +554,7 @@ class TestOnePath:
             table = IdealTable(S, [conductor_ideal(S, T) for T in overs])
             for T, row in zip(overs, table.rows):
                 assert overring_check(S, T).checks == (
-                    overring_checks(S, T.bits_below(S.conductor), row)
+                    overring_checks(S, T.bits_below(table.top) << table.offset, row)
                 ), (S.encode(), T.encode())
 
     def test_signature_expansion_matches_the_tuple_path(self):

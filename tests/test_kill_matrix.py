@@ -178,26 +178,6 @@ def arf_negated(mp):
     _rebind(mp, semigroup, "is_arf", _then(lambda arf, S: not arf))
 
 
-def _next_ideal(pairs, S):
-    pairs = list(pairs)
-    ideals = [ideal for _, ideal in pairs]
-    shifted = ideals[1:] + ideals[:1]
-    return [(members, ideal) for (members, _), ideal in zip(pairs, shifted)]
-
-
-@fault
-def oversemigroup_walk_pairs_next_ideal(mp):
-    """The oversemigroup walk pairs each T with the next T's S - T."""
-    _rebind(mp, semigroup, "oversemigroup_walk", _then(_next_ideal))
-
-
-@fault
-def oversemigroup_walk_yields_t_as_s_minus_t(mp):
-    """The oversemigroup walk yields T's own bits for S - T."""
-    own = _then(lambda pairs, S: [(members, members) for members, _ in pairs])
-    _rebind(mp, semigroup, "oversemigroup_walk", own)
-
-
 # -- ideals ----------------------------------------------------------------------
 
 
@@ -313,15 +293,40 @@ def last_entry_plus_one(mp):
 # -- the ideal table and its rows ------------------------------------------------
 
 
-def _forget_multiplicity(shifts, table):
-    shifts[table.S.multiplicity] = -1
-    return shifts
+def _next_ideal(pairs, table):
+    pairs = list(pairs)
+    ideals = [ideal for _, ideal in pairs]
+    shifted = ideals[1:] + ideals[:1]
+    return [(members, ideal) for (members, _), ideal in zip(pairs, shifted)]
+
+
+@fault
+def oversemigroup_walk_pairs_next_ideal(mp):
+    """The oversemigroup walk pairs each T with the next T's S - T."""
+    _replace(mp, IdealTable, "oversemigroup_walk", _then(_next_ideal))
+
+
+@fault
+def oversemigroup_walk_yields_t_as_s_minus_t(mp):
+    """The oversemigroup walk yields T's own bits for S - T."""
+    own = _then(lambda pairs, table: [(members, members) for members, _ in pairs])
+    _replace(mp, IdealTable, "oversemigroup_walk", own)
+
+
+def _forget_multiplicity(_, table, S, top):
+    e = S.multiplicity
+
+    class Forgetful(int):
+        def __rshift__(self, x):
+            return -1 if x == e else int(self) >> x
+
+    table.filled = Forgetful(table.filled)
 
 
 @fault
 def translates_forget_multiplicity(mp):
-    """The ideal walk forgets S - e when it takes the multiplicity e."""
-    _replace(mp, IdealTable, "translates", _then(_forget_multiplicity))
+    """The ideal walk forgets the translate S - e when it takes e."""
+    _replace(mp, IdealTable, "_lay_out", _then(_forget_multiplicity))
 
 
 def _dual_loses_minimum(init):

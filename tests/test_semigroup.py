@@ -25,7 +25,7 @@ from typeseq import (
     oversemigroups,
     ring_classification,
 )
-from typeseq.semigroup import oversemigroup_walk
+from typeseq.invariants import IdealTable
 
 
 class TestConstruction:
@@ -445,16 +445,30 @@ class TestOversemigroups:
     def test_walk_matches_gap_set_and_colon_oracles(self):
         # Genus <= 9: the walk yields each T != S with gaps(T) inside
         # gaps(S) once, and S - T equals the colon of the explicit sets.
+        # The census's layout, the table of ``family`` at windows 0 to 2,
+        # yields the same pairs as the table of top c + 1.
         gap_sets = set().union(*map(oracles.gap_set_semigroups, range(10)))
         for gaps in gap_sets:
             S = NumericalSemigroup.decode(oracles.encode_gap_set(gaps))
             c = S.conductor
-            walk = list(oversemigroup_walk(S))
-            got = [frozenset(x for x in range(c) if not T >> x & 1) for T, _ in walk]
+            walk = _walk_below_c(IdealTable(S, []), c)
+            census = [_walk_below_c(IdealTable.family(S, w), c) for w in range(3)]
+            got = [frozenset(range(c)) - T for T, _ in walk]
             assert len(got) == len(set(got)), S.encode()
             assert set(got) == {g for g in gap_sets if g < gaps}, S.encode()
             top = 3 * c + 2
             A = set(range(top)) - gaps
             for T_gaps, (_, ideal) in zip(got, walk):
                 want = oracles.colon_set(A, set(range(top)) - T_gaps, -c - 1, c, top)
-                assert {x for x in range(c) if ideal >> x & 1} == want, S.encode()
+                assert ideal == want, S.encode()
+            for window, pairs in enumerate(census):
+                assert set(pairs) == set(walk), (S.encode(), window)
+
+
+def _walk_below_c(table: IdealTable, c: int) -> list[tuple[frozenset, frozenset]]:
+    """The oversemigroup walk's pairs (T, S - T) as their members in [0, c)."""
+
+    def below(bits: int) -> frozenset[int]:
+        return frozenset(x for x in range(c) if bits >> (x + table.offset) & 1)
+
+    return [(below(T), below(I)) for T, I in table.oversemigroup_walk()]
