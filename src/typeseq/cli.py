@@ -26,6 +26,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -61,6 +62,11 @@ _CONDUCTOR_GUARD = 20_000
 # Most oversemigroups ``overrings`` lists without --allow-large; their
 # number grows exponentially with the genus, so the walk stops once past it.
 _OVERSEMIGROUP_GUARD = 10_000
+# Most numbers ``overrings`` lists without --allow-large: c_T - genus_T + 1
+# for each T, its members below c_T and c_T itself.  Few T can still list
+# about c^2 / 8 numbers (--gens 2,k: 2.0 million at k = 4,001, 8.0 million
+# at k = 8,001), and time and memory grow with them.
+_LISTING_GUARD = 3_000_000
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -75,6 +81,28 @@ def _guard_conductor(bound: int, args) -> None:
         raise BoundTooLarge(
             f"conductor bound {bound} above guard {_CONDUCTOR_GUARD}"
         )
+
+
+def _guard_listing(S: NumericalSemigroup) -> None:
+    """Refuse ``overrings`` on S when its listing passes ``_LISTING_GUARD``.
+
+    The walk yields each T's window bits, off which c_T - genus_T + 1 is
+    read before any T, conductor ideal or output row is built; it stops as
+    soon as the sum passes the guard, or once it has found
+    ``_OVERSEMIGROUP_GUARD`` of them, which ``oversemigroups`` refuses.
+    """
+    table = IdealTable(S, [])
+    offset, whole = table.offset, (1 << table.top) - 1
+    walk = itertools.islice(table.oversemigroup_walk(), _OVERSEMIGROUP_GUARD)
+    listed = 0
+    for members, _ in walk:
+        bits = members >> offset
+        c_T = (~bits & whole).bit_length()
+        listed += (bits & ((1 << c_T) - 1)).bit_count() + 1
+        if listed > _LISTING_GUARD:
+            raise BoundTooLarge(
+                f"the oversemigroups list more than {_LISTING_GUARD} numbers"
+            )
 
 
 def _semigroup_from_args(args) -> NumericalSemigroup:
@@ -172,6 +200,8 @@ def _cmd_ideal(args) -> dict:
 def _cmd_overrings(args) -> dict:
     S = _semigroup_from_args(args)
     limit = None if args.allow_large else _OVERSEMIGROUP_GUARD
+    if limit is not None:
+        _guard_listing(S)
     overs = oversemigroups(S, limit)[1:]
     table = IdealTable(S, [conductor_ideal(S, T) for T in overs])
     rows = []

@@ -44,8 +44,15 @@ relation; the census tallies those tuples as they are.
 
 The row of an ``IdealTable`` is the one record of these per-ideal
 quantities: a and b, the lengths, I**, K.I, the marks and d are computed
-there and nowhere else, the lazy ones on first read, stored in the row
-without a lock.  Colons and K.I are one call each of the semigroup
+there and nowhere else.  a, b and the lengths are set with the row; I**
+and K.I on first read; and everything that hangs off I** (the marks,
+their r-sum, c_{I**}, l(I**/I), d of I and of I**, the principal and
+closed flags) in one step on the first read of any of it.  Values are
+stored in the row without a lock, and the facts of S that every row
+reads are read once per table (``IdealTable.facts``).  d has a closed
+form: every unmarked s_{h-1} lies below c_{I**} <= c_I, so the marked
+sum up to n_I is prefix[n_I] less the unmarked r-sum (``IdealRow.d_for``).
+Colons and K.I are one call each of the semigroup
 module's kernels ``colon_bits`` and ``sum_bits``.  ``ab_invariants``,
 ``d_invariant``, ``decomposition_check`` and ``overring_check`` read the
 row of a one-row table built for their ideal; no caller hands in a row.
@@ -217,24 +224,53 @@ def ab_invariants(S: NumericalSemigroup, I: RelativeIdeal) -> tuple[int, int]:
     return row.a, row.b
 
 
+class _marked:
+    """A row attribute that ``IdealRow._mark`` sets together with the others.
+
+    The first read of any of them runs the step, which stores every mark in
+    the row's dict; later reads find them there, before this descriptor.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        obj._mark()
+        return obj.__dict__[self.name]
+
+
 class IdealRow:
     """One ideal of an ``IdealTable``: the one record of its invariants.
 
     I's window bits, min(I) and c_I read off them, I* (``dual``, which the
     table hands in) with the popcounts, l(S/I), l(I*/S), a and b are set
-    when the row is built.  These are computed on first use, each from the
-    row's bits, and stored in the row's dict without a lock: I itself
-    (``ideal``), l((I - M)/I) (``maximal_growth``), I** (``bidual``, the
-    colon S - I*) and its conductor (``bidual_conductor``), K.I
-    (``omega``, from the table's ``canonical`` bits), the flags
-    ``principal`` (I = min(I) + S) and ``closed`` (I = S from min(I) on),
-    the unmarked bits (``unmarked_bits``, S & ~I** below c_I), their r-sum
-    and d.  The sums of r_h over unmarked or marked indices are popcounts
-    of these bits against the table's level masks; the index tuple
-    ``unmarked`` is only the view a report shows.  ``decomposition_check``
-    reports are views of ``decomposition_checks`` over the row, with its
-    check tuples turned into ``Check`` records.
+    when the row is built.  I itself (``ideal``), l((I - M)/I)
+    (``maximal_growth``), I** (``bidual``, the colon S - I*) and K.I
+    (``omega``, from the table's ``canonical`` bits) are computed on first
+    use, each alone.  Everything that hangs off I** is computed in one
+    step, ``_mark``, on the first read of any of it: the unmarked bits
+    (``unmarked_bits``, S & ~I** below c_I) and their r-sum, I**'s
+    conductor (``bidual_conductor``), l(I**/I) (``bidual_drop``), d of I
+    and of I**, and the flags ``principal`` (I = min(I) + S) and
+    ``closed`` (I = S from min(I) on).  Values are stored in the row's
+    dict without a lock, so every group reads the same ones, each computed
+    once per ideal; a row read only for a, b and the lengths never takes
+    the step.  The index tuple ``unmarked`` is only the view a report
+    shows.  ``decomposition_check`` reports are views of
+    ``decomposition_checks`` over the row, with its check tuples turned
+    into ``Check`` records.
     """
+
+    unmarked_bits = _marked()
+    unmarked_sum = _marked()
+    bidual_conductor = _marked()
+    bidual_drop = _marked()
+    d = _marked()
+    bidual_d = _marked()
+    principal = _marked()
+    closed = _marked()
 
     def __init__(self, table: IdealTable, bits: int, dual: int):
         self.table = table
@@ -267,17 +303,6 @@ class IdealRow:
         return table.colon(self.bits, table.maximal).bit_count() - self.length
 
     @_lazy
-    def bidual_drop(self) -> int:
-        """l(I**/I)."""
-        return self.bidual.bit_count() - self.length
-
-    @_lazy
-    def bidual_conductor(self) -> int:
-        """The conductor of I**: one past its last non-member in the window."""
-        table = self.table
-        return (self.bidual ^ table.window).bit_length() - table.offset
-
-    @_lazy
     def omega(self) -> int:
         """K.I bits, the product with the canonical ideal, cut to the window.
 
@@ -290,31 +315,33 @@ class IdealRow:
         gens = self.bits >> table.offset
         return sum_bits(table.canonical, gens, table.S.multiplicity) & table.window
 
-    @_lazy
-    def principal(self) -> bool:
-        """Whether I is the translate min(I) + S.
+    def _mark(self) -> None:
+        """Set every ``_marked`` attribute of the row, in one step.
 
-        The translate has conductor min(I) + c; below that conductor it
-        fits the window, where it is S's bits shifted by min(I).
+        They are the unmarked bits, their r-sum, c_{I**}, l(I**/I), d of I
+        and of I** (``bidual_d``), and two flags.  I is the translate
+        min(I) + S (``principal``) when its conductor is min(I) + c and,
+        below it, its bits are S's shifted by min(I); it is integrally
+        closed (``closed``) when its bits are S's from min(I) on.
         """
-        table, m = self.table, self.min_element
-        return (
+        table = self.table
+        bidual, offset, unit = self.bidual, table.offset, table.unit
+        m = self.min_element
+        k = m + offset
+        unmarked = table.unmarked_bits(bidual, self.conductor)
+        c_bid = (bidual ^ table.window).bit_length() - offset
+        marks = self.__dict__
+        marks["unmarked_bits"] = unmarked
+        marks["unmarked_sum"] = table.r_sum(unmarked)  # d_for reads it
+        marks["bidual_conductor"] = c_bid
+        marks["bidual_drop"] = bidual.bit_count() - self.length
+        marks["d"] = self.d_for(self.conductor)
+        marks["bidual_d"] = self.d_for(c_bid)
+        marks["principal"] = (
             self.conductor == m + table.S.conductor
-            and self.bits == (table.unit << m) & table.window
+            and self.bits == (unit << m) & table.window
         )
-
-    @_lazy
-    def closed(self) -> bool:
-        """Whether I is integrally closed: the members of S from min(I) on."""
-        table = self.table
-        return self.bits == table.unit & table.tail_mask(self.min_element)
-
-    @_lazy
-    def unmarked_bits(self) -> int:
-        """Window bits of S & ~I** below c_I: the s_{h-1} of the unmarked h."""
-        table = self.table
-        cut = self.bidual | table.tail_mask(self.conductor)
-        return table.unit & ~cut
+        marks["closed"] = self.bits == unit >> k << k
 
     @_lazy
     def unmarked(self) -> tuple[int, ...]:
@@ -330,32 +357,45 @@ class IdealRow:
         out = [small_index(x) + 1 for x in _bit_positions(bits)]
         return tuple(out)
 
-    @_lazy
-    def unmarked_sum(self) -> int:
-        """Sum of r_h over the unmarked h."""
-        return self.table.r_sum(self.unmarked_bits)
-
-    def marked_sum(self, m: int) -> int:
-        """Sum of r_h over the marked h <= m, for m <= n_I.
-
-        The unmarked h > m are those with s_{h-1} from s_m on.
-        """
-        table = self.table
-        above = self.unmarked_bits & table.tail_mask(table.S.small_element(m))
-        return table.prefix[m] - self.unmarked_sum + table.r_sum(above)
-
     def d_for(self, conductor: int) -> int:
-        """d of I or of I**, which share I* and the marks, by conductor."""
-        S = self.table.S
+        """d of I (at c_I) or of I** (at c_{I**}), which share I* and the marks.
+
+        d(x) = l(tail(c - x) / I*) - (sum of r_h over the marked h <= m),
+        m = x - genus, and that sum is prefix[m] less the r-sum of the
+        unmarked h <= m.  Every unmarked h has s_{h-1} below c_{I**}, as I**
+        holds every integer from its conductor on; and c <= c_{I**} <= c_I,
+        as I <= I** <= S.  So for x = c_I or c_{I**}, s_m = c + (m - n) = x
+        is at or past every unmarked s_{h-1}, every unmarked h is <= m, and
+
+            d(x) = tail_length(c - x) - l(I*) - prefix[m] + unmarked_sum,
+
+        with no r-sum of a cut of the marks.
+        """
+        facts = self.table.facts
         return (
-            self.table.tail_length(S.conductor - conductor)
+            facts.tail_base
+            - facts.conductor
+            + conductor
             - self.dual_length
-            - self.marked_sum(conductor - S.genus)
+            - facts.prefix[conductor - facts.genus]
+            + self.unmarked_sum
         )
 
-    @_lazy
-    def d(self) -> int:
-        return self.d_for(self.conductor)
+
+class _Facts(NamedTuple):
+    """S's facts on an ``IdealTable``, for ``_decomposition`` and ``d_for``."""
+
+    type: int
+    genus: int
+    conductor: int
+    n: int
+    a_gamma: int  # a of the tail, 2 genus - c
+    almost_gorenstein: bool  # type - 1 == a_gamma
+    tail_c: int  # window bits of the tail from c
+    theta: int  # window bits of the different S - K
+    s_1: int  # the extended small element s_1
+    tail_base: int  # tail_length(t) is tail_base - t
+    prefix: tuple[int, ...]
 
 
 class IdealTable:
@@ -375,17 +415,19 @@ class IdealTable:
     on).  On this layout E is inside F exactly when ``E & ~F == 0``, and
     l(F/E) is then the difference of the popcounts.  ``colon`` takes
     these colons on the window through ``colon_bits``, the kernel of
-    ``ideals.colon`` and of the Apery pass.  The chain data read the cached ``type_sequence``
-    of S, extended by r_h = 1 past n: ``prefix`` holds its running sums,
-    ``chain_dual_length`` the lengths of the S - R_i, and the level masks
-    L_2, ..., L_r (``levels``) the window bits of the small elements
-    s_{h-1}, h <= n, with r_h >= k, so ``r_sum`` gives a sum of r_h over a
-    set of S's window bits as popcounts.  A row's bits must lie in S
-    without 0 (``maximal``): the ideal is proper and integral.  Building
-    the table computes each dual once, as the colon S - I; the table of
-    ``family`` carries it down its reverse search instead, one AND with
-    S - x, a shift of ``filled``, per member x added.  Everything else,
-    the masks included, is computed on first use.
+    ``ideals.colon`` and of the Apery pass.  The chain data read the
+    cached ``type_sequence`` of S, extended by r_h = 1 past n: ``prefix``
+    holds its running sums, ``chain_dual_length`` the lengths of the
+    S - R_i, and the level masks L_2, ..., L_r (``levels``) the window
+    bits of the small elements s_{h-1}, h <= n, with r_h >= k, so
+    ``r_sum`` gives a sum of r_h over a set of S's window bits as
+    popcounts.  A row's bits must lie in S without 0 (``maximal``): the
+    ideal is proper and integral.  Building the table computes each dual
+    once, as the colon S - I; the table of ``family`` carries it down its
+    reverse search instead, one AND with S - x, a shift of ``filled``, per
+    member x added.  Everything else, the masks included, is computed on
+    first use; ``facts`` gathers, once per table, the facts of S that each
+    row's marks and decomposition read.
     """
 
     def __init__(self, S: NumericalSemigroup, ideals):
@@ -511,6 +553,15 @@ class IdealTable:
         e, fill, window = self.S.multiplicity, self._fill_b, self.window
         return [colon_bits(a, B | fill, e) & window for B in Bs]
 
+    def unmarked_bits(self, bidual: int, conductor: int) -> int:
+        """Window bits of S & ~I** below c_I: the s_{h-1} of the unmarked h.
+
+        ``bidual`` holds I**'s bits and ``conductor`` is c_I.  A true I**
+        holds every integer from c_{I**} <= c_I on, so the cut at c_I only
+        matters when I** is wrong.
+        """
+        return self.unit & ~bidual & ((1 << (conductor + self.offset)) - 1)
+
     def tail_length(self, start: int) -> int:
         """Window members of the tail from ``start``."""
         return self.top - start
@@ -525,6 +576,35 @@ class IdealTable:
         S - R_0 = S has c - genus members below c, and each step adds r_i.
         """
         return self.prefix[i] + self.top - self.S.genus
+
+    @_lazy
+    def facts(self) -> _Facts:
+        """The facts of S that each row's d and decomposition read, read once."""
+        S = self.S
+        r, delta, c = S.type, S.genus, S.conductor
+        a_gamma = 2 * delta - c
+        return _Facts(
+            r,
+            delta,
+            c,
+            S.n,
+            a_gamma,
+            r - 1 == a_gamma,
+            self.tail_mask(c),
+            self.theta,
+            S.small_element(1),
+            self.tail_length(0),
+            self.prefix,
+        )
+
+    @_lazy
+    def arf(self) -> bool:
+        """Whether S is Arf, read by the decomposition only.
+
+        It stays out of ``facts``, which every row's d reads: ``is_arf``
+        takes time cubic in n, and a row read only for d must not pay it.
+        """
+        return is_arf(self.S)
 
     @_lazy
     def canonical(self) -> int:
@@ -689,15 +769,17 @@ def _decomposition(row: IdealRow) -> list:
     row includes, in order, are its signature.
     """
     table = row.table
-    S = table.S
-    r, delta, c, n = S.type, S.genus, S.conductor, S.n
+    (
+        r, delta, c, n, a_gamma, almost_gorenstein, tail_c, theta, s_1,
+        tail_base, prefix,
+    ) = table.facts
     c_i = row.conductor
     n_i = c_i - delta
 
     unmarked = row.unmarked_bits
     n_unmarked = unmarked.bit_count()
     sum_unmarked = row.unmarked_sum
-    sum_marked = table.prefix[n_i] - sum_unmarked  # every h <= n_I
+    sum_marked = prefix[n_i] - sum_unmarked  # every h <= n_I
     # r_h = 1 beyond n, so these sums over all h equal those over h <= n.
     excess_unmarked = sum_unmarked - n_unmarked
     excess_marked = sum_marked - (n_i - n_unmarked)
@@ -705,22 +787,21 @@ def _decomposition(row: IdealRow) -> list:
     a, b, d = row.a, row.b, row.d
     l_quot = row.l_quotient
     l_bid = row.bidual_drop
-    bid_length = row.bidual.bit_count()
-    omega_length = row.omega.bit_count()
+    bid_length = row.length + l_bid
+    omega = row.omega
+    omega_length = omega.bit_count()
     l_unit_bid = table.unit_length - bid_length
-    l_tail_dual = table.tail_length(c - c_i) - row.dual_length
-    l_bid_gamma = bid_length - table.tail_length(c_i)
+    l_tail_dual = tail_base - c + c_i - row.dual_length  # l(tail(c - c_I)/I*)
+    l_bid_gamma = bid_length - tail_base + c_i  # l(I**/tail(c_I))
     l_omega_growth = omega_length - row.length
     refl = row.bidual == row.bits
-    stable = row.omega == row.bits
+    stable = omega == row.bits
     # Translates of S stand in for the ring itself, whose d depends on
     # the embedding; statements about almost-symmetric parents quantify
     # over the non-trivial ideals only.
     principal = row.principal
-    i0 = S.small_index(row.min_element)
-    a_gamma = 2 * delta - c
-    almost_gorenstein = r - 1 == a_gamma
-    tail_c = table.tail_mask(c)
+    m = row.min_element
+    i0 = table.S.small_index(m)
 
     checks = [
         # The two headline decompositions.
@@ -742,22 +823,22 @@ def _decomposition(row: IdealRow) -> list:
         # The unmarked h <= n are the unmarked s_{h-1} below c.
         "marked_count_small", eq,
         n - n_unmarked + (unmarked & tail_c).bit_count(),
-        (row.bidual | tail_c).bit_count() - table.tail_length(c),
+        (row.bidual | tail_c).bit_count() - tail_base + c,
         # d and its windows.
         "d_nonnegative", ge, d, 0,
         "d_window_lower", ge, d, l_tail_dual - r * l_bid_gamma,
         "d_window_upper", le, d, l_tail_dual - l_bid_gamma,
         "d_via_omega_product", eq, d, omega_length - bid_length - excess_marked,
-        "d_bidual_invariant", eq, d, row.d_for(row.bidual_conductor),
+        "d_bidual_invariant", eq, d, row.bidual_d,
     ]
-    if row.bits & ~table.theta == 0:
+    if row.bits & ~theta == 0:
         checks += "d_inside_different", eq, d, omega_length - bid_length
     if stable:
         checks += "d_zero_when_omega_stable", eq, d, 0
-    min_tail = table.tail_mask(row.min_element)
+    k = m + table.offset  # the unmarked bits from min(I) on
     checks += (
         "d_via_min_index", eq, d,
-        table.r_sum(unmarked & min_tail)
+        table.r_sum(unmarked >> k << k)
         - (row.dual_length - table.chain_dual_length(i0)),
     )
     if row.closed:
@@ -765,8 +846,8 @@ def _decomposition(row: IdealRow) -> list:
     if almost_gorenstein and not principal:
         checks += "d_zero_when_almost_gorenstein", eq, d, 0
 
-    l_i_gamma = row.length - table.tail_length(c_i)
-    join_length = (row.bidual | table.theta).bit_count()
+    l_i_gamma = row.length - tail_base + c_i  # l(I/tail(c_I))
+    join_length = (row.bidual | theta).bit_count()
     checks += (
         # Distance to the tail.  Every r_h >= 1, so no excess means
         # r_h = 1 on every marked h.
@@ -791,10 +872,9 @@ def _decomposition(row: IdealRow) -> list:
     # Special parents.  The subtrahend is the closed form of b on the
     # integral closure S cap tail(min): linear steps of r - 1 take over
     # once the index leaves the chain of small elements.
-    if is_arf(S):
-        s_1 = S.small_element(1)
+    if table.arf:
         if i0 <= n:
-            b_floor = i0 * s_1 - row.min_element
+            b_floor = i0 * s_1 - m
         else:
             b_floor = n * s_1 - c + (i0 - n) * (r - 1)
         checks += "a_bound_when_arf", le, a, (r - 1) * l_quot - b_floor

@@ -162,6 +162,23 @@ class TestOverrings:
         assert code == 0
         assert len(json.loads(out)["overrings"]) == 521
 
+    def test_listing_guard_refuses_before_any_t_is_built(self, capsys, monkeypatch):
+        # <3,4,5> lists 0,2|2 and 0|0: c_T - genus_T + 1 numbers each, 3 in all.
+        def refuse(*args):
+            raise AssertionError("the listing was built")
+
+        monkeypatch.setattr(cli, "_LISTING_GUARD", 3)
+        code, _ = run(["overrings", "--gens", "3,4,5"], capsys)
+        assert code == 0
+        monkeypatch.setattr(cli, "_LISTING_GUARD", 2)
+        code, _ = run(["overrings", "--gens", "3,4,5", "--allow-large"], capsys)
+        assert code == 0
+        monkeypatch.setattr(cli, "oversemigroups", refuse)
+        monkeypatch.setattr(cli, "conductor_ideal", refuse)
+        code, out = run(["overrings", "--gens", "3,4,5"], capsys)
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "BoundTooLarge"
+
     def test_allow_large_lifts_oversemigroup_guard(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_OVERSEMIGROUP_GUARD", 2)
         code, _ = run(["overrings", "--gens", "3,4,5"], capsys)

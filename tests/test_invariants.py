@@ -198,6 +198,14 @@ class TestRecordAgainstSets:
             marked_sum = sum(r_ext(h) for h in range(1, n_i + 1)) - sum(
                 r_ext(h) for h in unmarked
             )
+            # d of I** is d over I**'s conductor, from the same I* and marks.
+            c_bid = oracles.conductor_of(I_bid, hi)
+            marked_bid = sum(
+                r_ext(h)
+                for h in range(1, c_bid - delta + 1)
+                if members[h - 1] in I_bid
+            )
+            d_bid = len(set(range(c - c_bid, hi)) - I_dual) - marked_bid
             l_quot = len(A - I)
             l_dual = len(I_dual - A)
             m = E.min_element
@@ -213,8 +221,11 @@ class TestRecordAgainstSets:
                 oracles.sum_set(K, I, hi) == I,
                 I == {x for x in A if x >= m},
                 I == {m + x for x in A if m + x < hi},
+                c_bid,
+                d_bid,
             )
             rep = decomposition_check(S, E)
+            row = IdealTable(S, [E]).rows[0]
             got = (
                 rep.a,
                 rep.b,
@@ -227,8 +238,14 @@ class TestRecordAgainstSets:
                 rep.omega_stable,
                 rep.integrally_closed,
                 rep.principal,
+                row.bidual_conductor,
+                row.d_for(row.bidual_conductor),
             )
             assert got == want, E.encode()
+            # The closed form of d rests on c <= c_{I**} <= c_I and on every
+            # unmarked bit lying below c_{I**}.
+            assert c <= c_bid <= E.conductor, E.encode()
+            assert row.unmarked_bits >> (c_bid + row.table.offset) == 0, E.encode()
         for T in oversemigroups(S):
             T_set = {x for x in range(lo, hi) if x in T}
             assert overring_check(S, T).length == len(T_set - A), T.encode()
@@ -606,11 +623,12 @@ class TestOnePath:
                 assert row.unmarked_sum == sum(r[h] for h in unmarked), (
                     row.ideal.encode()
                 )
-                marked = 0
-                for m in range(n_i + 1):
-                    if m and m not in unmarked:
-                        marked += r[m]
-                    assert row.marked_sum(m) == marked, (row.ideal.encode(), m)
+                # d is l(tail(c - c_I)/I*) less the r_h over the marked h <= n_I.
+                marked = sum(r[h] for h in range(1, n_i + 1) if h not in unmarked)
+                tail_dual = table.tail_length(S.conductor - row.conductor)
+                assert row.d == tail_dual - row.dual_length - marked, (
+                    row.ideal.encode()
+                )
 
     def test_public_reports_hold_check_records(self):
         for S in semigroups_up_to(6):
