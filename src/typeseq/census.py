@@ -7,7 +7,9 @@ the Frobenius number is the inverse step), genus grows by one per edge
 and the conductor grows strictly, so pruning by either bound is complete.
 A child inherits its facts from its parent (``NumericalSemigroup._child``):
 its small elements, minimal generators and pseudo-Frobenius bits come
-down the tree by slicing and one AND each, not from an Apery pass.
+down the tree by slicing and a few shifts, read against S's mask
+reversed about its conductor, which comes down the tree too; no Apery
+pass and no bit reflection.
 
 The proper integral ideals with conductor in a window above that of S
 come from one reverse search, ``IdealTable.family``: the parent of an
@@ -270,26 +272,34 @@ def _children(
 
     Only children within the bounds are built: each has genus one more
     than S, and removing x gives conductor x + 1 >= c + 1, so an S with
-    c + 1 past ``max_conductor`` has none, and otherwise the first
-    generator with x + 1 past it ends the ascending scan.
+    c + 1 past ``max_conductor`` has none, and otherwise x runs over the
+    generators in [c, top], top being ``max_conductor`` - 1 or, with no
+    conductor bound, c + e, which no generator passes.
 
-    Siblings are in the order of their encodings, by an integer key: T_x
-    and T_y with x < y agree up to x - 1, then read str(x + 1) and str(x),
-    of equal length, so T_x sorts after T_y, unless x + 1 = 10^k, where
-    "1" < "9" puts T_x first.  At most one generator is such an x: all lie
-    in [c, c + e), e <= c, and 10^k - 1 >= c is 9 * 10^k below the next.
+    Siblings are in the order of their encodings, without a sort: T_x and
+    T_y with x < y agree up to x - 1, then read str(x + 1) and str(x), of
+    equal length, so T_x sorts after T_y, unless x + 1 = 10^j, where
+    "1" < "9" puts T_x first.  So the generators go in descending order,
+    but for such an x, which goes to the front.  Only S = N has one child
+    with c = 0; otherwise every x lies in [c, c + e) with e <= c, so with
+    k the number of digits of c, 10^(k-1) <= x < 2c < 10^(k+1) - 1, and
+    x = 10^j - 1 only for j = k: there is at most one such x.
     """
     if max_genus is not None and S.genus + 1 > max_genus:
         return []
-    if max_conductor is not None and S.conductor + 1 > max_conductor:
+    c = S.conductor
+    if max_conductor is None:
+        top = c + S.multiplicity
+    elif c + 1 > max_conductor:
         return []
-    xs = []
-    for x in S.minimal_generators:
-        if max_conductor is not None and x + 1 > max_conductor:
-            break
-        if x > S.conductor - 1:
-            xs.append(x)
-    xs.sort(key=lambda x: (0, x) if str(x + 1).rstrip("0") == "1" else (1, -x))
+    else:
+        top = max_conductor - 1
+    xs = [x for x in reversed(S.minimal_generators) if c <= x <= top]
+    if len(xs) > 1:
+        nines = 10 ** len(str(c)) - 1
+        if nines in xs:
+            xs.remove(nines)
+            xs.insert(0, nines)
     return [S._child(x) for x in xs]
 
 

@@ -12,15 +12,17 @@ An ideal of S is generated by its least member in each residue class mod
 the multiplicity e.  The kernels ``colon_bits`` and ``sum_bits`` hold this
 rule; every colon, product and Apery pass in the package is one call of one.
 
-Each fact about a semigroup is computed once per instance.  ``n`` and
-``genus`` are plain attributes set on construction.  One pass over the
-Apery set of the multiplicity yields both the minimal generators and the
-pseudo-Frobenius bits; the type is the popcount of those bits, and the
-``pseudo_frobenius`` tuple is built from them on each read.  A child
-S - {x} in the semigroup tree (``_child``) inherits its facts instead: its
-small elements, minimal generators and pseudo-Frobenius bits follow from
-its parent's by slicing and one AND each, with no Apery pass.  ``encode()``
-keeps its string after the first call.  None of these caches is pickled.
+Each fact about a semigroup is computed once per instance.  ``n``,
+``genus`` and ``multiplicity`` are plain attributes set on construction.
+One pass over the Apery set of the multiplicity yields both the minimal
+generators and the pseudo-Frobenius bits; the type is the popcount of
+those bits, and the ``pseudo_frobenius`` tuple is built from them on each
+read.  A child S - {x} in the semigroup tree (``_child``) inherits its
+facts instead: its small elements, minimal generators and
+pseudo-Frobenius bits follow from its parent's by slicing and a few
+shifts, with no Apery pass, read against the mask reversed about the
+conductor, which the child carries on.  ``encode()`` keeps its string
+after the first call.  None of these caches is pickled.
 """
 
 from __future__ import annotations
@@ -106,11 +108,12 @@ class NumericalSemigroup:
 
     ``small_elements`` lists the members s_0 = 0 < s_1 < ... < s_n where
     s_n equals the conductor; for S = N it is just (0,).  ``n`` (the
-    number of nonzero small elements) and ``genus`` (c - n) are attributes.
-    Instances are hashable and compare by value, so they can key caches.
-    The minimal generators, the pseudo-Frobenius bits and the encoding are
-    computed on first use and kept in slots; ``_child`` fills the first two
-    from the parent's.
+    number of nonzero small elements), ``genus`` (c - n) and
+    ``multiplicity`` (s_1, or 1 for S = N) are attributes.  Instances are
+    hashable and compare by value, so they can key caches.  The reversed
+    mask, the minimal generators, the pseudo-Frobenius bits and the
+    encoding are computed on first use and kept in slots; ``_child`` fills
+    the first three from the parent's.
     """
 
     __slots__ = (
@@ -119,6 +122,8 @@ class NumericalSemigroup:
         "small_elements",
         "n",
         "genus",
+        "multiplicity",
+        "_rev",
         "_mingens",
         "_pf_bits",
         "_enc",
@@ -141,6 +146,8 @@ class NumericalSemigroup:
         self.small_elements = small
         self.n = n = len(small) - 1
         self.genus = conductor - n
+        self.multiplicity = small[1] if conductor else 1
+        self._rev: int | None = None
         self._mingens: tuple[int, ...] | None = None
         self._pf_bits: int | None = None
         self._enc: str | None = None
@@ -161,13 +168,6 @@ class NumericalSemigroup:
         if stop <= self.conductor:
             return self.mask & _ones(stop)
         return self.mask | (_ones(stop - self.conductor) << self.conductor)
-
-    @property
-    def multiplicity(self) -> int:
-        """Least nonzero member; 1 for S = N."""
-        if self.conductor == 0:
-            return 1
-        return self.small_elements[1]
 
     @property
     def frobenius(self) -> int:
@@ -202,49 +202,74 @@ class NumericalSemigroup:
         self._pf_bits = pf
         return pf
 
+    def _reversal(self) -> int:
+        """S's mask reversed about its conductor c: bit c - k per member k < c.
+
+        ``_child`` carries it down the tree; an instance it did not build
+        reflects its mask once, on first use.
+        """
+        rev = self._rev
+        if rev is None:
+            rev = self._rev = _reflect(self.mask, self.conductor)
+        return rev
+
     def _child(self, x: int) -> "NumericalSemigroup":
         """T = S - {x} for a minimal generator x > F(S), every fact from S's.
 
         The tree walk's builder, in place of ``NumericalSemigroup(x + 1,
-        bits)`` and its Apery pass.  With c the conductor and e the
-        multiplicity of S:
+        bits)`` and its Apery pass: a few shifts of S's bits.  With c the
+        conductor, e the multiplicity and rev the reversal of S:
 
         - small elements: those of S below c, then c, ..., x - 1, x + 1;
+        - reversal: the members of T below x + 1 are those of S below c and
+          c, ..., x - 1.  A member k < c moves from bit c - k to bit
+          x + 1 - k, a shift by x + 1 - c, and k in [c, x) lands on bit
+          x + 1 - k in [2, x + 1 - c], the x - c bits from bit 2.  So bit
+          x + 1 - k of rev_T is set exactly for the members k <= x of T;
+        - multiplicity: e, or e + 1 for x = e;
         - minimal generators: those of S but x, then x + e unless
-          x + e = a + b for members a, b of S in (e, x): one AND of those
-          bits with their reflection about x + e.  A new generator y of T
-          is x + s with s in S, as every split of y in S uses x, and
+          x + e = a + b for members a, b of S in (e, x).  A new generator y
+          of T is x + s with s in S, as every split of y in S uses x, and
           y <= x + e, as every generator of T is below c_T + e_T =
           x + 1 + e.  Every generator of S is below c + e <= x + e, so
-          x + e goes last.  For x = e, S is ordinary (S = N included) and
-          T's generators are e + 1, ..., 2e + 1;
-        - pseudo-Frobenius bits: PF(T) = {x} + {f in PF(S) : x - f is a
-          gap of S}, one AND of PF(S) with the gap bits of S reflected
-          about x.  The gaps of T are those of S and x; a gap f of S is
+          x + e goes last.  Bit a of rev_T << (e - 1) is bit a + 1 - e of
+          rev_T, set exactly when x + e - a is a member of T, and for a in
+          (e, x) that member lies in (e, x) too.  So the split test is one
+          AND of the members of T in (e, x) with rev_T << (e - 1), both
+          shifted down by e + 1.  For x = e, S is ordinary (S = N
+          included) and T's generators are e + 1, ..., 2e + 1;
+        - pseudo-Frobenius bits: PF(T) = {x} + {f in PF(S) : x - f is not
+          in T}.  The gaps of T are those of S and x; a gap f of S is
           pseudo-Frobenius in T exactly when it is in PF(S) and f + t != x
-          for every t in T.
+          for every t in T.  For f in PF(S), 1 <= x - f <= x, and x - f is
+          in T exactly when bit f + 1 of rev_T is set: one AND of PF(S)
+          with the complement of rev_T >> 1.
         """
         c = self.conductor
-        gens = self.minimal_generators  # runs the Apery pass if not yet run
+        gens = self._mingens or self.minimal_generators  # Apery pass if unset
         pf = self._pf_bits or 0  # unset only for S = N
-        e = gens[0]
+        rev = self._reversal()
+        e = self.multiplicity
+        run = (1 << (x - c)) - 1  # c, ..., x - 1
         T = NumericalSemigroup.__new__(NumericalSemigroup)
         T.conductor = x + 1
-        T.mask = below = self.bits_below(x)
+        T.mask = below = self.mask | run << c
         T.small_elements = small = (
             self.small_elements[:-1] + tuple(range(c, x)) + (x + 1,)
         )
         T.n = len(small) - 1
         T.genus = self.genus + 1
+        T._rev = rev_t = rev << (x + 1 - c) | run << 2
         if x == e:
+            T.multiplicity = x + 1
             T._mingens = tuple(range(x + 1, 2 * x + 2))
         else:
+            T.multiplicity = e
             i = gens.index(x)
             rest = gens[:i] + gens[i + 1 :]
-            inner = below & ~_ones(e + 1)
-            split = inner & _reflect(inner, x + e)
+            split = below >> (e + 1) & rev_t >> 2  # bit j: e + 1 + j, x - 1 - j in T
             T._mingens = rest if split else rest + (x + e,)
-        T._pf_bits = (pf & _reflect(~self.mask & _ones(c), x)) | 1 << x
+        T._pf_bits = pf & ~(rev_t >> 1) | 1 << x
         T._enc = None
         return T
 
@@ -423,17 +448,24 @@ def from_small_elements(elements, conductor: int) -> NumericalSemigroup:
 def is_arf(S: NumericalSemigroup) -> bool:
     """Whether s + t - u is a member for all members s >= t >= u.
 
-    Triples with s >= conductor are automatic because s + t - u >= s, so
-    the scan only needs s among the small elements below the conductor.
+    Equivalently, 2x - y is a member for all members x >= y (Campillo,
+    Farran & Munuera 2000).  The triple form gives the pair form with
+    s = t = x.  Conversely, write the triple as z, z + b, z + a with
+    a >= b >= 0; z + a + b is a member, by induction on a + b: it is z + a
+    for b = 0 and the pair (z + a, z) for a = b, and for a > b > 0 the
+    members z + b, z + 2b (the pair (z + b, z)) and z + a are a triple at
+    z + b with a - b and b, of smaller sum.
+
+    2x - y >= x, so only members x < c need a check, and only the values
+    2x - y = x + t in [x, c).  With rev the reversal of S (bit c - k per
+    member k < c), bit t of rev >> (c - x) says x - t is a member and bit
+    t of the gaps >> x says x + t is a gap: x fails exactly when both
+    are set.  One shift each, so the test is linear in the members.
     """
-    small = S.small_elements[:-1] if S.conductor > 0 else (0,)
-    for si, s in enumerate(small):
-        for ti in range(si + 1):
-            t = small[ti]
-            for ui in range(ti + 1):
-                if s + t - small[ui] not in S:
-                    return False
-    return True
+    c = S.conductor
+    rev = S._reversal()
+    gaps = ~S.mask & _ones(c)
+    return not any(gaps >> x & rev >> (c - x) for x in S.small_elements[:-1])
 
 
 def from_bits(members: int, stop: int) -> NumericalSemigroup:

@@ -469,6 +469,13 @@ class TestErrorsAndExitCodes:
         assert code == 0
         assert json.loads(out)["semigroup"]["conductor"] == 20000
 
+    def test_ideal_at_the_guard_runs_its_arf_test(self, capsys):
+        # The decomposition reads is_arf(S), n = 10,000 members below c.
+        argv = ["ideal", "--gens", "2,20001", "--ideal", "2,20001", "--format", "json"]
+        code, out = run(argv, capsys)
+        assert code == 0
+        assert json.loads(out)["semigroup"]["conductor"] == 20000
+
     def test_allow_large_lifts_conductor_guard(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_CONDUCTOR_GUARD", 10)
         code, _ = run(["info", "--gens", "5,7"], capsys)

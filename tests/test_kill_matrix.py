@@ -149,6 +149,11 @@ def _skip_pf_filter(T, S, x):
     return T
 
 
+def _reversal_one_high(T, S, x):
+    T._rev <<= 1
+    return T
+
+
 @fault
 def child_never_append(mp):
     """_child drops the new generator x + e when no split of it exists."""
@@ -165,6 +170,12 @@ def child_always_append(mp):
 def child_skip_pf_filter(mp):
     """_child takes PF(S - {x}) as PF(S) + {x}, without the gap filter."""
     _replace(mp, NumericalSemigroup, "_child", _then(_skip_pf_filter))
+
+
+@fault
+def child_reversal_one_high(mp):
+    """_child carries T's mask reversed about c_T + 1, one bit too high."""
+    _replace(mp, NumericalSemigroup, "_child", _then(_reversal_one_high))
 
 
 @fault

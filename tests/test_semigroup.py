@@ -25,7 +25,9 @@ from typeseq import (
     oversemigroups,
     ring_classification,
 )
+from typeseq.census import _children
 from typeseq.invariants import IdealTable
+from typeseq.semigroup import _reflect
 
 
 class TestConstruction:
@@ -347,6 +349,23 @@ class TestPredicates:
             )
             assert is_arf(S) == brute, S.encode()
 
+    def test_arf_matches_the_triple_scan(self):
+        # The definition read literally: s + t - u in S for all members
+        # s >= t >= u, with s below the conductor.
+        def triple_scan(S):
+            small = S.small_elements[:-1]
+            return all(
+                s + t - u in S
+                for i, s in enumerate(small)
+                for j, t in enumerate(small[: i + 1])
+                for u in small[: j + 1]
+            )
+
+        walked = list(enumerate_semigroups(max_conductor=18))
+        assert len(walked) == 1250
+        for S in walked:
+            assert is_arf(S) == triple_scan(S), S.encode()
+
     def test_arf_examples(self):
         assert is_arf(from_generators((2, 3)))
         assert is_arf(from_generators((3, 4, 5)))
@@ -360,6 +379,7 @@ def _facts(S):
         S.small_elements,
         S.n,
         S.genus,
+        S.multiplicity,
         S.minimal_generators,
         S.pseudo_frobenius,
         S.type,
@@ -379,7 +399,7 @@ class TestTreeChildren:
 
     def test_child_of_n(self):
         T = NumericalSemigroup(0, 0)._child(1)
-        assert _facts(T) == (2, 1, (0, 2), 1, 1, (2, 3), (1,), 1, "0,2|2")
+        assert _facts(T) == (2, 1, (0, 2), 1, 1, 2, (2, 3), (1,), 1, "0,2|2")
 
     def test_ordinary_chain(self):
         # x = e: {0, e, e + 1, ...} - {e} is ordinary with multiplicity e + 1
@@ -413,6 +433,43 @@ class TestTreeChildren:
             T = S._child(x)
             assert T.minimal_generators == gens
             assert _facts(T) == _facts(NumericalSemigroup(x + 1, T.mask))
+
+    def test_carried_reversal_is_the_reflected_mask(self):
+        def reflected(S):
+            return _reflect(S.mask, S.conductor)
+
+        walked = list(enumerate_semigroups(max_conductor=20))
+        assert len(walked) == 2616
+        for S in walked:  # N's is filled on its children's first build
+            assert S._rev == reflected(S), S
+        S = NumericalSemigroup(0, 0)
+        for e in range(1, 12):
+            S = S._child(e)
+            assert S._rev == reflected(S) == 1 << S.conductor, S
+        S = NumericalSemigroup.decode("0,4,8,9,12,13|16")
+        assert S._rev is None
+        for T in _children(S, None, None):
+            assert T._rev == reflected(T), T
+            assert _facts(T) == _facts(NumericalSemigroup(T.conductor, T.mask))
+        assert S._rev == reflected(S)
+
+    @pytest.mark.parametrize(
+        "S, first",
+        [
+            (NumericalSemigroup(9, 1), 9),
+            (NumericalSemigroup(95, 1), 99),
+            (NumericalSemigroup(99, 1), 99),
+            (NumericalSemigroup(990, 1), 999),
+            # Multiples of 7 below 93, then all: the children drop
+            # 99, 97, 96, 95, 94, 93, skipping 98 = 14 * 7.
+            (from_generators((7, 93, 94, 95, 96, 97, 99)), 99),
+        ],
+    )
+    def test_siblings_at_a_power_of_ten_are_in_encoding_order(self, S, first):
+        children = _children(S, None, None)
+        assert len(children) > 1 and children[0].frobenius == first
+        encodings = [T.encode() for T in children]
+        assert encodings == sorted(encodings)
 
 
 class TestOversemigroups:
