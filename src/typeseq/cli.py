@@ -26,7 +26,6 @@ import argparse
 import csv
 import functools
 import io
-import itertools
 import json
 import math
 import os
@@ -43,16 +42,16 @@ from .classification import ClassificationOutcome, classify_b, window_profile
 from .errors import BoundTooLarge, InternalInconsistency, InvalidInput, TypeseqError
 from .ideals import RelativeIdeal, ideal_from_generators, tail_ideal
 from .invariants import (
+    IdealRow,
     IdealTable,
-    conductor_ideal,
     decomposition_check,
     overring_checks,
     sigma,
     type_sequence,
 )
 from .semigroup import (
-    NumericalSemigroup, from_generators, from_small_elements, oversemigroups,
-    schur_bound,
+    NumericalSemigroup, from_generators, from_small_elements, schur_bound,
+    sorted_oversemigroups,
 )
 
 
@@ -81,28 +80,6 @@ def _guard_conductor(bound: int, args) -> None:
         raise BoundTooLarge(
             f"conductor bound {bound} above guard {_CONDUCTOR_GUARD}"
         )
-
-
-def _guard_listing(S: NumericalSemigroup) -> None:
-    """Refuse ``overrings`` on S when its listing passes ``_LISTING_GUARD``.
-
-    The walk yields each T's window bits, off which c_T - genus_T + 1 is
-    read before any T, conductor ideal or output row is built; it stops as
-    soon as the sum passes the guard, or once it has found
-    ``_OVERSEMIGROUP_GUARD`` of them, which ``oversemigroups`` refuses.
-    """
-    table = IdealTable(S, [])
-    offset, whole = table.offset, (1 << table.top) - 1
-    walk = itertools.islice(table.oversemigroup_walk(), _OVERSEMIGROUP_GUARD)
-    listed = 0
-    for members, _ in walk:
-        bits = members >> offset
-        c_T = (~bits & whole).bit_length()
-        listed += (bits & ((1 << c_T) - 1)).bit_count() + 1
-        if listed > _LISTING_GUARD:
-            raise BoundTooLarge(
-                f"the oversemigroups list more than {_LISTING_GUARD} numbers"
-            )
 
 
 def _semigroup_from_args(args) -> NumericalSemigroup:
@@ -199,20 +176,29 @@ def _cmd_ideal(args) -> dict:
 
 def _cmd_overrings(args) -> dict:
     S = _semigroup_from_args(args)
+    table = IdealTable(S, [])
     limit = None if args.allow_large else _OVERSEMIGROUP_GUARD
-    if limit is not None:
-        _guard_listing(S)
-    overs = oversemigroups(S, limit)[1:]
-    table = IdealTable(S, [conductor_ideal(S, T) for T in overs])
+    # One walk; the listing guard reads each T's bits before any T is built.
+    offset, whole = table.offset, (1 << table.top) - 1
+    pairs, listed = [], 0
+    for members, ideal in table.oversemigroup_walk(limit):
+        bits = members >> offset
+        c_T = (~bits & whole).bit_length()
+        listed += (bits & ((1 << c_T) - 1)).bit_count() + 1
+        if listed > _LISTING_GUARD and limit is not None:
+            raise BoundTooLarge(
+                f"the oversemigroups list more than {_LISTING_GUARD} numbers"
+            )
+        pairs.append((members, ideal))
     rows = []
-    for T, row in zip(overs, table.rows):
-        checks = overring_checks(S, T.bits_below(table.top) << table.offset, row)
+    for T, members, ideal in sorted_oversemigroups(table, pairs):
+        row = IdealRow(table, ideal, table.colon(table.unit, ideal))
         rows.append(
             {
                 "overring": T.encode(),
                 "genus": T.genus,
                 "length": S.genus - T.genus,
-                "checks": _check_rows(checks),
+                "checks": _check_rows(overring_checks(S, members, row)),
             }
         )
     return {"semigroup": _semigroup_payload(S), "overrings": rows}

@@ -62,7 +62,8 @@ groups.  Its ideals and the oversemigroups T of S come from one reverse
 search on the table's window (``IdealTable._reverse_search``), each dual
 coming down by one AND per step; every conductor ideal S - T is proper
 and integral with conductor c, so the walk's S - T is a row of
-conductor c, whatever the window.
+conductor c, whatever the window.  ``typeseq overrings`` makes one such
+walk on the table of S alone and builds a row from each S - T.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ from operator import attrgetter, eq, ge, le, sub
 from typing import NamedTuple
 
 from .errors import (
+    BoundTooLarge,
     InternalInconsistency,
     InvalidInput,
     NotOversemigroup,
@@ -396,6 +398,7 @@ class _Facts(NamedTuple):
     s_1: int  # the extended small element s_1
     tail_base: int  # tail_length(t) is tail_base - t
     prefix: tuple[int, ...]
+    arf: bool
 
 
 class IdealTable:
@@ -484,18 +487,27 @@ class IdealTable:
             table.rows.sort(key=attrgetter("min_element", "conductor", "bits"))
         return table
 
-    def oversemigroup_walk(self):
+    def oversemigroup_walk(self, limit: int | None = None):
         """Each oversemigroup T != S once, as the window bits of T and S - T.
 
         The nodes of ``_reverse_search`` from S but S.  The parent of T is
         T minus m = min(T - S), again an oversemigroup: the nonzero members
         of T below m lie in S, and so do their sums.  S - T is proper and
         integral with conductor c, so on the table of ``family`` it is a row.
+        Their number grows exponentially with the genus, so with a ``limit``
+        the walk raises ``BoundTooLarge`` as soon as S and the T yielded so
+        far pass it: at once for 0, else right after the limit-th T.
         """
         unit = self.unit
         gaps = self.tail_mask(0) & ~unit
         walk = self._reverse_search(unit, gaps, self.tail_mask(1), unit, unit)
-        return itertools.islice(walk, 1, None)  # S itself is the root
+        for found, pair in enumerate(walk):  # S itself is the root
+            if found:
+                yield pair
+            if found == limit:
+                raise BoundTooLarge(
+                    f"more than {limit} oversemigroups (genus {self.S.genus})"
+                )
 
     def _reverse_search(self, base: int, pool: int, own: int, root: int, dual: int):
         """Each node of a reverse search (Avis & Fukuda 1996) once, with its dual.
@@ -595,16 +607,8 @@ class IdealTable:
             S.small_element(1),
             self.tail_length(0),
             self.prefix,
+            is_arf(S),
         )
-
-    @_lazy
-    def arf(self) -> bool:
-        """Whether S is Arf, read by the decomposition only.
-
-        It stays out of ``facts``, which every row's d reads: ``is_arf``
-        takes time cubic in n, and a row read only for d must not pay it.
-        """
-        return is_arf(self.S)
 
     @_lazy
     def canonical(self) -> int:
@@ -771,7 +775,7 @@ def _decomposition(row: IdealRow) -> list:
     table = row.table
     (
         r, delta, c, n, a_gamma, almost_gorenstein, tail_c, theta, s_1,
-        tail_base, prefix,
+        tail_base, prefix, arf,
     ) = table.facts
     c_i = row.conductor
     n_i = c_i - delta
@@ -872,7 +876,7 @@ def _decomposition(row: IdealRow) -> list:
     # Special parents.  The subtrahend is the closed form of b on the
     # integral closure S cap tail(min): linear steps of r - 1 take over
     # once the index leaves the chain of small elements.
-    if table.arf:
+    if arf:
         if i0 <= n:
             b_floor = i0 * s_1 - m
         else:

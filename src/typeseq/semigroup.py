@@ -28,12 +28,10 @@ after the first call.  None of these caches is pickled.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from bisect import bisect_left
 
 from .errors import (
-    BoundTooLarge,
     ConductorNotTight,
     EmptyGenerators,
     EncodingError,
@@ -479,20 +477,28 @@ def oversemigroups(
 ) -> list[NumericalSemigroup]:
     """All numerical semigroups containing S, including S and N.
 
-    They are S and the T of ``IdealTable.oversemigroup_walk``, sorted by
-    descending genus and then by small elements, so S comes first and N
-    last.  Their number grows exponentially with the genus, so with a
-    ``limit`` the walk stops, and ``BoundTooLarge`` is raised, as soon as
-    the list would pass it; a negative ``limit`` is an ``InvalidInput``.
+    They are S and the T of ``IdealTable.oversemigroup_walk``, in the order
+    of ``sorted_oversemigroups``, so S comes first and N last.  Their number
+    grows exponentially with the genus, so with a ``limit`` the walk stops,
+    and ``BoundTooLarge`` is raised, as soon as the list would pass it; a
+    negative ``limit`` is an ``InvalidInput``.
     """
     from .invariants import IdealTable  # invariants imports this module
 
     if limit is not None and limit < 0:
         raise InvalidInput(f"limit must be non-negative, got {limit}")
     table = IdealTable(S, [])
-    found = [T for T, _ in itertools.islice(table.oversemigroup_walk(), limit)]
-    if limit is not None and len(found) >= limit:  # S makes len(found) + 1
-        raise BoundTooLarge(f"more than {limit} oversemigroups (genus {S.genus})")
-    overs = [from_bits(members >> table.offset, table.top) for members in found]
-    overs.sort(key=lambda T: (-T.genus, T.small_elements))
-    return [S] + overs
+    found = sorted_oversemigroups(table, table.oversemigroup_walk(limit))
+    return [S] + [T for T, _, _ in found]
+
+
+def sorted_oversemigroups(table, pairs) -> list[tuple[NumericalSemigroup, int, int]]:
+    """(T, T's bits, S - T's bits) per (T, S - T) pair of window bits on ``table``.
+
+    ``pairs`` is read to its end before any T is built; the list is sorted
+    by descending genus, then by small elements.
+    """
+    offset, top = table.offset, table.top
+    overs = [(from_bits(T >> offset, top), T, I) for T, I in list(pairs)]
+    overs.sort(key=lambda over: (-over[0].genus, over[0].small_elements))
+    return overs

@@ -1,5 +1,6 @@
 """Command line interface: schemas, exit codes, determinism."""
 
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from test_kill_matrix import planted
-from typeseq import InternalInconsistency, census, cli, ideals
+from typeseq import InternalInconsistency, census, cli, ideals, semigroup
 from typeseq.census import canonical_json
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -165,7 +166,7 @@ class TestOverrings:
     def test_listing_guard_refuses_before_any_t_is_built(self, capsys, monkeypatch):
         # <3,4,5> lists 0,2|2 and 0|0: c_T - genus_T + 1 numbers each, 3 in all.
         def refuse(*args):
-            raise AssertionError("the listing was built")
+            raise AssertionError("a T or its row was built")
 
         monkeypatch.setattr(cli, "_LISTING_GUARD", 3)
         code, _ = run(["overrings", "--gens", "3,4,5"], capsys)
@@ -173,11 +174,51 @@ class TestOverrings:
         monkeypatch.setattr(cli, "_LISTING_GUARD", 2)
         code, _ = run(["overrings", "--gens", "3,4,5", "--allow-large"], capsys)
         assert code == 0
-        monkeypatch.setattr(cli, "oversemigroups", refuse)
-        monkeypatch.setattr(cli, "conductor_ideal", refuse)
+        monkeypatch.setattr(semigroup, "from_bits", refuse)
+        monkeypatch.setattr(cli, "IdealRow", refuse)
         code, out = run(["overrings", "--gens", "3,4,5"], capsys)
         assert code == 2
-        assert json.loads(out)["error"]["code"] == "BoundTooLarge"
+        assert out == (
+            '{"error": {"code": "BoundTooLarge", "message": '
+            '"the oversemigroups list more than 2 numbers"}}\n'
+        )
+
+    @pytest.mark.parametrize(
+        "gens, fmt, code, digest",
+        [
+            ("3,4,5", "json", 0, "161963a75960a0d9"),
+            ("4,5,7", "json", 0, "861eda7312a0842c"),
+            ("9,15,17,23,25,29,31", "json", 0, "2d1fda95f7bcab6c"),
+            ("2,201", "json", 0, "c2c0edf6157a85c1"),
+            ("13,19,23,29,31,37", "json", 0, "f9f30fdab34079ea"),
+            ("1", "json", 0, "9cda0038508ea744"),
+            ("2,3", "json", 0, "44ad6c479848dd77"),
+            ("3,4,5", "csv", 0, "af849e0a3b9e901c"),
+            ("9,15,17,23,25,29,31", "csv", 0, "f1666bff86a900bf"),
+            ("3,4,5", "human", 0, "da3929af1c61cbc0"),
+            ("9,15,17,23,25,29,31", "human", 0, "b1af112224031c9e"),
+            ("16,21,26,31", "human", 2, "1113fa6a331fffb4"),  # the count guard
+        ],
+    )
+    def test_output_bytes_are_pinned(self, capsys, gens, fmt, code, digest):
+        # The first 16 hex digits of the SHA-256 of stdout.
+        argv = ["overrings", "--gens", gens, "--format", fmt]
+        got, out = run(argv, capsys)
+        assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+    def test_one_walk_per_run(self, capsys, monkeypatch):
+        walk = cli.IdealTable.oversemigroup_walk
+        calls = []
+
+        def counted(table, *args):
+            calls.append(table)
+            return walk(table, *args)
+
+        monkeypatch.setattr(cli.IdealTable, "oversemigroup_walk", counted)
+        code, _ = run(["overrings", "--gens", "9,15,17,23,25,29,31"], capsys)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_allow_large_lifts_oversemigroup_guard(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_OVERSEMIGROUP_GUARD", 2)
@@ -419,18 +460,20 @@ class TestErrorsAndExitCodes:
         assert code == 3
         assert json.loads(out)["error"]["code"] == "InternalInconsistency"
 
-    def test_overrings_row_mismatch_exits_three(self, capsys, monkeypatch):
-        # Each T paired with the next T's S - T: the table's rows disagree
-        # with the colon S - T that ``overring_checks`` takes, which is a
-        # bug of the command, not bad input.
-        real = cli.conductor_ideal
+    def test_overrings_row_mismatch_exits_three(self, capsys):
+        # A walk that pairs each T with the next T's S - T: the row the
+        # command builds from it disagrees with the colon S - T that
+        # ``overring_checks`` takes, which is a bug, not bad input.
+        with planted("oversemigroup_walk_pairs_next_ideal"):
+            code, out = run(["overrings", "--gens", "4,5,7"], capsys)
+        assert code == 3
+        assert json.loads(out)["error"]["code"] == "InternalInconsistency"
 
-        def next_ideal(S, T):
-            overs = cli.oversemigroups(S)[1:]
-            return real(S, overs[(overs.index(T) + 1) % len(overs)])
-
-        monkeypatch.setattr(cli, "conductor_ideal", next_ideal)
-        code, out = run(["overrings", "--gens", "4,5,7"], capsys)
+    def test_overrings_t_as_s_minus_t_exits_three(self, capsys):
+        # A walk that yields T's own bits for S - T: they hold 0, so the
+        # colon S - T disagrees with them as well.
+        with planted("oversemigroup_walk_yields_t_as_s_minus_t"):
+            code, out = run(["overrings", "--gens", "4,5,7"], capsys)
         assert code == 3
         assert json.loads(out)["error"]["code"] == "InternalInconsistency"
 

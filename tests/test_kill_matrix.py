@@ -311,7 +311,7 @@ def last_entry_plus_one(mp):
 # -- the ideal table and its rows ------------------------------------------------
 
 
-def _next_ideal(pairs, table):
+def _next_ideal(pairs, *args):
     pairs = list(pairs)
     ideals = [ideal for _, ideal in pairs]
     shifted = ideals[1:] + ideals[:1]
@@ -327,7 +327,7 @@ def oversemigroup_walk_pairs_next_ideal(mp):
 @fault
 def oversemigroup_walk_yields_t_as_s_minus_t(mp):
     """The oversemigroup walk yields T's own bits for S - T."""
-    own = _then(lambda pairs, table: [(members, members) for members, _ in pairs])
+    own = _then(lambda pairs, *args: [(members, members) for members, _ in pairs])
     _replace(mp, IdealTable, "oversemigroup_walk", own)
 
 

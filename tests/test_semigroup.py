@@ -495,6 +495,18 @@ class TestOversemigroups:
         with pytest.raises(BoundTooLarge):
             oversemigroups(S, limit=2)
 
+    def test_walk_yields_the_limit_th_t_then_raises(self):
+        # <3,4,5> has two T besides S, so S and they pass any limit below 3.
+        # The limit-th T comes out first, so a guard that reads each T the
+        # walk yields (the listing guard of ``overrings``) sees it.
+        table = IdealTable(from_generators((3, 4, 5)), [])
+        assert len(list(table.oversemigroup_walk(3))) == 2
+        for limit in (0, 1, 2):
+            got = []
+            with pytest.raises(BoundTooLarge, match=f"more than {limit} "):
+                got.extend(table.oversemigroup_walk(limit))
+            assert len(got) == limit
+
     def test_negative_limit_is_invalid_input(self):
         with pytest.raises(InvalidInput):
             oversemigroups(from_generators((3, 4, 5)), limit=-1)
