@@ -285,7 +285,7 @@ class IdealRow:
         self.l_quotient = table.unit_length - self.length
         self.l_dual = self.dual_length - table.unit_length
         self.a = self.l_dual - self.l_quotient
-        self.b = table.S.type * self.l_quotient - self.l_dual
+        self.b = table.type * self.l_quotient - self.l_dual
 
     @_lazy
     def ideal(self) -> RelativeIdeal:
@@ -387,7 +387,7 @@ class IdealRow:
 class _Facts(NamedTuple):
     """S's facts on an ``IdealTable``, for ``_decomposition`` and ``d_for``."""
 
-    type: int
+    type: int  # the table's, read from S once per table
     genus: int
     conductor: int
     n: int
@@ -428,9 +428,10 @@ class IdealTable:
     ideal is proper and integral.  Building the table computes each dual
     once, as the colon S - I; the table of ``family`` carries it down its
     reverse search instead, one AND with S - x, a shift of ``filled``, per
-    member x added.  Everything else, the masks included, is computed on
-    first use; ``facts`` gathers, once per table, the facts of S that each
-    row's marks and decomposition read.
+    member x added.  S's type is read once per table, into ``type``, which
+    each row's b and ``facts`` read.  Everything else, the masks included,
+    is computed on first use; ``facts`` gathers, once per table, the facts
+    of S that each row's marks and decomposition read.
     """
 
     def __init__(self, S: NumericalSemigroup, ideals):
@@ -449,6 +450,7 @@ class IdealTable:
     def _lay_out(self, S: NumericalSemigroup, top: int) -> None:
         """S's fields on the window of the given top, with no rows yet."""
         self.S = S
+        self.type = S.type
         self.top = top
         self.offset = top
         self.window = _ones(self.offset + self.top)
@@ -559,11 +561,11 @@ class IdealTable:
             a = (A | self._fill_a) << self.offset
         return colon_bits(a, B | self._fill_b, self.S.multiplicity) & self.window
 
-    def colons(self, A: int, *Bs: int) -> list[int]:
-        """Window bits of A - B for each B, with A filled and shifted once."""
+    def colons(self, A: int, B: int, C: int) -> tuple[int, int]:
+        """Window bits of A - B and of A - C, with A filled and shifted once."""
         a = (A | self._fill_a) << self.offset
         e, fill, window = self.S.multiplicity, self._fill_b, self.window
-        return [colon_bits(a, B | fill, e) & window for B in Bs]
+        return colon_bits(a, B | fill, e) & window, colon_bits(a, C | fill, e) & window
 
     def unmarked_bits(self, bidual: int, conductor: int) -> int:
         """Window bits of S & ~I** below c_I: the s_{h-1} of the unmarked h.
@@ -593,7 +595,7 @@ class IdealTable:
     def facts(self) -> _Facts:
         """The facts of S that each row's d and decomposition read, read once."""
         S = self.S
-        r, delta, c = S.type, S.genus, S.conductor
+        r, delta, c = self.type, S.genus, S.conductor
         a_gamma = 2 * delta - c
         return _Facts(
             r,

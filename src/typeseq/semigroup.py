@@ -73,14 +73,16 @@ def colon_bits(a_bits: int, b_bits: int, e: int) -> int:
     B (e is in S), so bit i of the result says i + g is in A for every g
     of B, which is A - B on the caller's layout.  ``b_bits`` must reach
     B's conductor + e, so that every class has its least member there,
-    and ``a_bits`` must be exact up to every bit the shifts read.
+    and ``a_bits`` must be exact up to every bit the shifts read.  The g
+    are read from the highest down, one ``bit_length`` each; the AND is
+    the same in any order.  No generator gives -1.
     """
     gens = b_bits & ~(b_bits << e)
     acc = -1
     while gens:
-        low = gens & -gens
-        acc &= a_bits >> (low.bit_length() - 1)
-        gens ^= low
+        g = gens.bit_length() - 1
+        acc &= a_bits >> g
+        gens ^= 1 << g
     return acc
 
 
@@ -90,14 +92,15 @@ def sum_bits(a_bits: int, b_bits: int, e: int) -> int:
     g runs over the class minima of ``b_bits`` as in ``colon_bits``, so for
     A + S = A the result is A + B, exact where the shifts read exact bits.
     ``b_bits`` may stop early where every later generator would shift
-    ``a_bits`` past the caller's window.
+    ``a_bits`` past the caller's window.  The g are read from the highest
+    down, and the OR is the same in any order.  No generator gives 0.
     """
     gens = b_bits & ~(b_bits << e)
     acc = 0
     while gens:
-        low = gens & -gens
-        acc |= a_bits << (low.bit_length() - 1)
-        gens ^= low
+        g = gens.bit_length() - 1
+        acc |= a_bits << g
+        gens ^= 1 << g
     return acc
 
 

@@ -27,7 +27,7 @@ from typeseq import (
     tail_ideal,
     verify_theorems,
 )
-from typeseq import Violation, census, cli, invariants
+from typeseq import Violation, census, cli, ideals, invariants, semigroup
 from typeseq.invariants import (
     IdealRow,
     IdealTable,
@@ -175,6 +175,20 @@ GROUP_TALLIES_GENUS_7 = {
         "classify_type_value": 21,
         "classify_value_pattern": 27,
     },
+}
+
+# (colon_bits, sum_bits) calls of the same runs, each with cold caches.  A
+# change on a hot path that adds kernel calls moves them; the tracer of the
+# benchmark does not see these kernels.
+KERNEL_CALLS_GENUS_7 = {
+    "semigroup": (926, 346),
+    "ideals": (1998, 1909),
+    "pairs": (0, 0),
+    "colon_growth": (11817, 0),
+    "equivalences": (1998, 1631),
+    "overrings": (1563, 0),
+    "profile": (88, 0),
+    "classification": (0, 0),
 }
 
 
@@ -533,6 +547,27 @@ class TestVerifyTheorems:
         rep = verify_theorems(CensusQuery(max_genus=7, window=2, checks=(group,)))
         assert rep.violations == []
         assert rep.check_tallies == GROUP_TALLIES_GENUS_7[group]
+
+    def test_kernel_calls_are_pinned(self, monkeypatch):
+        # Every module that binds a kernel gets the counted one, so the Apery
+        # pass, the ideal operations and the table's colons are all seen.
+        calls = dict.fromkeys(("colon_bits", "sum_bits"), 0)
+        for name in calls:
+            kernel = getattr(semigroup, name)
+
+            def counted(a, b, e, kernel=kernel, name=name):
+                calls[name] += 1
+                return kernel(a, b, e)
+
+            for module in (semigroup, ideals, invariants):
+                monkeypatch.setattr(module, name, counted)
+        got = {}
+        for group in census.GROUPS:
+            calls.update(dict.fromkeys(calls, 0))
+            with planted():  # no fault: the caches start cold
+                verify_theorems(CensusQuery(max_genus=7, window=2, checks=(group,)))
+            got[group] = calls["colon_bits"], calls["sum_bits"]
+        assert got == KERNEL_CALLS_GENUS_7
 
     def test_overrings_do_not_depend_on_the_window(self):
         # Every S - T has conductor c, so each window's table holds it; the

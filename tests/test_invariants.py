@@ -485,6 +485,27 @@ class TestIdealTable:
                 want = oracles.colon_set(A, I, lo, walk.top, hi)
                 assert _window_set(walk, row.dual) == want, row.ideal.encode()
 
+    def test_colons_are_the_two_colons(self):
+        # colon_growth takes J - (X cap Y) and J - (X cup Y) in one call.
+        rng = random.Random(0)
+        for S in semigroups_up_to(6):
+            table = IdealTable.family(S, 2)
+            rows = [row.bits for row in table.rows]
+            for _ in range(40):
+                J, X, Y = (rng.choice(rows) for _ in range(3))
+                for A, B, C in ((J, X, Y), (J, X & Y, X | Y), (table.unit, X, Y)):
+                    want = table.colon(A, B), table.colon(A, C)
+                    assert table.colons(A, B, C) == want, S.encode()
+
+    def test_type_is_read_once_per_table(self):
+        for S in semigroups_up_to(6):
+            tables = (
+                IdealTable.family(S, 2),
+                IdealTable(S, [tail_ideal(S, S.conductor + 1)]),
+                IdealTable(S, []),
+            )
+            assert [table.type for table in tables] == [S.type] * 3, S.encode()
+
     def test_rejects_ideals_it_cannot_hold(self):
         S = from_generators((3, 4, 5))
         with pytest.raises(NotIntegralProper):

@@ -4,7 +4,7 @@ import itertools
 import pickle
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from conftest import generator_tuples, negative_a_semigroup, semigroups_up_to
@@ -27,7 +27,7 @@ from typeseq import (
 )
 from typeseq.census import _children
 from typeseq.invariants import IdealTable
-from typeseq.semigroup import _reflect
+from typeseq.semigroup import _reflect, colon_bits, sum_bits
 
 
 class TestConstruction:
@@ -470,6 +470,69 @@ class TestTreeChildren:
         assert len(children) > 1 and children[0].frobenius == first
         encodings = [T.encode() for T in children]
         assert encodings == sorted(encodings)
+
+
+def _members(bits):
+    return {k for k in range(bits.bit_length()) if bits >> k & 1}
+
+
+def _as_bits(members):
+    return sum(1 << k for k in members)
+
+
+@st.composite
+def kernel_args(draw, width, max_e):
+    """(a_bits, b_bits, e) below ``width``, B closed under + e there."""
+    e = draw(st.integers(min_value=1, max_value=max_e))
+    a_bits = draw(st.integers(min_value=0, max_value=(1 << width) - 1))
+    seeds = draw(
+        st.one_of(
+            st.lists(st.integers(min_value=0, max_value=width - 1), max_size=6),
+            st.integers(min_value=0, max_value=(1 << width) - 1).map(_members),
+        )
+    )
+    B = {x for s in seeds for x in range(s, width, e)}
+    return a_bits, _as_bits(B), e
+
+
+class TestKernels:
+    """The generator kernels against a reference on plain sets.
+
+    The reference takes the least member of B in each residue class mod e,
+    then the intersection (colon) or union (sum) of A shifted by each.
+    """
+
+    @staticmethod
+    def _check(a_bits, b_bits, e):
+        A, least = _members(a_bits), {}
+        for x in sorted(_members(b_bits)):
+            least.setdefault(x % e, x)
+        shifted_down = [{x - g for x in A if x >= g} for g in least.values()]
+        colon = _as_bits(set.intersection(*shifted_down)) if least else -1
+        sum_ = _as_bits(set().union(*({x + g for x in A} for g in least.values())))
+        assert colon_bits(a_bits, b_bits, e) == colon
+        assert sum_bits(a_bits, b_bits, e) == sum_
+
+    @given(kernel_args(width=80, max_e=10))
+    @settings(max_examples=200, deadline=None)
+    def test_census_widths(self, args):
+        self._check(*args)
+
+    @given(kernel_args(width=1300, max_e=60))
+    @settings(max_examples=60, deadline=None)
+    def test_query_widths(self, args):
+        self._check(*args)
+
+    @pytest.mark.parametrize("e", [1, 3, 10, 60])
+    def test_one_class_minimum_and_empty_b(self, e):
+        a_bits = 0b1011_0110_1101 << 40 | 0b111
+        one = _as_bits(range(7, 200, e))
+        assert colon_bits(a_bits, one, e) == a_bits >> 7
+        assert sum_bits(a_bits, one, e) == a_bits << 7
+        assert colon_bits(a_bits, 0, e) == -1
+        assert sum_bits(a_bits, 0, e) == 0
+        self._check(a_bits, one, e)
+        self._check(a_bits, 0, e)
 
 
 class TestOversemigroups:
