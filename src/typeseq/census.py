@@ -6,10 +6,12 @@ numerical semigroup other than N arises exactly once this way (adjoining
 the Frobenius number is the inverse step), genus grows by one per edge
 and the conductor grows strictly, so pruning by either bound is complete.
 A child inherits its facts from its parent (``NumericalSemigroup._child``):
-its small elements, minimal generators and pseudo-Frobenius bits come
-down the tree by slicing and a few shifts, read against S's mask
-reversed about its conductor, which comes down the tree too; no Apery
-pass and no bit reflection.
+its n, generator bits and pseudo-Frobenius bits come down the tree by a
+few shifts, read against S's mask reversed about its conductor, which
+comes down the tree too; no Apery pass, no bit reflection and no tuple.
+A node's small elements are built only if something reads them, and its
+children are read off its generator bits.  The census loop keeps its
+counts in locals and builds its report once.
 
 The proper integral ideals with conductor in a window above that of S
 come from one reverse search, ``IdealTable.family``: the parent of an
@@ -273,8 +275,9 @@ def _children(
     Only children within the bounds are built: each has genus one more
     than S, and removing x gives conductor x + 1 >= c + 1, so an S with
     c + 1 past ``max_conductor`` has none, and otherwise x runs over the
-    generators in [c, top], top being ``max_conductor`` - 1 or, with no
-    conductor bound, c + e, which no generator passes.
+    generators from c on, up to ``max_conductor`` - 1 if that is set.
+    They are read off S's generator bits, shifted down by c and cut at
+    that bound, from the highest bit down.
 
     Siblings are in the order of their encodings, without a sort: T_x and
     T_y with x < y agree up to x - 1, then read str(x + 1) and str(x), of
@@ -289,18 +292,22 @@ def _children(
         return []
     c = S.conductor
     if max_conductor is None:
-        top = c + S.multiplicity
+        bits = S._generator_bits() >> c
     elif c + 1 > max_conductor:
         return []
     else:
-        top = max_conductor - 1
-    xs = [x for x in reversed(S.minimal_generators) if c <= x <= top]
-    if len(xs) > 1:
+        bits = S._generator_bits() >> c & (1 << (max_conductor - c)) - 1
+    children = []
+    if bits & (bits - 1):
         nines = 10 ** len(str(c)) - 1
-        if nines in xs:
-            xs.remove(nines)
-            xs.insert(0, nines)
-    return [S._child(x) for x in xs]
+        if bits >> (nines - c) & 1:
+            children.append(S._child(nines))
+            bits ^= 1 << (nines - c)
+    while bits:
+        k = bits.bit_length() - 1
+        children.append(S._child(c + k))
+        bits ^= 1 << k
+    return children
 
 
 def enumerate_semigroups(
@@ -542,6 +549,7 @@ def _semigroup_group(S: NumericalSemigroup) -> list[CheckTuple]:
     delta = S.genus
     c = S.conductor
     n = S.n
+    small = S.small_elements
     ts = type_sequence(S)
     checks: list[CheckTuple] = [
         _eq("sg_ts_sum_is_genus", sum(ts.values), delta),
@@ -563,7 +571,7 @@ def _semigroup_group(S: NumericalSemigroup) -> list[CheckTuple]:
     checks.append(_eq("sg_gorenstein_iff_type_one", S.is_gorenstein, r == 1))
     arf = is_arf(S)
     # R_i, the members of S from s_i on, for i = 1, ..., n
-    chain = [members_from(S, s) for s in S.small_elements[1 : n + 1]]
+    chain = [members_from(S, s) for s in small[1 : n + 1]]
     tails = [tail_ideal(S, c + k) for k in (1, 2)]
     shifts = []  # g + K, inside S, for each nonzero g of the different S - K
     if c:
@@ -578,14 +586,14 @@ def _semigroup_group(S: NumericalSemigroup) -> list[CheckTuple]:
     for i in range(1, n + 1):
         acc_a += ts.values[i - 1] - 1
         acc_b += r - ts.values[i - 1]
-        s_i = S.small_elements[i]
+        s_i = small[i]
         a_i, b_i = rows[i - 1].a, rows[i - 1].b
         checks.append(_eq("sg_chain_a_partial", a_i, acc_a))
         checks.append(_eq("sg_chain_b_partial", b_i, acc_b))
         if arf:
             checks.append(_eq("sg_arf_dual_length", a_i + i, s_i - i))
             checks.append(
-                _eq("sg_arf_chain_b", b_i, i * S.small_elements[1] - s_i)
+                _eq("sg_arf_chain_b", b_i, i * small[1] - s_i)
             )
     for k, row in zip((1, 2), rows[n : n + 2]):
         checks.append(_eq("sg_tail_a_constant", row.a, 2 * delta - c))
@@ -605,7 +613,7 @@ def _semigroup_group(S: NumericalSemigroup) -> list[CheckTuple]:
             )
         # a small element inside the different forces the next entry to be 1
         for i in range(n):
-            if S.small_elements[i] in theta:
+            if small[i] in theta:
                 checks.append(
                     _eq("sg_different_member_forces_one", ts.values[i], 1)
                 )
@@ -794,49 +802,58 @@ def _run_semigroup(
 
 
 def _selected(query: CensusQuery):
-    """The queried semigroups that pass the query's filters, in walk order."""
+    """The queried semigroups that pass the query's filters, in walk order.
+
+    Each filter set wraps the population once; with none it is the walk.
+    """
     if query.semigroups is not None:
         population = map(NumericalSemigroup.decode, query.semigroups)
     else:
         population = enumerate_semigroups(query.max_genus, query.max_conductor)
-    for S in population:
-        if query.multiplicity_range is not None:
-            lo, hi = query.multiplicity_range
-            if not lo <= S.multiplicity <= hi:
-                continue
-        if query.gorenstein_only and not S.is_gorenstein:
-            continue
-        if query.non_gorenstein_only and S.is_gorenstein:
-            continue
-        yield S
+    if query.multiplicity_range is not None:
+        lo, hi = query.multiplicity_range
+        population = (S for S in population if lo <= S.multiplicity <= hi)
+    if query.gorenstein_only:
+        population = (S for S in population if S.is_gorenstein)
+    if query.non_gorenstein_only:
+        population = (S for S in population if not S.is_gorenstein)
+    return population
 
 
 def _census_part(query: CensusQuery, population) -> CensusReport:
-    """Tallies over one part of the population, in walk order."""
+    """Tallies over one part of the population, in walk order.
+
+    The counts are kept in locals and the report is built once, at the end.
+    """
     groups = query.groups()
     need_ideals = any(g in groups for g in _IDEAL_GROUPS)
+    window, sample_limit = query.window, query.sample_limit
     col = _Collector()
-    report = CensusReport(query=query.to_dict())
+    per_genus: dict[int, int] = {}
+    tallies: dict[str, int] = {}
+    members: dict[str, list[str]] = {}
+    ideal_count = 0
     for S in population:
-        report.semigroups_per_genus[S.genus] = (
-            report.semigroups_per_genus.get(S.genus, 0) + 1
-        )
-        report.semigroup_count += 1
+        genus = S.genus
+        per_genus[genus] = per_genus.get(genus, 0) + 1
         n_ideals, tag = _run_semigroup(
-            S, groups, need_ideals, query.window, query.sample_limit, col
+            S, groups, need_ideals, window, sample_limit, col
         )
-        report.ideal_count += n_ideals
+        ideal_count += n_ideals
         if tag is not None:
-            report.classification_tallies[tag] = (
-                report.classification_tallies.get(tag, 0) + 1
-            )
+            tallies[tag] = tallies.get(tag, 0) + 1
             if tag in _CLASS_TAGS_TRACKED:
-                report.classification_members.setdefault(tag, []).append(
-                    S.encode()
-                )
-    report.check_tallies = col.check_tallies()
-    report.violations = col.violations
-    return report
+                members.setdefault(tag, []).append(S.encode())
+    return CensusReport(
+        query=query.to_dict(),
+        semigroup_count=sum(per_genus.values()),
+        ideal_count=ideal_count,
+        semigroups_per_genus=per_genus,
+        check_tallies=col.check_tallies(),
+        violations=col.violations,
+        classification_tallies=tallies,
+        classification_members=members,
+    )
 
 
 def _add_counts(total: dict, part: dict) -> None:

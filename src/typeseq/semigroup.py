@@ -13,14 +13,16 @@ the multiplicity e.  The kernels ``colon_bits`` and ``sum_bits`` hold this
 rule; every colon, product and Apery pass in the package is one call of one.
 
 Each fact about a semigroup is computed once per instance.  ``n``,
-``genus`` and ``multiplicity`` are plain attributes set on construction.
-One pass over the Apery set of the multiplicity yields both the minimal
-generators and the pseudo-Frobenius bits; the type is the popcount of
-those bits, and the ``pseudo_frobenius`` tuple is built from them on each
-read.  A child S - {x} in the semigroup tree (``_child``) inherits its
-facts instead: its small elements, minimal generators and
-pseudo-Frobenius bits follow from its parent's by slicing and a few
-shifts, with no Apery pass, read against the mask reversed about the
+``genus`` and ``multiplicity`` are plain attributes set on construction,
+from popcounts and the lowest bits of the mask.  One pass over the Apery
+set of the multiplicity yields both the minimal generators and the
+pseudo-Frobenius numbers, each as bits; the type is the popcount of the
+latter.  The ``small_elements`` and ``minimal_generators`` tuples are
+built from their bits on first read and kept; ``pseudo_frobenius`` is
+built on each read.  A child S - {x} in the semigroup tree (``_child``)
+inherits its facts instead: n, its generator bits and its
+pseudo-Frobenius bits follow from its parent's by a few shifts, with no
+Apery pass and no tuple, read against the mask reversed about the
 conductor, which the child carries on.  ``encode()`` keeps its string
 after the first call.  None of these caches is pickled.
 """
@@ -35,6 +37,7 @@ from .errors import (
     ConductorNotTight,
     EmptyGenerators,
     EncodingError,
+    InternalInconsistency,
     InvalidInput,
     NotClosed,
     NotCoprime,
@@ -112,20 +115,21 @@ class NumericalSemigroup:
     number of nonzero small elements), ``genus`` (c - n) and
     ``multiplicity`` (s_1, or 1 for S = N) are attributes.  Instances are
     hashable and compare by value, so they can key caches.  The reversed
-    mask, the minimal generators, the pseudo-Frobenius bits and the
-    encoding are computed on first use and kept in slots; ``_child`` fills
-    the first three from the parent's.
+    mask, the generator and pseudo-Frobenius bits, the small-element and
+    generator tuples and the encoding are computed on first use and kept
+    in slots; ``_child`` fills the first three from the parent's.
     """
 
     __slots__ = (
         "conductor",
         "mask",
-        "small_elements",
         "n",
         "genus",
         "multiplicity",
-        "_rev",
+        "_small",
+        "_gens",
         "_mingens",
+        "_rev",
         "_pf_bits",
         "_enc",
     )
@@ -143,13 +147,14 @@ class NumericalSemigroup:
             raise InvalidInput("mask must be empty when the conductor is 0")
         self.conductor = conductor
         self.mask = mask
-        small = _bit_positions(mask) + (conductor,) if conductor else (0,)
-        self.small_elements = small
-        self.n = n = len(small) - 1
-        self.genus = conductor - n
-        self.multiplicity = small[1] if conductor else 1
-        self._rev: int | None = None
+        self.n = mask.bit_count()  # the members below c, 0 among them
+        self.genus = conductor - self.n
+        low = mask ^ 1 | 1 << conductor  # the nonzero members up to c
+        self.multiplicity = (low & -low).bit_length() - 1 if conductor else 1
+        self._small: tuple[int, ...] | None = None
+        self._gens: int | None = None if conductor else 0b10
         self._mingens: tuple[int, ...] | None = None
+        self._rev: int | None = None
         self._pf_bits: int | None = None
         self._enc: str | None = None
 
@@ -179,8 +184,26 @@ class NumericalSemigroup:
     def gaps(self) -> tuple[int, ...]:
         return _bit_positions(~self.mask & _ones(self.conductor))
 
+    @property
+    def small_elements(self) -> tuple[int, ...]:
+        """The members s_0 = 0 < s_1 < ... < s_n = c; (0,) for S = N.
+
+        Built from the mask on first read, and checked against ``n``, which
+        ``_child`` sets by its own arithmetic.
+        """
+        small = self._small
+        if small is None:
+            c = self.conductor
+            small = _bit_positions(self.mask) + (c,) if c else (0,)
+            if len(small) != self.n + 1:
+                raise InternalInconsistency(
+                    f"n = {self.n}, but the mask holds {len(small) - 1}"
+                )
+            self._small = small
+        return small
+
     def _apery_pass(self) -> int:
-        """Fill the minimal generators and pseudo-Frobenius bits (c > 0).
+        """Fill the generator and pseudo-Frobenius bits (c > 0).
 
         With e the multiplicity, the class minima of M, the nonzero members
         below c + e, are e and the nonzero part of the Apery set Ap(S, e).
@@ -195,13 +218,19 @@ class NumericalSemigroup:
         Returns the pseudo-Frobenius bits.
         """
         c = self.conductor
-        e = self.small_elements[1]
+        e = self.multiplicity
         wide = self.bits_below(2 * c + e)
         nonzero = wide & _ones(c + e) & ~1
         pf = ~self.mask & _ones(c) & colon_bits(wide, nonzero, e)
-        self._mingens = _bit_positions(nonzero & ~sum_bits(nonzero, nonzero, e))
+        self._gens = nonzero & ~sum_bits(nonzero, nonzero, e)
         self._pf_bits = pf
         return pf
+
+    def _generator_bits(self) -> int:
+        """The minimal generators as bits, bit g per generator g."""
+        if self._gens is None:
+            self._apery_pass()  # N's are set on construction
+        return self._gens
 
     def _reversal(self) -> int:
         """S's mask reversed about its conductor c: bit c - k per member k < c.
@@ -218,27 +247,27 @@ class NumericalSemigroup:
         """T = S - {x} for a minimal generator x > F(S), every fact from S's.
 
         The tree walk's builder, in place of ``NumericalSemigroup(x + 1,
-        bits)`` and its Apery pass: a few shifts of S's bits.  With c the
-        conductor, e the multiplicity and rev the reversal of S:
+        bits)`` and its Apery pass: a few shifts of S's bits, and no tuple.
+        With c the conductor, e the multiplicity and rev the reversal of S:
 
-        - small elements: those of S below c, then c, ..., x - 1, x + 1;
-        - reversal: the members of T below x + 1 are those of S below c and
-          c, ..., x - 1.  A member k < c moves from bit c - k to bit
-          x + 1 - k, a shift by x + 1 - c, and k in [c, x) lands on bit
-          x + 1 - k in [2, x + 1 - c], the x - c bits from bit 2.  So bit
-          x + 1 - k of rev_T is set exactly for the members k <= x of T;
+        - n: the members of T below x + 1 are the n_S members of S below c
+          and c, ..., x - 1, so n_T = n_S + x - c.  The small elements are
+          built from T's mask on first read;
+        - reversal: a member k < c moves from bit c - k to bit x + 1 - k, a
+          shift by x + 1 - c, and k in [c, x) lands on bit x + 1 - k in
+          [2, x + 1 - c], the x - c bits from bit 2.  So bit x + 1 - k of
+          rev_T is set exactly for the members k <= x of T;
         - multiplicity: e, or e + 1 for x = e;
-        - minimal generators: those of S but x, then x + e unless
+        - generator bits: S's with bit x cleared, and bit x + e set unless
           x + e = a + b for members a, b of S in (e, x).  A new generator y
           of T is x + s with s in S, as every split of y in S uses x, and
           y <= x + e, as every generator of T is below c_T + e_T =
-          x + 1 + e.  Every generator of S is below c + e <= x + e, so
-          x + e goes last.  Bit a of rev_T << (e - 1) is bit a + 1 - e of
-          rev_T, set exactly when x + e - a is a member of T, and for a in
-          (e, x) that member lies in (e, x) too.  So the split test is one
-          AND of the members of T in (e, x) with rev_T << (e - 1), both
-          shifted down by e + 1.  For x = e, S is ordinary (S = N
-          included) and T's generators are e + 1, ..., 2e + 1;
+          x + 1 + e.  Bit a of rev_T << (e - 1) is bit a + 1 - e of rev_T,
+          set exactly when x + e - a is a member of T, and for a in (e, x)
+          that member lies in (e, x) too.  So the split test is one AND of
+          the members of T in (e, x) with rev_T << (e - 1), both shifted
+          down by e + 1.  For x = e, S is ordinary (S = N included) and T's
+          generators are the run e + 1, ..., 2e + 1;
         - pseudo-Frobenius bits: PF(T) = {x} + {f in PF(S) : x - f is not
           in T}.  The gaps of T are those of S and x; a gap f of S is
           pseudo-Frobenius in T exactly when it is in PF(S) and f + t != x
@@ -247,7 +276,7 @@ class NumericalSemigroup:
           with the complement of rev_T >> 1.
         """
         c = self.conductor
-        gens = self._mingens or self.minimal_generators  # Apery pass if unset
+        gens = self._gens or self._generator_bits()  # Apery pass if unset
         pf = self._pf_bits or 0  # unset only for S = N
         rev = self._reversal()
         e = self.multiplicity
@@ -255,34 +284,28 @@ class NumericalSemigroup:
         T = NumericalSemigroup.__new__(NumericalSemigroup)
         T.conductor = x + 1
         T.mask = below = self.mask | run << c
-        T.small_elements = small = (
-            self.small_elements[:-1] + tuple(range(c, x)) + (x + 1,)
-        )
-        T.n = len(small) - 1
+        T.n = self.n + x - c
         T.genus = self.genus + 1
         T._rev = rev_t = rev << (x + 1 - c) | run << 2
         if x == e:
             T.multiplicity = x + 1
-            T._mingens = tuple(range(x + 1, 2 * x + 2))
+            T._gens = ((2 << x) - 1) << (x + 1)
         else:
             T.multiplicity = e
-            i = gens.index(x)
-            rest = gens[:i] + gens[i + 1 :]
+            gens ^= 1 << x
             split = below >> (e + 1) & rev_t >> 2  # bit j: e + 1 + j, x - 1 - j in T
-            T._mingens = rest if split else rest + (x + e,)
+            T._gens = gens if split else gens | 1 << (x + e)
         T._pf_bits = pf & ~(rev_t >> 1) | 1 << x
-        T._enc = None
+        T._small = T._mingens = T._enc = None
         return T
 
     @property
     def minimal_generators(self) -> tuple[int, ...]:
         """Nonzero members not expressible as a sum of two nonzero members."""
-        if self._mingens is None:
-            if self.conductor == 0:
-                self._mingens = (1,)
-            else:
-                self._apery_pass()
-        return self._mingens
+        gens = self._mingens
+        if gens is None:
+            gens = self._mingens = _bit_positions(self._generator_bits())
+        return gens
 
     @property
     def pseudo_frobenius(self) -> tuple[int, ...]:
@@ -313,6 +336,8 @@ class NumericalSemigroup:
 
     def small_element(self, j: int) -> int:
         """j-th small element, extended by s_j = c + (j - n) for j > n."""
+        if j < 0:
+            raise InvalidInput(f"small element index must be non-negative, got {j}")
         if j <= self.n:
             return self.small_elements[j]
         return self.conductor + (j - self.n)
@@ -321,8 +346,9 @@ class NumericalSemigroup:
         """Index j with extended small element s_j = x (x must be a member)."""
         if x > self.conductor:
             return self.n + (x - self.conductor)
-        j = bisect_left(self.small_elements, x)
-        if self.small_elements[j] != x:
+        small = self.small_elements
+        j = bisect_left(small, x)
+        if small[j] != x:
             raise InvalidInput(f"{x} is not a member")
         return j
 

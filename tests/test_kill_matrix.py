@@ -131,16 +131,19 @@ def _marks_edited(edit):
 
 
 def _never_append(T, S, x):
-    gens, e = T.minimal_generators, S.multiplicity
-    if x != e and gens[-1] == x + e:
-        T._mingens = gens[:-1]
+    if x != S.multiplicity:
+        T._gens &= ~(1 << (x + S.multiplicity))
     return T
 
 
 def _always_append(T, S, x):
-    gens, e = T.minimal_generators, S.multiplicity
-    if x != e and gens[-1] != x + e:
-        T._mingens = gens + (x + e,)
+    if x != S.multiplicity:
+        T._gens |= 1 << (x + S.multiplicity)
+    return T
+
+
+def _n_one_high(T, S, x):
+    T.n += 1
     return T
 
 
@@ -164,6 +167,12 @@ def child_never_append(mp):
 def child_always_append(mp):
     """_child adds x + e as a generator even when it splits."""
     _replace(mp, NumericalSemigroup, "_child", _then(_always_append))
+
+
+@fault
+def child_n_one_high(mp):
+    """_child counts T's nonzero small elements as n_S + x - c + 1."""
+    _replace(mp, NumericalSemigroup, "_child", _then(_n_one_high))
 
 
 @fault

@@ -13,6 +13,7 @@ from typeseq import (
     ConductorNotTight,
     EmptyGenerators,
     EncodingError,
+    InternalInconsistency,
     InvalidInput,
     NotClosed,
     NotCoprime,
@@ -313,6 +314,12 @@ class TestMembership:
         assert [S.small_index(v) for v in (0, 3, 4, 5)] == [0, 1, 2, 3]
         assert S.n == 1
 
+    def test_small_element_rejects_a_negative_index(self):
+        S = from_generators((3, 5, 7))
+        for j in (-1, -2, -4, -100):
+            with pytest.raises(InvalidInput):
+                S.small_element(j)
+
     def test_negative_numbers_are_not_members(self):
         S = from_generators((3, 4, 5))
         assert -1 not in S
@@ -387,8 +394,60 @@ def _facts(S):
     )
 
 
+# The facts ``_child`` sets or leaves to be built on first read, in an
+# order of reading; each order is also read reversed.
+_READ_ORDERS = (
+    ("small_elements", "n", "minimal_generators", "pseudo_frobenius", "type", "encode"),
+    ("encode", "minimal_generators", "type", "small_elements", "pseudo_frobenius", "n"),
+    ("type", "pseudo_frobenius", "n", "encode", "small_elements", "minimal_generators"),
+)
+
+
+def _read(S, names):
+    return [S.encode() if name == "encode" else getattr(S, name) for name in names]
+
+
 class TestTreeChildren:
     """``_child`` builds S - {x} from S's facts, with no Apery pass."""
+
+    @pytest.mark.parametrize("built_first", [False, True])
+    @pytest.mark.parametrize(
+        "order", [o for order in _READ_ORDERS for o in (order, order[::-1])]
+    )
+    def test_lazy_facts_in_any_read_order(self, order, built_first):
+        # Read during the walk, a node's facts are read before its children
+        # are built from it; read after it, every node's children are built
+        # before any of its facts is read.  Each case walks afresh.
+        walk = enumerate_semigroups(max_conductor=20)
+        if built_first:
+            walk = list(walk)
+        count = 0
+        for S in walk:
+            fresh = NumericalSemigroup(S.conductor, S.mask)
+            assert _read(S, order) == _read(fresh, order), (S, order)
+            count += 1
+        assert count == 2616
+
+    def test_child_n_is_checked_against_the_mask(self):
+        T = from_generators((3, 4, 5))._child(4)
+        T.n += 1
+        with pytest.raises(InternalInconsistency):
+            T.small_elements
+
+    def test_pickle_round_trip_carries_no_lazy_field(self):
+        slots = NumericalSemigroup.__slots__
+        # N is left out: it keeps no pseudo-Frobenius bits.
+        cases = [S for S in enumerate_semigroups(max_conductor=10) if S.conductor]
+        cases += [from_generators((3, 4, 5)), NumericalSemigroup(0, 0)._child(1)]
+        for S in cases:
+            _facts(S), S._reversal()  # fill every lazy field
+            assert None not in [getattr(S, slot) for slot in slots], S
+            T = pickle.loads(pickle.dumps(S))
+            fresh = NumericalSemigroup(S.conductor, S.mask)
+            assert [getattr(T, slot) for slot in slots] == [
+                getattr(fresh, slot) for slot in slots
+            ], S
+            assert T._small is None and T._mingens is None and T._enc is None
 
     def test_walk_facts_equal_the_constructor(self):
         walked = list(enumerate_semigroups(max_conductor=20))
@@ -428,7 +487,7 @@ class TestTreeChildren:
 
     def test_parent_without_an_apery_pass(self):
         S = NumericalSemigroup(5, 0b1001)  # <3, 5, 7> from its mask
-        assert S._pf_bits is None and S._mingens is None
+        assert S._pf_bits is None and S._gens is None and S._mingens is None
         for x, gens in ((5, (3, 7, 8)), (7, (3, 5))):
             T = S._child(x)
             assert T.minimal_generators == gens
