@@ -45,7 +45,9 @@ row, and a row it disagrees with, or an S - T that is no row, raises
 ``InternalInconsistency``.  Several T can share S - T, and then share
 its row.  No report is built on the way, nor a semigroup for T: an
 ideal or oversemigroup is encoded only when one of its checks fails, to
-name it in the violation.
+name it in the violation.  The classification group counts a semigroup
+that ``_classify`` gives no check, a Gorenstein one or one with b > r,
+by the census's own two check ids when both pass.
 
 ``verify_theorems`` runs named groups of checks over every enumerated
 semigroup (and ideal family); violations are collected, never raised, so
@@ -494,12 +496,14 @@ _passes = itemgetter(1)
 class _Collector:
     """Accumulates tallies and violations from named checks.
 
-    The small groups hand in check tuples (``add``).  The ideals and pairs
-    groups, where nearly every check passes, hand in signatures instead:
-    the sequence of check ids one object ran, with how many objects ran it
-    (``count``), and the tuples only of an object with a failing check
-    (``fail``).  ``check_tallies`` expands the signature counts into
-    per-id tallies once, at the end.
+    The small groups hand in check tuples (``add``).  The ideals, pairs and
+    colon_growth groups, where nearly every check passes, hand in
+    signatures instead: the sequence of check ids one object ran, with how
+    many objects ran it (``count``), and the tuples only of an object with
+    a failing check (``fail``).  So does the classification group for a
+    Gorenstein S or one with b > r; its other semigroups, and any with a
+    failing check, hand in their tuples.  ``check_tallies`` expands the
+    signature counts into per-id tallies once, at the end.
     """
 
     def __init__(self):
@@ -700,15 +704,28 @@ def _colon_growth_group(
     return samples, failed
 
 
-def _classification_group(S: NumericalSemigroup) -> tuple[list[CheckTuple], str]:
-    """The checks of ``_classify`` and the census's own, with S's tag.
+# The census's own checks of every semigroup, in the order of their tuples.
+_CLASS_IDS = ("class_b_lt_value_set", "class_b_lt_type_seq")
 
-    The core's checks are read as plain tuples: no outcome, no records.
+
+def _classification_group(
+    S: NumericalSemigroup,
+) -> tuple[str, list[CheckTuple] | tuple[()]]:
+    """(S's tag, its check tuples; () when the signature ``_CLASS_IDS`` is all).
+
+    A Gorenstein S or one with b > r gets no check from ``_classify`` and
+    runs only the census's own two; when both pass, nothing is built and
+    the census counts the node by its signature.  Any other node gets the
+    checks of ``_classify``, the census's own and, for b = r - 1 or r,
+    one more, as tuples.  The core's checks are read as plain tuples: no
+    outcome, no records.
     """
     tag, b, r, e, _, own = _classify(S)
     value_pat = matches_small_b_value_pattern(S)
     ts_pat = matches_small_b_ts_pattern(S)
     small_b = 0 <= b < r - 1
+    if not own and small_b == value_pat == ts_pat:
+        return tag, ()
     checks = [
         *own,
         _eq("class_b_lt_value_set", small_b, value_pat),
@@ -741,7 +758,7 @@ def _classification_group(S: NumericalSemigroup) -> tuple[list[CheckTuple], str]
                 int(j_case),
             )
         )
-    return checks, tag
+    return tag, checks
 
 
 _IDEAL_GROUPS = ("ideals", "pairs", "colon_growth", "equivalences")
@@ -796,8 +813,11 @@ def _run_semigroup(
     if "profile" in groups and S.conductor:
         col.add(enc, "", window_profile(S).checks)
     if "classification" in groups:
-        checks, tag = _classification_group(S)
-        col.add(enc, "", checks)
+        tag, checks = _classification_group(S)
+        if checks:
+            col.add(enc, "", checks)
+        else:
+            col.count(_CLASS_IDS)
     return len(table.rows) if need_ideals else 0, tag
 
 

@@ -311,7 +311,7 @@ def _multiples_then_tail(S: NumericalSemigroup) -> tuple[bool, int]:
 def _head_constant_ts(S: NumericalSemigroup, value: int) -> bool:
     """Whether the type sequence reads (value, ..., value, r_n)."""
     ts = type_sequence(S).values
-    return len(ts) >= 1 and all(v == value for v in ts[:-1])
+    return ts[:-1].count(value) == len(ts) - 1
 
 
 def matches_small_b_value_pattern(S: NumericalSemigroup) -> bool:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_left
 
 from .errors import (
     ConductorNotTight,
@@ -343,14 +342,19 @@ class NumericalSemigroup:
         return self.conductor + (j - self.n)
 
     def small_index(self, x: int) -> int:
-        """Index j with extended small element s_j = x (x must be a member)."""
-        if x > self.conductor:
-            return self.n + (x - self.conductor)
-        small = self.small_elements
-        j = bisect_left(small, x)
-        if small[j] != x:
+        """Index j with extended small element s_j = x (x must be a member).
+
+        A member x below c is preceded by the n members below c less those
+        from x on: n minus the popcount of the mask shifted down by x, one
+        shift where masking the bits below x takes three big-int steps.
+        """
+        c = self.conductor
+        if x >= c:
+            return self.n + (x - c)
+        rest = self.mask >> x if x >= 0 else 0
+        if not rest & 1:
             raise InvalidInput(f"{x} is not a member")
-        return j
+        return self.n - rest.bit_count()
 
     # -- encoding ------------------------------------------------------------
 

@@ -27,7 +27,23 @@ from typeseq import (
     tail_ideal,
     verify_theorems,
 )
-from typeseq import Violation, census, cli, ideals, invariants, semigroup
+from typeseq import (
+    Violation,
+    census,
+    classification,
+    cli,
+    ideals,
+    invariants,
+    semigroup,
+)
+from typeseq.classification import (
+    TAG_B_EQ_R_G,
+    TAG_B_EQ_R_J,
+    TAG_B_EQ_RM1_CASE1,
+    TAG_B_EQ_RM1_CASE2,
+    TAG_B_GT,
+    TAG_GORENSTEIN,
+)
 from typeseq.invariants import (
     IdealRow,
     IdealTable,
@@ -189,6 +205,25 @@ KERNEL_CALLS_GENUS_7 = {
     "overrings": (1563, 0),
     "profile": (88, 0),
     "classification": (0, 0),
+}
+
+# Check tuples of classification_census(max_conductor=20), 2,616 nodes: those
+# ``_eq`` builds in the census and in the core, and those handed to the
+# collector.  Only the 186 non-Gorenstein nodes with b <= r build any; the 2,430
+# Gorenstein and b > r nodes are counted by their signature.
+CLASSIFICATION_TUPLES_CONDUCTOR_20 = {
+    "typeseq.census": 372,
+    "typeseq.classification": 887,
+    "added": 1337,
+}
+
+
+# The census's classification check of a tag beyond ``_CLASS_IDS``.
+CLASS_TAG_IDS = {
+    TAG_B_EQ_RM1_CASE1: ("class_b_eq_rm1_unique_pattern",),
+    TAG_B_EQ_RM1_CASE2: ("class_b_eq_rm1_unique_pattern",),
+    TAG_B_EQ_R_G: ("class_b_eq_r_family",),
+    TAG_B_EQ_R_J: ("class_b_eq_r_family",),
 }
 
 
@@ -515,9 +550,14 @@ class TestVerifyTheorems:
         seen = added + failed
         assert seen and all(type(c[2]) is int and type(c[3]) is int for c in seen)
         # The signature counts stand for every tuple the tuple path emits.
+        # The classification ids are all recounted, from ``_classify`` and
+        # the census's own, as the census hands in a signature for most nodes.
         monkeypatch.undo()
-        tuples = Counter(c[0] for c in added)
+        tuples = Counter(c[0] for c in added if not c[0].startswith("class"))
         for S in census._selected(query):
+            tag, *_, own = census._classify(S)
+            tuples.update(c[0] for c in own)
+            tuples.update(census._CLASS_IDS + CLASS_TAG_IDS.get(tag, ()))
             table = IdealTable(S, enumerate_ideals(S, 2))
             for row in table.rows:
                 tuples.update(c[0] for c in decomposition_checks(row))
@@ -640,6 +680,62 @@ class TestClassificationCensus:
             "0,5,6,8,10|10",
             "0,5,8,9,10,13|13",
         }
+
+    def test_flipped_pattern_fails_as_the_tuple_path_says(self, monkeypatch):
+        # One node of each tag that the census counts by signature gets one
+        # pattern flipped; it must fail with the tuple path's int sides.
+        clean = classification_census(max_conductor=12)
+        flips = (
+            ("class_b_lt_value_set", "value", "0,4,6,8|8", TAG_B_GT),
+            ("class_b_lt_type_seq", "ts", "0,3,4,6|6", TAG_GORENSTEIN),
+        )
+        want = []
+        for cid, kind, enc, tag in flips:
+            S = NumericalSemigroup.decode(enc)
+            got, b, r, *_ = census._classify(S)
+            assert got == tag
+            name = f"matches_small_b_{kind}_pattern"
+            pattern = getattr(census, name)
+
+            def flipped(T, pattern=pattern, target=S):
+                return pattern(T) != (T == target)
+
+            monkeypatch.setattr(census, name, flipped)
+            # the tuple path: the census's own check, with the flipped side
+            check = _eq(cid, 0 <= b < r - 1, flipped(S))
+            want.append(Violation(enc, "", cid, *check[2:]))
+        serial = classification_census(max_conductor=12)
+        parallel = classification_census(max_conductor=12, workers=2)
+        assert serial.violations == sorted(want, key=Violation.sort_key)
+        assert [(v.lhs, v.rhs) for v in serial.violations] == [(0, 1), (0, 1)]
+        assert all(
+            type(v.lhs) is int and type(v.rhs) is int for v in serial.violations
+        )
+        assert serial.check_tallies == clean.check_tallies
+        assert serial.classification_tallies == clean.classification_tallies
+        assert parallel.to_json() == serial.to_json()
+
+    def test_check_tuples_are_built_only_off_the_signature_path(self, monkeypatch):
+        # Tuples built by ``_eq`` in the census and in the core, and tuples
+        # handed to the collector, over the conductor-20 walk: a node counted
+        # by its signature builds none.
+        built = Counter()
+        for module in (census, classification):
+            def counted(cid, lhs, rhs, module=module):
+                built[module.__name__] += 1
+                return _eq(cid, lhs, rhs)
+
+            monkeypatch.setattr(module, "_eq", counted)
+        add = census._Collector.add
+
+        def record_add(self, sg, obj, checks):
+            built["added"] += len(checks)
+            add(self, sg, obj, checks)
+
+        monkeypatch.setattr(census._Collector, "add", record_add)
+        rep = classification_census(max_conductor=20)
+        assert rep.passed and rep.semigroup_count == 2616
+        assert dict(built) == CLASSIFICATION_TUPLES_CONDUCTOR_20
 
 
 class TestNegativeASearch:

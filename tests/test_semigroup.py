@@ -320,6 +320,26 @@ class TestMembership:
             with pytest.raises(InvalidInput):
                 S.small_element(j)
 
+    def test_small_index_is_the_position_in_small_elements(self):
+        # Ranked off the mask, each walked node before its small elements
+        # are built; past the conductor s_j = c + (j - n).
+        count = 0
+        for S in enumerate_semigroups(max_conductor=20):
+            c, n = S.conductor, S.n
+            got = [S.small_index(x) for x in range(c + 1) if x in S]
+            assert got == [S.small_elements.index(x) for x in S.small_elements], S
+            assert [S.small_index(c + k) for k in (1, 2, 7)] == [n + 1, n + 2, n + 7]
+            count += 1
+        assert count == 2616
+
+    def test_small_index_rejects_a_gap_and_a_negative_number(self):
+        S = from_generators((3, 5, 7))
+        for x in (1, 2, 4, -1, -3, -100):
+            with pytest.raises(InvalidInput):
+                S.small_index(x)
+        with pytest.raises(InvalidInput):
+            NumericalSemigroup(0, 0).small_index(-1)
+
     def test_negative_numbers_are_not_members(self):
         S = from_generators((3, 4, 5))
         assert -1 not in S
