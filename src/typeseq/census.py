@@ -9,9 +9,17 @@ A child inherits its facts from its parent (``NumericalSemigroup._child``):
 its n, generator bits and pseudo-Frobenius bits come down the tree by a
 few shifts, read against S's mask reversed about its conductor, which
 comes down the tree too; no Apery pass, no bit reflection and no tuple.
-A node's small elements are built only if something reads them, and its
-children are read off its generator bits.  The census loop keeps its
-counts in locals and builds its report once.
+Its type, the popcount of those bits, is stored on it.  A node's small
+elements are built only if something reads them, and its children are
+read off its generator bits and pushed onto the walk's stack as
+``_children`` lists them, in stack order.
+
+The census resolves the query's groups once, not per node: each group
+but classification is one function, and a node runs those the query
+selected, with an ideal table only if one of them reads it.  The
+classification group runs in the census loop, which counts the nodes
+it passes by signature in a local and keeps its other counts in locals
+too; the report is built once.
 
 The proper integral ideals with conductor in a window above that of S
 come from one reverse search, ``IdealTable.family``: the parent of an
@@ -123,12 +131,14 @@ GROUPS = (
     "classification",
 )
 
-_CLASS_TAGS_TRACKED = (
-    TAG_B_LT,
-    TAG_B_EQ_RM1_CASE1,
-    TAG_B_EQ_RM1_CASE2,
-    TAG_B_EQ_R_G,
-    TAG_B_EQ_R_J,
+_CLASS_TAGS_TRACKED = frozenset(
+    (
+        TAG_B_LT,
+        TAG_B_EQ_RM1_CASE1,
+        TAG_B_EQ_RM1_CASE2,
+        TAG_B_EQ_R_G,
+        TAG_B_EQ_R_J,
+    )
 )
 
 
@@ -279,16 +289,18 @@ def _children(
     c + 1 past ``max_conductor`` has none, and otherwise x runs over the
     generators from c on, up to ``max_conductor`` - 1 if that is set.
     They are read off S's generator bits, shifted down by c and cut at
-    that bound, from the highest bit down.
+    that bound, from the lowest bit up.
 
-    Siblings are in the order of their encodings, without a sort: T_x and
-    T_y with x < y agree up to x - 1, then read str(x + 1) and str(x), of
-    equal length, so T_x sorts after T_y, unless x + 1 = 10^j, where
-    "1" < "9" puts T_x first.  So the generators go in descending order,
-    but for such an x, which goes to the front.  Only S = N has one child
-    with c = 0; otherwise every x lies in [c, c + e) with e <= c, so with
-    k the number of digits of c, 10^(k-1) <= x < 2c < 10^(k+1) - 1, and
-    x = 10^j - 1 only for j = k: there is at most one such x.
+    The list is in stack order: the walk pushes it as it is and visits the
+    last child first.  Visited, siblings are in the order of their
+    encodings, without a sort: T_x and T_y with x < y agree up to x - 1,
+    then read str(x + 1) and str(x), of equal length, so T_x sorts after
+    T_y, unless x + 1 = 10^j, where "1" < "9" puts T_x first.  So the
+    generators are listed in ascending order, but for such an x, which
+    goes last.  Only S = N has one child with c = 0; otherwise every x
+    lies in [c, c + e) with e <= c, so with k the number of digits of c,
+    10^(k-1) <= x < 2c < 10^(k+1) - 1, and x = 10^j - 1 only for j = k:
+    there is at most one such x.
     """
     if max_genus is not None and S.genus + 1 > max_genus:
         return []
@@ -299,16 +311,19 @@ def _children(
         return []
     else:
         bits = S._generator_bits() >> c & (1 << (max_conductor - c)) - 1
-    children = []
+    nines = None
     if bits & (bits - 1):
-        nines = 10 ** len(str(c)) - 1
-        if bits >> (nines - c) & 1:
-            children.append(S._child(nines))
-            bits ^= 1 << (nines - c)
+        k = 10 ** len(str(c)) - 1 - c
+        if bits >> k & 1:
+            bits ^= 1 << k
+            nines = c + k
+    children = []
     while bits:
-        k = bits.bit_length() - 1
-        children.append(S._child(c + k))
-        bits ^= 1 << k
+        low = bits & -bits
+        children.append(S._child(c + low.bit_length() - 1))
+        bits ^= low
+    if nines is not None:
+        children.append(S._child(nines))
     return children
 
 
@@ -327,12 +342,18 @@ def enumerate_semigroups(
 
 
 def _walk(max_genus: int | None, max_conductor: int | None):
-    # N is within any non-negative bounds; _children builds no child past them
+    """Depth first from N: each node's children go onto the stack as listed.
+
+    ``_children`` lists them in stack order, so the pop after a push takes
+    the first child in encoding order.  N is within any non-negative
+    bounds, and ``_children`` builds no child past them.
+    """
     stack = [NumericalSemigroup(0, 0)]
+    pop = stack.pop
     while stack:
-        S = stack.pop()
+        S = pop()
         yield S
-        stack.extend(reversed(_children(S, max_genus, max_conductor)))
+        stack += _children(S, max_genus, max_conductor)
 
 
 def enumerate_ideals(S: NumericalSemigroup, window: int) -> list[RelativeIdeal]:
@@ -761,64 +782,86 @@ def _classification_group(
     return tag, checks
 
 
+# -- one function per group but classification: (S, its table, the sample
+# limit, the collector); ``_census_part`` picks those of the query once.
+
+
+def _tally_semigroup(S, table, sample_limit, col) -> None:
+    col.add(S.encode, "", _semigroup_group(S))
+
+
+def _tally_ideals(S, table, sample_limit, col) -> None:
+    for row in table.rows:
+        signature, checks = decomposition_tally(row)
+        col.count(signature)
+        if checks:
+            col.fail(S.encode, row.ideal.encode(), checks)
+
+
+def _tally_pairs(S, table, sample_limit, col) -> None:
+    count, checks = _pairs_group(S, table, sample_limit)
+    col.count(_PAIR_IDS, count)
+    col.fail(S.encode, "", checks)
+
+
+def _tally_colon_growth(S, table, sample_limit, col) -> None:
+    count, checks = _colon_growth_group(S, table, sample_limit)
+    col.count(("colon_growth_bound",), count)
+    col.fail(S.encode, "", checks)
+
+
+def _tally_equivalences(S, table, sample_limit, col) -> None:
+    col.add(S.encode, "", ring_classification(S, ideals=table).checks)
+
+
+def _tally_overrings(S, table, sample_limit, col) -> None:
+    c = S.conductor
+    at_c = {row.bits: row for row in table.rows if row.conductor == c}
+    offset, top = table.offset, table.top
+    for members, ideal in table.oversemigroup_walk():
+        row = at_c.get(ideal)
+        if row is None:
+            T = from_bits(members >> offset, top).encode()
+            raise InternalInconsistency(f"S - T for T = {T} is not a table row")
+        checks = overring_checks(S, members, row)
+        col.add(S.encode, lambda: from_bits(members >> offset, top).encode(), checks)
+
+
+def _tally_profile(S, table, sample_limit, col) -> None:
+    if S.conductor:
+        col.add(S.encode, "", window_profile(S).checks)
+
+
+_TALLIES = {
+    "semigroup": _tally_semigroup,
+    "ideals": _tally_ideals,
+    "pairs": _tally_pairs,
+    "colon_growth": _tally_colon_growth,
+    "equivalences": _tally_equivalences,
+    "overrings": _tally_overrings,
+    "profile": _tally_profile,
+}
 _IDEAL_GROUPS = ("ideals", "pairs", "colon_growth", "equivalences")
 
 
 def _run_semigroup(
     S: NumericalSemigroup,
-    groups: tuple[str, ...],
-    need_ideals: bool,
+    runs: list,
+    need_table: bool,
     window: int,
     sample_limit: int,
     col: _Collector,
-) -> tuple[int, str | None]:
-    """Run the requested groups on S; returns (ideal count, class tag).
+) -> int:
+    """Run the query's groups but classification on S; returns its rows.
 
-    ``need_ideals`` says whether any of ``groups`` other than overrings
-    reads the ideal table; only then are its rows counted.
+    ``runs`` holds the functions of those groups, in ``GROUPS`` order.
+    The ideal table is built when ``need_table`` says one of them reads
+    it, and the number of its rows is returned; 0 without one.
     """
-    enc = S.encode  # called only to name a violation
-    need_table = need_ideals or "overrings" in groups
     table = IdealTable.family(S, window) if need_table else None
-    tag = None
-    if "semigroup" in groups:
-        col.add(enc, "", _semigroup_group(S))
-    if "ideals" in groups:
-        for row in table.rows:
-            signature, checks = decomposition_tally(row)
-            col.count(signature)
-            if checks:
-                col.fail(enc, row.ideal.encode(), checks)
-    if "pairs" in groups:
-        count, checks = _pairs_group(S, table, sample_limit)
-        col.count(_PAIR_IDS, count)
-        col.fail(enc, "", checks)
-    if "colon_growth" in groups:
-        count, checks = _colon_growth_group(S, table, sample_limit)
-        col.count(("colon_growth_bound",), count)
-        col.fail(enc, "", checks)
-    if "equivalences" in groups:
-        col.add(enc, "", ring_classification(S, ideals=table).checks)
-    if "overrings" in groups:
-        c = S.conductor
-        at_c = {row.bits: row for row in table.rows if row.conductor == c}
-        offset, top = table.offset, table.top
-        for members, ideal in table.oversemigroup_walk():
-            row = at_c.get(ideal)
-            if row is None:
-                T = from_bits(members >> offset, top).encode()
-                raise InternalInconsistency(f"S - T for T = {T} is not a table row")
-            checks = overring_checks(S, members, row)
-            col.add(enc, lambda: from_bits(members >> offset, top).encode(), checks)
-    if "profile" in groups and S.conductor:
-        col.add(enc, "", window_profile(S).checks)
-    if "classification" in groups:
-        tag, checks = _classification_group(S)
-        if checks:
-            col.add(enc, "", checks)
-        else:
-            col.count(_CLASS_IDS)
-    return len(table.rows) if need_ideals else 0, tag
+    for run in runs:
+        run(S, table, sample_limit, col)
+    return len(table.rows) if need_table else 0
 
 
 def _selected(query: CensusQuery):
@@ -843,27 +886,44 @@ def _selected(query: CensusQuery):
 def _census_part(query: CensusQuery, population) -> CensusReport:
     """Tallies over one part of the population, in walk order.
 
-    The counts are kept in locals and the report is built once, at the end.
+    The query's groups are resolved once, here: the functions of those
+    other than classification, whether one of them reads the ideal table,
+    and whether the rows are counted, which only the ideal groups do.  So
+    a node pays only for the groups that run.  The classification group
+    runs in the loop itself, as it gives the node's tag; a node it counts
+    by its signature adds one to a local count, handed to the collector
+    once, at the end.  The other counts are kept in locals too, and the
+    report is built once.
     """
     groups = query.groups()
-    need_ideals = any(g in groups for g in _IDEAL_GROUPS)
+    runs = [_TALLIES[g] for g in GROUPS if g in groups and g in _TALLIES]
+    count_rows = any(g in groups for g in _IDEAL_GROUPS)
+    need_table = count_rows or "overrings" in groups
+    classify = "classification" in groups
     window, sample_limit = query.window, query.sample_limit
     col = _Collector()
     per_genus: dict[int, int] = {}
-    tallies: dict[str, int] = {}
+    tags: dict[str, int] = {}
     members: dict[str, list[str]] = {}
     ideal_count = 0
+    by_signature = 0
     for S in population:
         genus = S.genus
         per_genus[genus] = per_genus.get(genus, 0) + 1
-        n_ideals, tag = _run_semigroup(
-            S, groups, need_ideals, window, sample_limit, col
-        )
-        ideal_count += n_ideals
-        if tag is not None:
-            tallies[tag] = tallies.get(tag, 0) + 1
+        if runs:
+            rows = _run_semigroup(S, runs, need_table, window, sample_limit, col)
+            if count_rows:
+                ideal_count += rows
+        if classify:
+            tag, checks = _classification_group(S)
+            if checks:
+                col.add(S.encode, "", checks)
+            else:
+                by_signature += 1
+            tags[tag] = tags.get(tag, 0) + 1
             if tag in _CLASS_TAGS_TRACKED:
                 members.setdefault(tag, []).append(S.encode())
+    col.count(_CLASS_IDS, by_signature)
     return CensusReport(
         query=query.to_dict(),
         semigroup_count=sum(per_genus.values()),
@@ -871,7 +931,7 @@ def _census_part(query: CensusQuery, population) -> CensusReport:
         semigroups_per_genus=per_genus,
         check_tallies=col.check_tallies(),
         violations=col.violations,
-        classification_tallies=tallies,
+        classification_tallies=tags,
         classification_members=members,
     )
 

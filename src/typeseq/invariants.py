@@ -176,12 +176,15 @@ def _chain_dual_lengths(S: NumericalSemigroup, m: int) -> tuple[int, ...]:
     return tuple(lengths)
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=1)
 def type_sequence(S: NumericalSemigroup) -> TypeSequence:
     """Compute (r_1, ..., r_n) as r_i = L_i - L_{i-1}.
 
     L_i counts the members below c of S - R_i, accumulated backwards from
     S - R_n = N by one shift and one AND per step, not by a colon each.
+    The cache holds the last semigroup's: the census and the CLI read a
+    semigroup's type sequence only while they visit it, so a larger cache
+    hits no more often and keeps earlier semigroups alive.
 
     The census checks the entries: r_1 is the type (``sg_ts_first_is_type``),
     each lies in [1, r_1] (``sg_ts_entries_in_range``), they sum to the

@@ -23,8 +23,9 @@ built on each read.  A child S - {x} in the semigroup tree (``_child``)
 inherits its facts instead: n, its generator bits and its
 pseudo-Frobenius bits follow from its parent's by a few shifts, with no
 Apery pass and no tuple, read against the mask reversed about the
-conductor, which the child carries on.  ``encode()`` keeps its string
-after the first call.  None of these caches is pickled.
+conductor, which the child carries on, and its type is stored as their
+popcount.  ``encode()`` keeps its string after the first call.  None of
+these caches is pickled.
 """
 
 from __future__ import annotations
@@ -116,7 +117,10 @@ class NumericalSemigroup:
     hashable and compare by value, so they can key caches.  The reversed
     mask, the generator and pseudo-Frobenius bits, the small-element and
     generator tuples and the encoding are computed on first use and kept
-    in slots; ``_child`` fills the first three from the parent's.
+    in slots; ``_child`` fills the first three from the parent's.  The
+    type is the popcount of the pseudo-Frobenius bits, which its first read
+    fills.  A tree node, built by ``_child``, is a ``_TreeNode``, which
+    stores its type in a slot as well.
     """
 
     __slots__ = (
@@ -280,7 +284,7 @@ class NumericalSemigroup:
         rev = self._reversal()
         e = self.multiplicity
         run = (1 << (x - c)) - 1  # c, ..., x - 1
-        T = NumericalSemigroup.__new__(NumericalSemigroup)
+        T = _TreeNode.__new__(_TreeNode)
         T.conductor = x + 1
         T.mask = below = self.mask | run << c
         T.n = self.n + x - c
@@ -294,7 +298,8 @@ class NumericalSemigroup:
             gens ^= 1 << x
             split = below >> (e + 1) & rev_t >> 2  # bit j: e + 1 + j, x - 1 - j in T
             T._gens = gens if split else gens | 1 << (x + e)
-        T._pf_bits = pf & ~(rev_t >> 1) | 1 << x
+        T._pf_bits = pf = pf & ~(rev_t >> 1) | 1 << x
+        T.type = pf.bit_count()
         T._small = T._mingens = T._enc = None
         return T
 
@@ -320,7 +325,10 @@ class NumericalSemigroup:
 
     @property
     def type(self) -> int:
-        """Number of pseudo-Frobenius numbers: a popcount of their bits."""
+        """Number of pseudo-Frobenius numbers: a popcount of their bits.
+
+        A tree node (``_child``) stores it in a slot of this name instead.
+        """
         pf = self._pf_bits
         if pf is None:
             if self.conductor == 0:
@@ -388,6 +396,19 @@ class NumericalSemigroup:
 
     def __reduce__(self):
         return (NumericalSemigroup, (self.conductor, self.mask))
+
+
+class _TreeNode(NumericalSemigroup):
+    """A semigroup built by ``_child``, with its type r stored.
+
+    ``_child`` has the pseudo-Frobenius bits at hand and stores their
+    popcount in the slot ``type``, which shadows the property: the census
+    reads r several times per node, each a plain slot read.  In all else
+    a node is a ``NumericalSemigroup``; it compares, hashes and pickles as
+    one, and unpickles as one.
+    """
+
+    __slots__ = ("type",)
 
 
 def schur_bound(generators) -> int:

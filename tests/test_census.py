@@ -44,6 +44,7 @@ from typeseq.classification import (
     TAG_B_GT,
     TAG_GORENSTEIN,
 )
+from typeseq.census import _children
 from typeseq.invariants import (
     IdealRow,
     IdealTable,
@@ -218,6 +219,72 @@ CLASSIFICATION_TUPLES_CONDUCTOR_20 = {
 }
 
 
+# Classification tallies of classification_census's query at conductor <= 16
+# behind each population filter: (semigroups, check_tallies,
+# classification_tallies).
+FILTERED_CLASSIFICATION_CONDUCTOR_16 = {
+    "gorenstein_only": (
+        32,
+        {"class_b_lt_type_seq": 32, "class_b_lt_value_set": 32},
+        {"GORENSTEIN": 32},
+    ),
+    "non_gorenstein_only": (
+        548,
+        {
+            "class_b_eq_r_family": 15,
+            "class_b_eq_rm1_unique_pattern": 33,
+            "class_b_lt_type_seq": 548,
+            "class_b_lt_value_set": 548,
+            "classify_conductor_value": 62,
+            "classify_last_entry": 62,
+            "classify_multiplicity_value": 3,
+            "classify_quotient_length": 110,
+            "classify_ts_pattern": 95,
+            "classify_type_value": 90,
+            "classify_value_pattern": 98,
+        },
+        {
+            "B_EQ_R_CASE_G": 12,
+            "B_EQ_R_CASE_J": 3,
+            "B_EQ_R_MINUS_1_CASE1": 20,
+            "B_EQ_R_MINUS_1_CASE2": 13,
+            "B_GT_R": 438,
+            "B_LT_R_MINUS_1": 62,
+        },
+    ),
+    "multiplicity_range": (
+        127,
+        {
+            "class_b_eq_r_family": 7,
+            "class_b_eq_rm1_unique_pattern": 14,
+            "class_b_lt_type_seq": 127,
+            "class_b_lt_value_set": 127,
+            "classify_conductor_value": 19,
+            "classify_last_entry": 19,
+            "classify_multiplicity_value": 3,
+            "classify_quotient_length": 40,
+            "classify_ts_pattern": 33,
+            "classify_type_value": 31,
+            "classify_value_pattern": 36,
+        },
+        {
+            "B_EQ_R_CASE_G": 4,
+            "B_EQ_R_CASE_J": 3,
+            "B_EQ_R_MINUS_1_CASE1": 9,
+            "B_EQ_R_MINUS_1_CASE2": 5,
+            "B_GT_R": 71,
+            "B_LT_R_MINUS_1": 19,
+            "GORENSTEIN": 16,
+        },
+    ),
+}
+FILTERS = {
+    "gorenstein_only": dict(gorenstein_only=True),
+    "non_gorenstein_only": dict(non_gorenstein_only=True),
+    "multiplicity_range": dict(multiplicity_range=(3, 5)),
+}
+
+
 # The census's classification check of a tag beyond ``_CLASS_IDS``.
 CLASS_TAG_IDS = {
     TAG_B_EQ_RM1_CASE1: ("class_b_eq_rm1_unique_pattern",),
@@ -227,7 +294,32 @@ CLASS_TAG_IDS = {
 }
 
 
+def _depth_first(S, max_genus=None, max_conductor=None):
+    """S, then the subtree of each child, the children in encoding order."""
+    yield S
+    children = _children(S, max_genus, max_conductor)
+    for T in sorted(children, key=NumericalSemigroup.encode):
+        yield from _depth_first(T, max_genus, max_conductor)
+
+
 class TestSemigroupEnumeration:
+    @pytest.mark.parametrize(
+        "bounds, count",
+        [(dict(max_conductor=20), 2616), (dict(max_genus=9), 274)],
+        ids=["conductor20", "genus9"],
+    )
+    def test_walk_is_the_recursive_depth_first_order(self, bounds, count):
+        # The reference sorts each node's children itself, so it holds the
+        # walk to encoding order among siblings whatever order _children
+        # lists them in.
+        walk = [S.encode() for S in enumerate_semigroups(**bounds)]
+        want = [S.encode() for S in _depth_first(NumericalSemigroup(0, 0), **bounds)]
+        assert walk == want
+        assert len(walk) == count
+
+    def test_walk_count_at_conductor_28(self):
+        assert sum(1 for _ in enumerate_semigroups(max_conductor=28)) == 47511
+
     def test_counts_by_genus(self):
         seen: dict[int, int] = {}
         for S in enumerate_semigroups(max_genus=12):
@@ -644,6 +736,37 @@ class TestVerifyTheorems:
         overs = GROUP_TALLIES_GENUS_7["overrings"]["overring_length_split"]
         assert counts[0] - counts[1] == overs == 1031
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_group_alone_tallies_its_ids_of_an_all_run(self, workers):
+        # The groups are picked once per query; one run alone must count
+        # what it counts among all the others.
+        query = dict(max_genus=7, window=2, workers=workers)
+        everything = verify_theorems(CensusQuery(**query))
+        assert everything.passed
+        ids = set()
+        for group in census.GROUPS:
+            alone = verify_theorems(CensusQuery(checks=(group,), **query))
+            own = GROUP_TALLIES_GENUS_7[group]
+            assert alone.check_tallies == {
+                cid: everything.check_tallies[cid] for cid in own
+            }, group
+            assert alone.semigroups_per_genus == everything.semigroups_per_genus
+            counts_rows = group in census._IDEAL_GROUPS
+            assert alone.ideal_count == (everything.ideal_count if counts_rows else 0)
+            tags = everything.classification_tallies if group == "classification" else {}
+            assert alone.classification_tallies == tags, group
+            ids |= set(own)
+        assert ids == set(everything.check_tallies)
+
+    def test_type_sequence_is_computed_once_per_semigroup(self):
+        # Every group reads a semigroup's type sequence during its visit, so
+        # the last one cached is all the census needs.
+        invariants.type_sequence.cache_clear()
+        rep = verify_theorems(CensusQuery(max_genus=7, window=2))
+        info = invariants.type_sequence.cache_info()
+        assert info.misses == rep.semigroup_count == 89
+        assert info.hits > info.misses
+
     def test_wall_time_recorded(self):
         rep = verify_theorems(CensusQuery(max_genus=3, window=1))
         assert rep.wall_ms >= 0
@@ -714,6 +837,21 @@ class TestClassificationCensus:
         assert serial.check_tallies == clean.check_tallies
         assert serial.classification_tallies == clean.classification_tallies
         assert parallel.to_json() == serial.to_json()
+
+    @pytest.mark.parametrize("name", sorted(FILTERS))
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_filtered_tallies_are_pinned(self, name, workers):
+        query = CensusQuery(
+            max_conductor=16,
+            window=0,
+            checks=("classification",),
+            workers=workers,
+            **FILTERS[name],
+        )
+        rep = verify_theorems(query)
+        assert rep.passed
+        got = (rep.semigroup_count, rep.check_tallies, rep.classification_tallies)
+        assert got == FILTERED_CLASSIFICATION_CONDUCTOR_16[name]
 
     def test_check_tuples_are_built_only_off_the_signature_path(self, monkeypatch):
         # Tuples built by ``_eq`` in the census and in the core, and tuples

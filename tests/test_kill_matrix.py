@@ -149,6 +149,7 @@ def _n_one_high(T, S, x):
 
 def _skip_pf_filter(T, S, x):
     T._pf_bits = (S._pf_bits or 0) | 1 << x
+    T.type = T._pf_bits.bit_count()
     return T
 
 
@@ -187,16 +188,27 @@ def child_reversal_one_high(mp):
     _replace(mp, NumericalSemigroup, "_child", _then(_reversal_one_high))
 
 
+def _type_shifted(mp, k):
+    """Shift the type by k where it is read and where ``_child`` stores it."""
+
+    def shift(T, S, x):
+        T.type += k
+        return T
+
+    _replace(mp, NumericalSemigroup, "type", _shifted(k))
+    _replace(mp, NumericalSemigroup, "_child", _then(shift))
+
+
 @fault
 def type_plus_one(mp):
     """The type is one more than the count of pseudo-Frobenius bits."""
-    _replace(mp, NumericalSemigroup, "type", _shifted(1))
+    _type_shifted(mp, 1)
 
 
 @fault
 def type_minus_one(mp):
     """The type is one less than the count of pseudo-Frobenius bits."""
-    _replace(mp, NumericalSemigroup, "type", _shifted(-1))
+    _type_shifted(mp, -1)
 
 
 @fault
