@@ -15,11 +15,14 @@ read off its generator bits and pushed onto the walk's stack as
 ``_children`` lists them, in stack order.
 
 The census resolves the query's groups once, not per node: each group
-but classification is one function, and a node runs those the query
-selected, with an ideal table only if one of them reads it.  The
-classification group runs in the census loop, which counts the nodes
-it passes by signature in a local and keeps its other counts in locals
-too; the report is built once.
+but classification is one function, ``_tally_<group>``, and a node runs
+those the query selected, with an ideal table only if one of them reads
+it.  The classification group runs in the census loop, which counts the
+nodes it passes by signature in a local and keeps its other counts in
+locals too; the report is built once.  Every group tallies into one
+store, a count of objects per signature, the sequence of check ids one
+object ran, and the signatures are expanded into per-id tallies at the
+end.
 
 The proper integral ideals with conductor in a window above that of S
 come from one reverse search, ``IdealTable.family``: the parent of an
@@ -28,12 +31,12 @@ the tree by one AND per step, in place of a colon per ideal.  The ideals,
 pairs, colon_growth, equivalences and overrings groups, and the
 negative-a search, read this one table per semigroup; each row is the
 one record of its ideal's invariants.  The ideals group takes each row's
-signature, the sequence of check ids it ran, and one pass flag from
-``decomposition_tally``; the pairs group counts the comparable pairs,
-which all run the same four checks, with one pass flag each.  The census
-counts objects per signature and expands the counts into per-id tallies
-at the end; the check tuples are built only for an object with a failing
-check.  The rows hold membership bits of I, I*, I** and K.I on one
+signature and one pass flag from ``decomposition_tally``; the pairs group
+counts the comparable pairs, which all run the same four checks, with one
+pass flag each, and the colon_growth group its samples, which run one.
+These three build check tuples only for an object with a failing check;
+the other groups hand in their tuples, which the store counts by their
+ids.  The rows hold membership bits of I, I*, I** and K.I on one
 absolute window: bit k is the integer k - offset, and offset and top are
 both c + window + 1, where c is S's conductor.  Every ideal here is
 proper and integral with conductor at most c + window, so I* starts no
@@ -72,7 +75,6 @@ import itertools
 import os
 import random
 from _json import make_encoder
-from collections import _count_elements
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from json import JSONEncoder
@@ -93,7 +95,13 @@ from .classification import (
     ring_classification,
     window_profile,
 )
-from .errors import BoundTooLarge, InternalInconsistency, InvalidInput, WindowTooLarge
+from .errors import (
+    BoundTooLarge,
+    InternalInconsistency,
+    InvalidInput,
+    WindowTooLarge,
+    require_count,
+)
 from .ideals import (
     RelativeIdeal,
     canonical_ideal,
@@ -148,13 +156,6 @@ _WINDOW_GUARD = 3
 _WORKERS_GUARD = 64  # a pool forks all its workers at once
 
 
-def _require_non_negative(**bounds) -> None:
-    """Raise ``InvalidInput`` for a bound given below 0; None is no bound."""
-    for name, bound in bounds.items():
-        if bound is not None and bound < 0:
-            raise InvalidInput(f"{name} must be non-negative, got {bound}")
-
-
 def _genus_guard() -> int:
     text = os.environ.get("TYPESEQ_MAX_GENUS", str(_DEFAULT_GENUS_GUARD))
     if not text.strip().isdecimal():
@@ -170,7 +171,9 @@ class CensusQuery:
 
     Exactly one of ``max_genus``, ``max_conductor`` or ``semigroups``
     (explicit encodings, guarded from their text, then decoded here)
-    selects the population.
+    selects the population.  Every bound is an int >= 0, checked before
+    any guard compares it, and ``TYPESEQ_MAX_GENUS`` is read and checked
+    on every query, ``allow_large`` or not.
     """
 
     max_genus: int | None = None
@@ -199,9 +202,27 @@ class CensusQuery:
         bad = [g for g in self.groups() if g not in GROUPS]
         if bad:
             raise InvalidInput(f"unknown check groups: {bad}")
+        require_count(
+            max_genus=self.max_genus,
+            max_conductor=self.max_conductor,
+            window=self.window,
+            workers=self.workers,
+            sample_limit=self.sample_limit,
+        )
+        if self.workers < 1:
+            raise InvalidInput("workers must be positive")
+        if self.sample_limit < 1:
+            raise InvalidInput("sample_limit must be positive")
+        if self.semigroups is not None and not (
+            isinstance(self.semigroups, (tuple, list))
+            and all(isinstance(text, str) for text in self.semigroups)
+        ):
+            raise InvalidInput(
+                f"semigroups must be a sequence of str, got {self.semigroups!r}"
+            )
         explicit = [parse_encoding(text) for text in self.semigroups or ()]
+        guard = _genus_guard()  # a malformed value is refused under allow_large too
         if not self.allow_large:
-            guard = _genus_guard()
             cond_guard = max(_CONDUCTOR_GUARD, 2 * guard)
             if self.max_genus is not None and self.max_genus > guard:
                 raise BoundTooLarge(
@@ -231,11 +252,6 @@ class CensusQuery:
                 )
         for members, c in explicit:
             from_small_elements(members, c)  # a bad encoding fails here
-        _require_non_negative(
-            window=self.window,
-            max_genus=self.max_genus,
-            max_conductor=self.max_conductor,
-        )
         if self.multiplicity_range is not None:
             bounds = self.multiplicity_range
             if not (
@@ -248,10 +264,6 @@ class CensusQuery:
                     "multiplicity_range must be two ints lo, hi with "
                     f"1 <= lo <= hi, got {bounds!r}"
                 )
-        if self.workers < 1:
-            raise InvalidInput("workers must be positive")
-        if self.sample_limit < 1:
-            raise InvalidInput("sample_limit must be positive")
 
     def groups(self) -> tuple[str, ...]:
         if "all" in self.checks:
@@ -333,11 +345,11 @@ def enumerate_semigroups(
 ):
     """Depth-first stream of all semigroups within the given bounds.
 
-    The bounds are checked on the call, before the stream is read.
+    The bounds, ints >= 0, are checked on the call, before the stream is read.
     """
     if max_genus is None and max_conductor is None:
         raise InvalidInput("a genus or conductor bound is required")
-    _require_non_negative(max_genus=max_genus, max_conductor=max_conductor)
+    require_count(max_genus=max_genus, max_conductor=max_conductor)
     return _walk(max_genus, max_conductor)
 
 
@@ -515,29 +527,26 @@ _passes = itemgetter(1)
 
 
 class _Collector:
-    """Accumulates tallies and violations from named checks.
+    """Accumulates tallies and violations from named checks, by signature.
 
-    The small groups hand in check tuples (``add``).  The ideals, pairs and
-    colon_growth groups, where nearly every check passes, hand in
-    signatures instead: the sequence of check ids one object ran, with how
-    many objects ran it (``count``), and the tuples only of an object with
-    a failing check (``fail``).  So does the classification group for a
-    Gorenstein S or one with b > r; its other semigroups, and any with a
-    failing check, hand in their tuples.  ``check_tallies`` expands the
-    signature counts into per-id tallies once, at the end.
+    Its one store counts objects per signature, the sequence of check ids
+    one object ran.  A group hands in either an object's check tuples
+    (``add``), counted by their ids, or k objects of one signature at once
+    (``count``), with the tuples only of an object with a failing check
+    (``fail``).  The signatures are few (85 in the genus-9 census), so
+    ``check_tallies`` expands them into per-id tallies once, at the end.
     """
 
     def __init__(self):
-        self.tallies: dict[str, int] = {}
         self.signatures: dict[tuple[str, ...], int] = {}
         self.violations: list[Violation] = []
 
     def add(self, sg, name, checks) -> None:
         """Tally a sequence of checks on an object of S, or on S for "".
 
-        The ids are counted at C speed; the failures go to ``fail``.
+        The checks are counted by their ids; the failures go to ``fail``.
         """
-        _count_elements(self.tallies, map(_ids, checks))
+        self.count(tuple(map(_ids, checks)))
         if not all(map(_passes, checks)):
             self.fail(sg, name, checks)
 
@@ -558,18 +567,24 @@ class _Collector:
             self.violations += (Violation(sg, name, *check) for check in failed)
 
     def check_tallies(self) -> dict[str, int]:
-        """The tally of each check id, the signatures' ones included."""
-        tallies = dict(self.tallies)
+        """The tally of each check id, expanded from the signature counts."""
+        tallies: dict[str, int] = {}
         for signature, k in self.signatures.items():
             for cid in signature:
                 tallies[cid] = tallies.get(cid, 0) + k
         return tallies
 
 
-# -- per-semigroup check groups ----------------------------------------------------
+# -- per-semigroup check groups: one function per group but classification,
+# each of (S, its ideal table, the sample limit, the collector);
+# ``_census_part`` picks those of the query once.
 
 
-def _semigroup_group(S: NumericalSemigroup) -> list[CheckTuple]:
+def _tally_semigroup(S, table, sample_limit, col) -> None:
+    """S's type sequence, and a and b of its chain, tail and shifted K ideals.
+
+    Those ideals are read off a table of their own, not the family table.
+    """
     r = S.type
     delta = S.genus
     c = S.conductor
@@ -604,8 +619,8 @@ def _semigroup_group(S: NumericalSemigroup) -> list[CheckTuple]:
         theta = dedekind_different(S)
         gs = theta.window_members + (theta.conductor,)
         shifts = [RelativeIdeal(S, g, g + K.conductor, K.mask) for g in gs if g]
-    table = IdealTable(S, chain + tails + shifts)
-    rows = table.rows
+    own = IdealTable(S, chain + tails + shifts)
+    rows = own.rows
     acc_a = 0
     acc_b = 0
     for i in range(1, n + 1):
@@ -630,7 +645,7 @@ def _semigroup_group(S: NumericalSemigroup) -> list[CheckTuple]:
         # second path: r_i = l((K + R_{i-1}) / (K + R_i)), from the window
         # counts of K and of the chain rows' K.I.  Counts need no containment,
         # so a walk that yields a non-semigroup fails the check, not the group.
-        counts = [table.canonical.bit_count()]
+        counts = [own.canonical.bit_count()]
         counts += [row.omega.bit_count() for row in rows[:n]]
         for i in range(1, n + 1):
             checks.append(
@@ -642,7 +657,15 @@ def _semigroup_group(S: NumericalSemigroup) -> list[CheckTuple]:
                 checks.append(
                     _eq("sg_different_member_forces_one", ts.values[i], 1)
                 )
-    return checks
+    col.add(S.encode, "", checks)
+
+
+def _tally_ideals(S, table, sample_limit, col) -> None:
+    for row in table.rows:
+        signature, checks = decomposition_tally(row)
+        col.count(signature)
+        if checks:
+            col.fail(S.encode, row.ideal.encode(), checks)
 
 
 # The checks every comparable pair runs, in the order of their sides.
@@ -654,12 +677,8 @@ _PAIR_IDS = (
 )
 
 
-def _pairs_group(
-    S: NumericalSemigroup,
-    table: IdealTable,
-    sample_limit: int,
-) -> tuple[int, list[CheckTuple]]:
-    """(comparable pairs, the check tuples of those with a failing check).
+def _tally_pairs(S, table, sample_limit, col) -> None:
+    """Count the comparable pairs of rows, which all run ``_PAIR_IDS``.
 
     Each comparable pair runs the ``le`` checks of ``_PAIR_IDS`` in one
     chained comparison; the lhs and rhs tuples are built only for a pair
@@ -674,7 +693,6 @@ def _pairs_group(
         rng = random.Random("pairs:" + S.encode())
         pairs = (rng.sample(rows, 2) for _ in range(sample_limit))
     count = 0
-    failed: list[CheckTuple] = []
     for X, Y in pairs:
         if Y.bits & ~X.bits == 0:
             big, small = X, Y
@@ -690,27 +708,22 @@ def _pairs_group(
             continue
         lhs = (growth, big.b, small.a, big.a - gap)
         rhs = (r * gap, small.b, up, small.a)
-        failed += zip(_PAIR_IDS, map(le, lhs, rhs), lhs, rhs)
-    return count, failed
+        col.fail(S.encode, "", zip(_PAIR_IDS, map(le, lhs, rhs), lhs, rhs))
+    col.count(_PAIR_IDS, count)
 
 
-def _colon_growth_group(
-    S: NumericalSemigroup,
-    table: IdealTable,
-    sample_limit: int,
-) -> tuple[int, list[CheckTuple]]:
-    """(samples, the check tuples of those that fail).
+def _tally_colon_growth(S, table, sample_limit, col) -> None:
+    """Count up to ``sample_limit`` samples, each of rows J, X and Y drawn.
 
-    Each sample draws rows J, X and Y and checks
+    A sample checks
     l((J - X cap Y)/(J - X cup Y)) <= l((J - M)/J) l(X cup Y / X cap Y).
     """
     rows = table.rows
     if not rows:
-        return 0, []
+        return
     rng = random.Random("colon:" + S.encode())
     colons = table.colons
     samples = min(sample_limit, len(rows) ** 2)
-    failed: list[CheckTuple] = []
     for _ in range(samples):
         J = rng.choice(rows)
         X = rng.choice(rows)
@@ -721,8 +734,42 @@ def _colon_growth_group(
         lhs = at_inner.bit_count() - at_outer.bit_count()
         rhs = J.maximal_growth * (outer.bit_count() - inner.bit_count())
         if lhs > rhs:
-            failed.append(_le("colon_growth_bound", lhs, rhs))
-    return samples, failed
+            col.fail(S.encode, "", [_le("colon_growth_bound", lhs, rhs)])
+    col.count(("colon_growth_bound",), samples)
+
+
+def _tally_equivalences(S, table, sample_limit, col) -> None:
+    col.add(S.encode, "", ring_classification(S, ideals=table).checks)
+
+
+def _tally_overrings(S, table, sample_limit, col) -> None:
+    c = S.conductor
+    at_c = {row.bits: row for row in table.rows if row.conductor == c}
+    offset, top = table.offset, table.top
+    for members, ideal in table.oversemigroup_walk():
+        row = at_c.get(ideal)
+        if row is None:
+            T = from_bits(members >> offset, top).encode()
+            raise InternalInconsistency(f"S - T for T = {T} is not a table row")
+        checks = overring_checks(S, members, row)
+        col.add(S.encode, lambda: from_bits(members >> offset, top).encode(), checks)
+
+
+def _tally_profile(S, table, sample_limit, col) -> None:
+    if S.conductor:
+        col.add(S.encode, "", window_profile(S).checks)
+
+
+_TALLIES = {
+    "semigroup": _tally_semigroup,
+    "ideals": _tally_ideals,
+    "pairs": _tally_pairs,
+    "colon_growth": _tally_colon_growth,
+    "equivalences": _tally_equivalences,
+    "overrings": _tally_overrings,
+    "profile": _tally_profile,
+}
+_IDEAL_GROUPS = ("ideals", "pairs", "colon_growth", "equivalences")
 
 
 # The census's own checks of every semigroup, in the order of their tuples.
@@ -782,88 +829,6 @@ def _classification_group(
     return tag, checks
 
 
-# -- one function per group but classification: (S, its table, the sample
-# limit, the collector); ``_census_part`` picks those of the query once.
-
-
-def _tally_semigroup(S, table, sample_limit, col) -> None:
-    col.add(S.encode, "", _semigroup_group(S))
-
-
-def _tally_ideals(S, table, sample_limit, col) -> None:
-    for row in table.rows:
-        signature, checks = decomposition_tally(row)
-        col.count(signature)
-        if checks:
-            col.fail(S.encode, row.ideal.encode(), checks)
-
-
-def _tally_pairs(S, table, sample_limit, col) -> None:
-    count, checks = _pairs_group(S, table, sample_limit)
-    col.count(_PAIR_IDS, count)
-    col.fail(S.encode, "", checks)
-
-
-def _tally_colon_growth(S, table, sample_limit, col) -> None:
-    count, checks = _colon_growth_group(S, table, sample_limit)
-    col.count(("colon_growth_bound",), count)
-    col.fail(S.encode, "", checks)
-
-
-def _tally_equivalences(S, table, sample_limit, col) -> None:
-    col.add(S.encode, "", ring_classification(S, ideals=table).checks)
-
-
-def _tally_overrings(S, table, sample_limit, col) -> None:
-    c = S.conductor
-    at_c = {row.bits: row for row in table.rows if row.conductor == c}
-    offset, top = table.offset, table.top
-    for members, ideal in table.oversemigroup_walk():
-        row = at_c.get(ideal)
-        if row is None:
-            T = from_bits(members >> offset, top).encode()
-            raise InternalInconsistency(f"S - T for T = {T} is not a table row")
-        checks = overring_checks(S, members, row)
-        col.add(S.encode, lambda: from_bits(members >> offset, top).encode(), checks)
-
-
-def _tally_profile(S, table, sample_limit, col) -> None:
-    if S.conductor:
-        col.add(S.encode, "", window_profile(S).checks)
-
-
-_TALLIES = {
-    "semigroup": _tally_semigroup,
-    "ideals": _tally_ideals,
-    "pairs": _tally_pairs,
-    "colon_growth": _tally_colon_growth,
-    "equivalences": _tally_equivalences,
-    "overrings": _tally_overrings,
-    "profile": _tally_profile,
-}
-_IDEAL_GROUPS = ("ideals", "pairs", "colon_growth", "equivalences")
-
-
-def _run_semigroup(
-    S: NumericalSemigroup,
-    runs: list,
-    need_table: bool,
-    window: int,
-    sample_limit: int,
-    col: _Collector,
-) -> int:
-    """Run the query's groups but classification on S; returns its rows.
-
-    ``runs`` holds the functions of those groups, in ``GROUPS`` order.
-    The ideal table is built when ``need_table`` says one of them reads
-    it, and the number of its rows is returned; 0 without one.
-    """
-    table = IdealTable.family(S, window) if need_table else None
-    for run in runs:
-        run(S, table, sample_limit, col)
-    return len(table.rows) if need_table else 0
-
-
 def _selected(query: CensusQuery):
     """The queried semigroups that pass the query's filters, in walk order.
 
@@ -887,13 +852,14 @@ def _census_part(query: CensusQuery, population) -> CensusReport:
     """Tallies over one part of the population, in walk order.
 
     The query's groups are resolved once, here: the functions of those
-    other than classification, whether one of them reads the ideal table,
-    and whether the rows are counted, which only the ideal groups do.  So
-    a node pays only for the groups that run.  The classification group
-    runs in the loop itself, as it gives the node's tag; a node it counts
-    by its signature adds one to a local count, handed to the collector
-    once, at the end.  The other counts are kept in locals too, and the
-    report is built once.
+    other than classification, in ``GROUPS`` order, whether one of them
+    reads the ideal table, and whether the rows are counted, which only
+    the ideal groups do.  So a node pays only for the groups that run: it
+    builds its table only if one reads it, and each function tallies into
+    the one collector.  The classification group runs in the loop itself,
+    as it gives the node's tag; a node it counts by its signature adds one
+    to a local count, handed to the collector once, at the end.  The other
+    counts are kept in locals too, and the report is built once.
     """
     groups = query.groups()
     runs = [_TALLIES[g] for g in GROUPS if g in groups and g in _TALLIES]
@@ -911,9 +877,12 @@ def _census_part(query: CensusQuery, population) -> CensusReport:
         genus = S.genus
         per_genus[genus] = per_genus.get(genus, 0) + 1
         if runs:
-            rows = _run_semigroup(S, runs, need_table, window, sample_limit, col)
+            table = IdealTable.family(S, window) if need_table else None
+            for run in runs:
+                run(S, table, sample_limit, col)
             if count_rows:
-                ideal_count += rows
+                ideal_count += len(table.rows)
+            del table  # else it is alive while the next node builds its own
         if classify:
             tag, checks = _classification_group(S)
             if checks:

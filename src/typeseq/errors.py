@@ -2,6 +2,8 @@
 
 Every error carries a stable ``code`` (its class name) so front ends can
 render structured error objects without string matching on messages.
+``require_count`` is the one check that a bound (a genus, conductor,
+window, worker count, sample limit or listing limit) is an int >= 0.
 """
 
 from __future__ import annotations
@@ -72,3 +74,18 @@ class EncodingError(TypeseqError):
 
 class InternalInconsistency(TypeseqError):
     """An identity the theory guarantees failed: a bug, not bad input."""
+
+
+def require_count(**values) -> None:
+    """Raise ``InvalidInput`` unless each value is an int >= 0; None is no value.
+
+    A bool is refused too, though Python counts it an int: ``True`` would
+    pass as 1 and print as ``true``.
+    """
+    for name, value in values.items():
+        if value is None:
+            continue
+        if type(value) is not int:
+            raise InvalidInput(f"{name} must be an int, got {value!r}")
+        if value < 0:
+            raise InvalidInput(f"{name} must be non-negative, got {value}")

@@ -80,6 +80,7 @@ from .errors import (
     InvalidInput,
     NotOversemigroup,
     ParentMismatch,
+    require_count,
 )
 from .ideals import (
     RelativeIdeal,
@@ -478,9 +479,9 @@ class IdealTable:
         ideal: m < t, and y + s = m with y in J, s in S forces s = 0.  Every
         node is a row.  S = N at window 0 has no rows, its tail from 0 being
         S.  Rows are in ``RelativeIdeal.sort_key`` order; top is t + 1.
+        A ``window`` that is not an int >= 0 is an ``InvalidInput``.
         """
-        if window < 0:
-            raise InvalidInput(f"window must be non-negative, got {window}")
+        require_count(window=window)
         t = S.conductor + window
         table = cls.__new__(cls)
         table._lay_out(S, t + 1)

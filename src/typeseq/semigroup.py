@@ -41,6 +41,7 @@ from .errors import (
     InvalidInput,
     NotClosed,
     NotCoprime,
+    require_count,
 )
 
 
@@ -535,12 +536,11 @@ def oversemigroups(
     of ``sorted_oversemigroups``, so S comes first and N last.  Their number
     grows exponentially with the genus, so with a ``limit`` the walk stops,
     and ``BoundTooLarge`` is raised, as soon as the list would pass it; a
-    negative ``limit`` is an ``InvalidInput``.
+    ``limit`` that is not an int >= 0 is an ``InvalidInput``.
     """
     from .invariants import IdealTable  # invariants imports this module
 
-    if limit is not None and limit < 0:
-        raise InvalidInput(f"limit must be non-negative, got {limit}")
+    require_count(limit=limit)
     table = IdealTable(S, [])
     found = sorted_oversemigroups(table, table.oversemigroup_walk(limit))
     return [S] + [T for T, _, _ in found]

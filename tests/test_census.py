@@ -63,6 +63,8 @@ EXPLICIT = (
     "0,3,5|5",
 )
 
+S345 = from_generators((3, 4, 5))
+
 # Semigroups per genus, n_g for g <= 12 (Bras-Amoros, Semigroup Forum 2008).
 GENUS_COUNTS = {
     0: 1, 1: 1, 2: 2, 3: 4, 4: 7, 5: 12, 6: 23,
@@ -504,10 +506,11 @@ class TestVerifyTheorems:
             assert share.semigroups_per_genus == dict(Counter(genera)), i
 
     def test_violations_keep_both_sides(self, monkeypatch):
-        def failing(S):
-            return [_eq("t_num", 3, 5), _eq("t_bool", True, False), _le("t_ok", 1, 2)]
+        def failing(S, table, sample_limit, col):
+            checks = [_eq("t_num", 3, 5), _eq("t_bool", True, False), _le("t_ok", 1, 2)]
+            col.add(S.encode, "", checks)
 
-        monkeypatch.setattr(census, "_semigroup_group", failing)
+        monkeypatch.setitem(census._TALLIES, "semigroup", failing)
         query = dict(max_genus=2, checks=("semigroup",))
         serial = verify_theorems(CensusQuery(**query))
         parallel = verify_theorems(CensusQuery(workers=2, **query))
@@ -653,14 +656,12 @@ class TestVerifyTheorems:
             table = IdealTable(S, enumerate_ideals(S, 2))
             for row in table.rows:
                 tuples.update(c[0] for c in decomposition_checks(row))
-            count, pair_failures = census._pairs_group(S, table, query.sample_limit)
-            assert pair_failures == []
-            tuples.update(census._PAIR_IDS * count)
-            samples, growth_failures = census._colon_growth_group(
-                S, table, query.sample_limit
-            )
-            assert growth_failures == []
-            tuples["colon_growth_bound"] += samples
+            col = census._Collector()
+            census._tally_pairs(S, table, query.sample_limit, col)
+            census._tally_colon_growth(S, table, query.sample_limit, col)
+            assert col.violations == []
+            assert set(col.signatures) <= {census._PAIR_IDS, ("colon_growth_bound",)}
+            tuples.update(col.check_tallies())
         assert rep.check_tallies == dict(tuples)
         assert sum(rep.check_tallies.values()) == sum(tuples.values())
 
@@ -955,6 +956,41 @@ class TestGuards:
             NumericalSemigroup(0, 0)
         ]
         assert [E.encode() for E in enumerate_ideals(S, 0)] == ["3||3"]
+
+    @pytest.mark.parametrize(
+        "call, kwargs",
+        [
+            pytest.param(CensusQuery, {"max_genus": 3.5}, id="max_genus-float"),
+            pytest.param(CensusQuery, {"max_genus": True}, id="max_genus-bool"),
+            pytest.param(CensusQuery, {"max_genus": "5"}, id="max_genus-str"),
+            pytest.param(
+                CensusQuery, {"max_genus": "5", "allow_large": True}, id="large-str"
+            ),
+            pytest.param(CensusQuery, {"max_conductor": 10.0}, id="max_conductor"),
+            pytest.param(CensusQuery, {"max_genus": 3, "window": 1.5}, id="window"),
+            pytest.param(CensusQuery, {"max_genus": 3, "workers": 1.0}, id="workers"),
+            pytest.param(
+                CensusQuery, {"max_genus": 3, "sample_limit": 2.5}, id="sample_limit"
+            ),
+            pytest.param(CensusQuery, {"semigroups": "0,3|3"}, id="semigroups-str"),
+            pytest.param(CensusQuery, {"semigroups": ("0,3|3", 3)}, id="semigroups-int"),
+            pytest.param(enumerate_semigroups, {"max_genus": 2.5}, id="walk-genus"),
+            pytest.param(enumerate_semigroups, {"max_conductor": True}, id="walk-c"),
+            pytest.param(enumerate_ideals, {"S": S345, "window": 1.5}, id="ideals"),
+            pytest.param(IdealTable.family, {"S": S345, "window": True}, id="family"),
+        ],
+    )
+    def test_bounds_must_be_ints(self, call, kwargs):
+        # Refused on the call: before a guard compares the value, and before
+        # the census or the walk starts.
+        with pytest.raises(InvalidInput):
+            call(**kwargs)
+
+    def test_malformed_env_guard_is_invalid_input_under_allow_large(self, monkeypatch):
+        for text in ("abc", "", "4.5", "-1"):
+            monkeypatch.setenv("TYPESEQ_MAX_GENUS", text)
+            with pytest.raises(InvalidInput, match="TYPESEQ_MAX_GENUS"):
+                CensusQuery(max_genus=2, allow_large=True)
 
     def test_multiplicity_range_is_two_ordered_positive_ints(self):
         for bad in ((5, 3), (3,), (0, 2), (1, 2, 3), (2.0, 3), (True, 3), 4):

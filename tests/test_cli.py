@@ -538,6 +538,10 @@ class TestErrorsAndExitCodes:
             code, out = run(["census", "--max-genus", "3"], capsys)
             assert code == 2, text
             assert json.loads(out)["error"]["code"] == "InvalidInput", text
+            argv = ["census", "--max-genus", "2", "--allow-large"]
+            code, out = run(argv, capsys)
+            assert code == 2, text
+            assert json.loads(out)["error"]["code"] == "InvalidInput", text
 
     def test_negative_walk_bounds_are_invalid_input(self, capsys):
         for argv in (

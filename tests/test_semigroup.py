@@ -653,6 +653,13 @@ class TestOversemigroups:
         with pytest.raises(InvalidInput):
             oversemigroups(from_generators((3, 4, 5)), limit=-1)
 
+    @pytest.mark.parametrize("limit", [2.5, True])
+    def test_non_int_limit_is_invalid_input(self, limit):
+        # <5,6,7,8,9> has 7 oversemigroups: 2.5 must not pass as no limit,
+        # nor True as a limit of 1.
+        with pytest.raises(InvalidInput, match="limit must be an int"):
+            oversemigroups(from_generators((5, 6, 7, 8, 9)), limit)
+
     def test_walk_matches_gap_set_and_colon_oracles(self):
         # Genus <= 9: the walk yields each T != S with gaps(T) inside
         # gaps(S) once, and S - T equals the colon of the explicit sets.
