@@ -17,12 +17,13 @@ read off its generator bits and pushed onto the walk's stack as
 The census resolves the query's groups once, not per node: each group
 but classification is one function, ``_tally_<group>``, and a node runs
 those the query selected, with an ideal table only if one of them reads
-it.  The classification group runs in the census loop, which counts the
-nodes it passes by signature in a local and keeps its other counts in
-locals too; the report is built once.  Every group tallies into one
-store, a count of objects per signature, the sequence of check ids one
-object ran, and the signatures are expanded into per-id tallies at the
-end.
+it.  The classification group runs in the census loop, which reads each
+node's tag, listing and check tuples from ``classification_group``,
+counts the nodes that pass by signature in a local and keeps its other
+counts in locals too; the report is built once.  Every group tallies
+into one store, a count of objects per signature, the sequence of check
+ids one object ran, and the signatures are expanded into per-id tallies
+at the end.
 
 The proper integral ideals with conductor in a window above that of S
 come from one reverse search, ``IdealTable.family``: the parent of an
@@ -56,9 +57,10 @@ row, and a row it disagrees with, or an S - T that is no row, raises
 ``InternalInconsistency``.  Several T can share S - T, and then share
 its row.  No report is built on the way, nor a semigroup for T: an
 ideal or oversemigroup is encoded only when one of its checks fails, to
-name it in the violation.  The classification group counts a semigroup
-that ``_classify`` gives no check, a Gorenstein one or one with b > r,
-by the census's own two check ids when both pass.
+name it in the violation.  The classification's checks, the ids its
+signature path counts and the tags it lists live beside the catalogue,
+in the classification module; this module imports its entry points
+only, and none of its tags.
 
 ``verify_theorems`` runs named groups of checks over every enumerated
 semigroup (and ideal family); violations are collected, never raised, so
@@ -82,16 +84,8 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter, le
 
 from .classification import (
-    TAG_B_EQ_R_G,
-    TAG_B_EQ_R_J,
-    TAG_B_EQ_RM1_CASE1,
-    TAG_B_EQ_RM1_CASE2,
-    TAG_B_LT,
-    _classify,
-    _multiples_then_tail,
-    case_j_semigroups,
-    matches_small_b_ts_pattern,
-    matches_small_b_value_pattern,
+    CLASSIFICATION_IDS,
+    classification_group,
     ring_classification,
     window_profile,
 )
@@ -101,6 +95,7 @@ from .errors import (
     InvalidInput,
     WindowTooLarge,
     require_count,
+    require_flags,
 )
 from .ideals import (
     RelativeIdeal,
@@ -139,17 +134,6 @@ GROUPS = (
     "classification",
 )
 
-_CLASS_TAGS_TRACKED = frozenset(
-    (
-        TAG_B_LT,
-        TAG_B_EQ_RM1_CASE1,
-        TAG_B_EQ_RM1_CASE2,
-        TAG_B_EQ_R_G,
-        TAG_B_EQ_R_J,
-    )
-)
-
-
 _DEFAULT_GENUS_GUARD = 12
 _CONDUCTOR_GUARD = 30
 _WINDOW_GUARD = 3
@@ -173,7 +157,8 @@ class CensusQuery:
     (explicit encodings, guarded from their text, then decoded here)
     selects the population.  Every bound is an int >= 0, checked before
     any guard compares it, and ``TYPESEQ_MAX_GENUS`` is read and checked
-    on every query, ``allow_large`` or not.
+    on every query, ``allow_large`` or not.  The three flags are bools and
+    ``checks`` is a non-empty tuple or list of group names or "all".
     """
 
     max_genus: int | None = None
@@ -197,9 +182,22 @@ class CensusQuery:
             raise InvalidInput(
                 "exactly one of max_genus, max_conductor, semigroups required"
             )
+        require_flags(
+            gorenstein_only=self.gorenstein_only,
+            non_gorenstein_only=self.non_gorenstein_only,
+            allow_large=self.allow_large,
+        )
         if self.gorenstein_only and self.non_gorenstein_only:
             raise InvalidInput("gorenstein_only conflicts with non_gorenstein_only")
-        bad = [g for g in self.groups() if g not in GROUPS]
+        if not (
+            isinstance(self.checks, (tuple, list))
+            and self.checks
+            and all(isinstance(g, str) for g in self.checks)
+        ):
+            raise InvalidInput(
+                f"checks must be a non-empty sequence of str, got {self.checks!r}"
+            )
+        bad = [g for g in self.checks if g != "all" and g not in GROUPS]
         if bad:
             raise InvalidInput(f"unknown check groups: {bad}")
         require_count(
@@ -772,63 +770,6 @@ _TALLIES = {
 _IDEAL_GROUPS = ("ideals", "pairs", "colon_growth", "equivalences")
 
 
-# The census's own checks of every semigroup, in the order of their tuples.
-_CLASS_IDS = ("class_b_lt_value_set", "class_b_lt_type_seq")
-
-
-def _classification_group(
-    S: NumericalSemigroup,
-) -> tuple[str, list[CheckTuple] | tuple[()]]:
-    """(S's tag, its check tuples; () when the signature ``_CLASS_IDS`` is all).
-
-    A Gorenstein S or one with b > r gets no check from ``_classify`` and
-    runs only the census's own two; when both pass, nothing is built and
-    the census counts the node by its signature.  Any other node gets the
-    checks of ``_classify``, the census's own and, for b = r - 1 or r,
-    one more, as tuples.  The core's checks are read as plain tuples: no
-    outcome, no records.
-    """
-    tag, b, r, e, _, own = _classify(S)
-    value_pat = matches_small_b_value_pattern(S)
-    ts_pat = matches_small_b_ts_pattern(S)
-    small_b = 0 <= b < r - 1
-    if not own and small_b == value_pat == ts_pat:
-        return tag, ()
-    checks = [
-        *own,
-        _eq("class_b_lt_value_set", small_b, value_pat),
-        _eq("class_b_lt_type_seq", small_b, ts_pat),
-    ]
-    if tag == TAG_B_EQ_RM1_CASE1 or tag == TAG_B_EQ_RM1_CASE2:
-        passed = all(map(_passes, own))
-        if tag == TAG_B_EQ_RM1_CASE1:
-            case1, case2 = passed, False
-        else:
-            multiples, p = _multiples_then_tail(S)
-            case1 = value_pat or (multiples and S.conductor == p * e + 2)
-            case2 = passed
-        checks.append(
-            (
-                "class_b_eq_rm1_unique_pattern",
-                int(case1) + int(case2) == 1,
-                int(case1),
-                int(case2),
-            )
-        )
-    elif tag == TAG_B_EQ_R_G or tag == TAG_B_EQ_R_J:
-        g_case = tag == TAG_B_EQ_R_G and all(map(_passes, own))
-        j_case = S in case_j_semigroups()
-        checks.append(
-            (
-                "class_b_eq_r_family",
-                int(g_case) + int(j_case) == 1,
-                int(g_case),
-                int(j_case),
-            )
-        )
-    return tag, checks
-
-
 def _selected(query: CensusQuery):
     """The queried semigroups that pass the query's filters, in walk order.
 
@@ -857,8 +798,10 @@ def _census_part(query: CensusQuery, population) -> CensusReport:
     the ideal groups do.  So a node pays only for the groups that run: it
     builds its table only if one reads it, and each function tallies into
     the one collector.  The classification group runs in the loop itself,
-    as it gives the node's tag; a node it counts by its signature adds one
-    to a local count, handed to the collector once, at the end.  The other
+    as ``classification_group`` gives the node's tag, whether it is
+    listed under it, and its check tuples, () when its signature is
+    ``CLASSIFICATION_IDS`` and both checks pass; such a node adds one to a
+    local count, handed to the collector once, at the end.  The other
     counts are kept in locals too, and the report is built once.
     """
     groups = query.groups()
@@ -884,15 +827,15 @@ def _census_part(query: CensusQuery, population) -> CensusReport:
                 ideal_count += len(table.rows)
             del table  # else it is alive while the next node builds its own
         if classify:
-            tag, checks = _classification_group(S)
+            tag, listed, checks = classification_group(S)
             if checks:
                 col.add(S.encode, "", checks)
             else:
                 by_signature += 1
             tags[tag] = tags.get(tag, 0) + 1
-            if tag in _CLASS_TAGS_TRACKED:
+            if listed:
                 members.setdefault(tag, []).append(S.encode())
-    col.count(_CLASS_IDS, by_signature)
+    col.count(CLASSIFICATION_IDS, by_signature)
     return CensusReport(
         query=query.to_dict(),
         semigroup_count=sum(per_genus.values()),

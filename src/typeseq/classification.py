@@ -16,8 +16,13 @@ than an exception.  One core, ``_classify``, does this work: it reads
 r, e and b once, returns at b > r before any pattern is looked at, and
 hands back the tag, the parameters and plain check tuples.
 ``classify_b`` is its public view, with a ``ClassificationOutcome`` and
-``Check`` records; the census and ``window_profile`` call the core
-itself and build neither.
+``Check`` records; ``window_profile`` calls the core itself and builds
+neither, and so does ``classification_group``, the census's
+classification group: the core's checks, those of ``CLASSIFICATION_IDS``
+that every semigroup runs and the cross-checks of the b = r - 1 and b = r
+cases, as plain tuples.  Shapes are matched on ``S.small_elements``,
+against tuples: no semigroup is built to compare with, and the three
+case-J semigroups are built once, on import.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from .ideals import (
 )
 from .invariants import (
     Check,
+    Checked,
     CheckTuple,
     IdealTable,
     _eq,
@@ -63,17 +69,13 @@ def b_of_tail(S: NumericalSemigroup) -> int:
 
 
 @dataclass(frozen=True)
-class RingClassification:
+class RingClassification(Checked):
     semigroup: str
     gorenstein: bool
     almost_gorenstein: bool
     maximal_length: bool
     equivalences: dict[str, bool]
     checks: tuple[Check, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 def ring_classification(
@@ -179,7 +181,7 @@ def ring_classification(
 
 
 @dataclass(frozen=True)
-class WindowProfile:
+class WindowProfile(Checked):
     """Data of the quotient by tail + (multiplicity + S) and the b split."""
 
     semigroup: str
@@ -192,10 +194,6 @@ class WindowProfile:
     early_indices: tuple[int, ...]
     classification_tag: str
     checks: tuple[Check, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 def window_profile(S: NumericalSemigroup) -> WindowProfile:
@@ -283,15 +281,11 @@ def window_profile(S: NumericalSemigroup) -> WindowProfile:
 
 
 @dataclass(frozen=True)
-class ClassificationOutcome:
+class ClassificationOutcome(Checked):
     semigroup: str
     tag: str
     parameters: dict[str, int | str]
     checks: tuple[Check, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 def _multiples_then_tail(S: NumericalSemigroup) -> tuple[bool, int]:
@@ -330,23 +324,15 @@ def matches_small_b_ts_pattern(S: NumericalSemigroup) -> bool:
     return _head_constant_ts(S, S.multiplicity - 1) and ts[-1] > 1
 
 
-def _two_gen_doubles(e: int) -> NumericalSemigroup:
-    return from_small_elements([0, e, 2 * e - 1, 2 * e], 3 * e - 1)
-
-
 def _case_g_shapes(S: NumericalSemigroup):
     """Match against the four b = r shapes with type e - 2."""
     e = S.multiplicity
     small = S.small_elements
-    if S == from_small_elements([0, 4, 8, 9, 12, 13], 16):
+    if small == (0, 4, 8, 9, 12, 13, 16):
         return {"family": "sporadic_quad", "e": 4}
-    if S == from_small_elements([0, 4, 8, 11, 12, 15, 16], 19):
+    if small == (0, 4, 8, 11, 12, 15, 16, 19):
         return {"family": "sporadic_quad_long", "e": 4}
-    if (
-        e >= 4
-        and len(small) == 5
-        and small == (0, e, 2 * e - 2, 2 * e, 3 * e - 2)
-    ):
+    if e >= 4 and small == (0, e, 2 * e - 2, 2 * e, 3 * e - 2):
         return {"family": "double_step", "e": e}
     if e >= 4 and len(small) == 4 and small[3] == 2 * e - 1:
         z = small[2] - e
@@ -355,16 +341,15 @@ def _case_g_shapes(S: NumericalSemigroup):
     return None
 
 
-_CASE_J_SETS = (
-    ([0, 5, 6, 7], 10),
-    ([0, 5, 6, 8], 10),
-    ([0, 5, 8, 9, 10], 13),
+_CASE_J = tuple(
+    from_small_elements(m, c)
+    for m, c in (([0, 5, 6, 7], 10), ([0, 5, 6, 8], 10), ([0, 5, 8, 9, 10], 13))
 )
 
 
 def case_j_semigroups() -> tuple[NumericalSemigroup, ...]:
-    """The three b = r semigroups of type 2 and multiplicity 5."""
-    return tuple(from_small_elements(m, c) for m, c in _CASE_J_SETS)
+    """The three b = r semigroups of type 2 and multiplicity 5, built once."""
+    return _CASE_J
 
 
 def quotient_length(S: NumericalSemigroup) -> int:
@@ -429,7 +414,7 @@ def _classify(S: NumericalSemigroup):
         ts = type_sequence(S).values
         small = S.small_elements
         fam = None
-        if len(small) == 5 and S == _two_gen_doubles(e):
+        if small == (0, e, 2 * e - 1, 2 * e, 3 * e - 1):
             fam = {"family": "double_gap", "e": e}
             ts_ok = (
                 len(ts) == 4
@@ -464,6 +449,50 @@ def _classify(S: NumericalSemigroup):
         _eq("classify_quotient_length", quotient_length(S), 3),
     ]
     return TAG_B_EQ_R_J, b, r, e, None, checks
+
+
+# The census's own checks of every semigroup, in the order of their tuples.
+CLASSIFICATION_IDS = ("class_b_lt_value_set", "class_b_lt_type_seq")
+
+
+def classification_group(
+    S: NumericalSemigroup,
+) -> tuple[str, bool, list[CheckTuple] | tuple[()]]:
+    """The census's classification of S: (tag, listed, check tuples).
+
+    S is listed under its tag when ``_classify`` checks it, for b <= r
+    and S not Gorenstein.  A Gorenstein S or one with b > r runs only the
+    two checks of ``CLASSIFICATION_IDS``, which ask that b < r - 1 hold
+    exactly when each small-b pattern matches; when both pass, the tuples
+    are () and the census counts S by that signature.  Any other S gets
+    the checks of ``_classify``, those two and, for b = r - 1 or r, one
+    more, that exactly one of the tag's two cases holds.
+    """
+    tag, b, r, e, _, own = _classify(S)
+    value_pat = matches_small_b_value_pattern(S)
+    ts_pat = matches_small_b_ts_pattern(S)
+    small_b = 0 <= b < r - 1
+    if not own and small_b == value_pat == ts_pat:
+        return tag, False, ()
+    checks = [
+        *own,
+        _eq(CLASSIFICATION_IDS[0], small_b, value_pat),
+        _eq(CLASSIFICATION_IDS[1], small_b, ts_pat),
+    ]
+    passed = all(check[1] for check in own)
+    if tag == TAG_B_EQ_RM1_CASE1:
+        cid, one, other = "class_b_eq_rm1_unique_pattern", passed, False
+    elif tag == TAG_B_EQ_RM1_CASE2:
+        multiples, p = _multiples_then_tail(S)
+        case1 = value_pat or (multiples and S.conductor == p * e + 2)
+        cid, one, other = "class_b_eq_rm1_unique_pattern", case1, passed
+    elif tag == TAG_B_EQ_R_G or tag == TAG_B_EQ_R_J:
+        g_case = tag == TAG_B_EQ_R_G and passed
+        cid, one, other = "class_b_eq_r_family", g_case, S in case_j_semigroups()
+    else:
+        return tag, bool(own), checks
+    checks.append((cid, one + other == 1, int(one), int(other)))
+    return tag, True, checks
 
 
 def classify_b(S: NumericalSemigroup) -> ClassificationOutcome:

@@ -32,6 +32,7 @@ import os
 import sys
 
 from .census import (
+    GROUPS,
     CensusQuery,
     canonical_json,
     classification_census,
@@ -436,8 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--checks",
         default="all",
-        help="comma list of groups: semigroup,ideals,pairs,colon_growth,"
-        "equivalences,overrings,profile,classification or 'all'",
+        help=f"comma list of groups: {','.join(GROUPS)} or 'all'",
     )
     p.add_argument("--sample-limit", type=int, default=64)
     p.add_argument("--gorenstein-only", action="store_true")

@@ -3,7 +3,9 @@
 Every error carries a stable ``code`` (its class name) so front ends can
 render structured error objects without string matching on messages.
 ``require_count`` is the one check that a bound (a genus, conductor,
-window, worker count, sample limit or listing limit) is an int >= 0.
+window, worker count, sample limit or listing limit) is an int >= 0,
+``require_ints`` that every member or generator handed to a constructor
+is an int, and ``require_flags`` that an option is a bool.
 """
 
 from __future__ import annotations
@@ -89,3 +91,23 @@ def require_count(**values) -> None:
             raise InvalidInput(f"{name} must be an int, got {value!r}")
         if value < 0:
             raise InvalidInput(f"{name} must be non-negative, got {value}")
+
+
+def require_ints(name: str, values) -> list[int]:
+    """The distinct values, ascending; ``InvalidInput`` unless each is an int.
+
+    A float or a bool is refused: ``int()`` would truncate 3.5 to 3 and
+    ``True`` to 1.
+    """
+    values = list(values)
+    for value in values:
+        if type(value) is not int:
+            raise InvalidInput(f"{name} must be ints, got {value!r}")
+    return sorted(set(values))
+
+
+def require_flags(**values) -> None:
+    """Raise ``InvalidInput`` unless each value is a bool: "no" is no flag."""
+    for name, value in values.items():
+        if type(value) is not bool:
+            raise InvalidInput(f"{name} must be a bool, got {value!r}")

@@ -25,6 +25,7 @@ from .errors import (
     NotContained,
     NotIntegralProper,
     ParentMismatch,
+    require_ints,
 )
 from .semigroup import (
     NumericalSemigroup,
@@ -226,8 +227,9 @@ def ideal_from_generators(S: NumericalSemigroup, generators) -> RelativeIdeal:
 
     Window: everything >= min(generators) + conductor(S) lies in the
     translate of the least generator, so [min, min + c) decides the form.
+    A generator that is not an int is an ``InvalidInput``.
     """
-    gens = sorted({int(g) for g in generators})
+    gens = require_ints("generators", generators)
     if not gens:
         raise EmptyGenerators("an ideal needs at least one generator")
     lo = gens[0]
@@ -316,7 +318,7 @@ def length_between(E: RelativeIdeal, F: RelativeIdeal) -> int:
 # -- canonical ideal and friends ------------------------------------------------
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=1)
 def canonical_ideal(S: NumericalSemigroup) -> RelativeIdeal:
     """K = {x : frobenius - x is a gap}; satisfies S <= K <= N.
 
@@ -329,7 +331,7 @@ def canonical_ideal(S: NumericalSemigroup) -> RelativeIdeal:
     return RelativeIdeal(S, 0, c, _reflect(~S.mask & _ones(c), c - 1))
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=1)
 def dedekind_different(S: NumericalSemigroup) -> RelativeIdeal:
     """S - K; equals S exactly in the symmetric (type 1) case."""
     return colon(unit_ideal(S), canonical_ideal(S))

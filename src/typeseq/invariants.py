@@ -142,6 +142,14 @@ def _records(checks) -> tuple[Check, ...]:
     return tuple(map(Check._make, checks))
 
 
+class Checked:
+    """A report whose ``passed`` says that each of its ``checks`` passed."""
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+
 @dataclass(frozen=True)
 class TypeSequence:
     """The sequence (r_1, ..., r_n); empty exactly for S = N."""
@@ -683,7 +691,7 @@ def d_invariant(S: NumericalSemigroup, I: RelativeIdeal) -> int:
 
 
 @dataclass(frozen=True)
-class IdealInvariantReport:
+class IdealInvariantReport(Checked):
     """Full invariant record for one proper integral ideal."""
 
     semigroup: str
@@ -702,10 +710,6 @@ class IdealInvariantReport:
     omega_stable: bool
     principal: bool
     checks: tuple[Check, ...] = field(default_factory=tuple)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 def decomposition_check(
@@ -896,7 +900,7 @@ def _decomposition(row: IdealRow) -> list:
 
 
 @dataclass(frozen=True)
-class OverringReport:
+class OverringReport(Checked):
     """Length of an oversemigroup T over S, verified two ways."""
 
     semigroup: str
@@ -905,10 +909,6 @@ class OverringReport:
     length: int
     min_index: int
     checks: tuple[Check, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 def conductor_ideal(S: NumericalSemigroup, T: NumericalSemigroup) -> RelativeIdeal:

@@ -42,6 +42,7 @@ from .errors import (
     NotClosed,
     NotCoprime,
     require_count,
+    require_ints,
 )
 
 
@@ -424,9 +425,10 @@ def from_generators(generators) -> NumericalSemigroup:
     each generator in turn, doubling the shift: mask |= mask << g, << 2g,
     << 4g, ...  The table covers the Schur bound plus min(generators)
     bits, so every gap lies inside it and the conductor is one past the
-    largest non-member found; one sieve suffices.
+    largest non-member found; one sieve suffices.  A generator that is not
+    an int, a float or a bool among them, is an ``InvalidInput``.
     """
-    gens = sorted({int(g) for g in generators})
+    gens = require_ints("generators", generators)
     if not gens:
         raise EmptyGenerators("at least one generator is required")
     if gens[0] < 1:
@@ -466,11 +468,11 @@ def from_small_elements(elements, conductor: int) -> NumericalSemigroup:
 
     Members >= conductor may appear in ``elements``; they are redundant and
     are folded into the tail, which lets encodings that list the conductor
-    itself round-trip.
+    itself round-trip.  The members and the conductor must be ints: a
+    float or a bool is an ``InvalidInput``, not truncated.
     """
-    if conductor < 0:
-        raise InvalidInput("conductor must be non-negative")
-    elems = sorted({int(x) for x in elements})
+    require_count(conductor=conductor)
+    elems = require_ints("members", elements)
     if not elems or elems[0] != 0:
         if elems and elems[0] < 0:
             raise InvalidInput("members must be non-negative")
@@ -497,7 +499,7 @@ def from_small_elements(elements, conductor: int) -> NumericalSemigroup:
     return NumericalSemigroup(conductor, mask)
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=1)
 def is_arf(S: NumericalSemigroup) -> bool:
     """Whether s + t - u is a member for all members s >= t >= u.
 

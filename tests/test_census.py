@@ -211,12 +211,11 @@ KERNEL_CALLS_GENUS_7 = {
 }
 
 # Check tuples of classification_census(max_conductor=20), 2,616 nodes: those
-# ``_eq`` builds in the census and in the core, and those handed to the
-# collector.  Only the 186 non-Gorenstein nodes with b <= r build any; the 2,430
+# ``_eq`` builds in the classification module (the census builds none), and
+# those handed to the collector.  Only the 186 non-Gorenstein nodes with b <= r build any; the 2,430
 # Gorenstein and b > r nodes are counted by their signature.
 CLASSIFICATION_TUPLES_CONDUCTOR_20 = {
-    "typeseq.census": 372,
-    "typeseq.classification": 887,
+    "typeseq.classification": 1259,
     "added": 1337,
 }
 
@@ -287,7 +286,7 @@ FILTERS = {
 }
 
 
-# The census's classification check of a tag beyond ``_CLASS_IDS``.
+# The census's classification check of a tag beyond ``CLASSIFICATION_IDS``.
 CLASS_TAG_IDS = {
     TAG_B_EQ_RM1_CASE1: ("class_b_eq_rm1_unique_pattern",),
     TAG_B_EQ_RM1_CASE2: ("class_b_eq_rm1_unique_pattern",),
@@ -650,9 +649,10 @@ class TestVerifyTheorems:
         monkeypatch.undo()
         tuples = Counter(c[0] for c in added if not c[0].startswith("class"))
         for S in census._selected(query):
-            tag, *_, own = census._classify(S)
+            tag, *_, own = classification._classify(S)
             tuples.update(c[0] for c in own)
-            tuples.update(census._CLASS_IDS + CLASS_TAG_IDS.get(tag, ()))
+            ids = classification.CLASSIFICATION_IDS + CLASS_TAG_IDS.get(tag, ())
+            tuples.update(ids)
             table = IdealTable(S, enumerate_ideals(S, 2))
             for row in table.rows:
                 tuples.update(c[0] for c in decomposition_checks(row))
@@ -768,6 +768,20 @@ class TestVerifyTheorems:
         assert info.misses == rep.semigroup_count == 89
         assert info.hits > info.misses
 
+    @pytest.mark.parametrize(
+        "cached",
+        [ideals.canonical_ideal, ideals.dedekind_different, semigroup.is_arf],
+        ids=lambda fn: fn.__name__,
+    )
+    def test_one_entry_caches_compute_once_per_semigroup(self, cached):
+        # The same holds for K, the different and the Arf test, cached with
+        # one entry each too.
+        cached.cache_clear()
+        rep = verify_theorems(CensusQuery(max_genus=7, window=2))
+        info = cached.cache_info()
+        assert info.misses == rep.semigroup_count == 89
+        assert info.hits >= info.misses
+
     def test_wall_time_recorded(self):
         rep = verify_theorems(CensusQuery(max_genus=3, window=1))
         assert rep.wall_ms >= 0
@@ -816,15 +830,15 @@ class TestClassificationCensus:
         want = []
         for cid, kind, enc, tag in flips:
             S = NumericalSemigroup.decode(enc)
-            got, b, r, *_ = census._classify(S)
+            got, b, r, *_ = classification._classify(S)
             assert got == tag
             name = f"matches_small_b_{kind}_pattern"
-            pattern = getattr(census, name)
+            pattern = getattr(classification, name)
 
             def flipped(T, pattern=pattern, target=S):
                 return pattern(T) != (T == target)
 
-            monkeypatch.setattr(census, name, flipped)
+            monkeypatch.setattr(classification, name, flipped)
             # the tuple path: the census's own check, with the flipped side
             check = _eq(cid, 0 <= b < r - 1, flipped(S))
             want.append(Violation(enc, "", cid, *check[2:]))
@@ -855,9 +869,10 @@ class TestClassificationCensus:
         assert got == FILTERED_CLASSIFICATION_CONDUCTOR_16[name]
 
     def test_check_tuples_are_built_only_off_the_signature_path(self, monkeypatch):
-        # Tuples built by ``_eq`` in the census and in the core, and tuples
-        # handed to the collector, over the conductor-20 walk: a node counted
-        # by its signature builds none.
+        # Tuples built by ``_eq`` in the census and in the classification
+        # module, home of the core and of the census's classification group,
+        # and tuples handed to the collector, over the conductor-20 walk: a
+        # node counted by its signature builds none.
         built = Counter()
         for module in (census, classification):
             def counted(cid, lhs, rhs, module=module):
@@ -875,6 +890,23 @@ class TestClassificationCensus:
         rep = classification_census(max_conductor=20)
         assert rep.passed and rep.semigroup_count == 2616
         assert dict(built) == CLASSIFICATION_TUPLES_CONDUCTOR_20
+
+    def test_a_census_constructs_no_semigroup_but_the_root(self, monkeypatch):
+        # Shapes are matched on small elements, not against semigroups built
+        # for the comparison, and tree nodes come from ``_child``, which
+        # bypasses ``__init__``: each census constructs N, its root, alone.
+        built = []
+        init = NumericalSemigroup.__init__
+
+        def counted(self, conductor, mask):
+            built.append(conductor)
+            init(self, conductor, mask)
+
+        monkeypatch.setattr(NumericalSemigroup, "__init__", counted)
+        assert classification_census(max_conductor=20).passed
+        assert built == [0]
+        assert verify_theorems(CensusQuery(max_genus=7)).passed
+        assert built == [0, 0]
 
 
 class TestNegativeASearch:
@@ -985,6 +1017,29 @@ class TestGuards:
         # the census or the walk starts.
         with pytest.raises(InvalidInput):
             call(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            pytest.param({"checks": "small"}, id="checks-str-with-all"),
+            pytest.param({"checks": "ideals"}, id="checks-str"),
+            pytest.param({"checks": ()}, id="checks-empty"),
+            pytest.param({"checks": ("ideals", 3)}, id="checks-int"),
+            pytest.param({"checks": ("all", "bogus")}, id="checks-all-and-unknown"),
+            pytest.param({"max_genus": 40, "allow_large": "no"}, id="allow_large"),
+            pytest.param({"gorenstein_only": "false"}, id="gorenstein_only"),
+            pytest.param({"non_gorenstein_only": 0}, id="non_gorenstein_only"),
+        ],
+    )
+    def test_checks_and_flags_must_have_their_types(self, kwargs):
+        with pytest.raises(InvalidInput):
+            CensusQuery(**{"max_genus": 3, **kwargs})
+
+    def test_classification_census_checks_its_flag(self):
+        with pytest.raises(InvalidInput, match="allow_large"):
+            classification_census(40, allow_large="no")
+        rep = verify_theorems(CensusQuery(max_genus=3, checks=["ideals"]))
+        assert rep.query["checks"] == ["ideals"] and rep.semigroup_count == 8
 
     def test_malformed_env_guard_is_invalid_input_under_allow_large(self, monkeypatch):
         for text in ("abc", "", "4.5", "-1"):

@@ -601,6 +601,13 @@ class TestParser:
         assert run(census, capsys)[1].startswith("semigroups: 8\n")
         assert cli.build_parser.cache_info().misses == 1
 
+    def test_census_checks_help_names_every_group(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["census", "--help"])
+        # argparse wraps the help wherever it likes; read it without spaces.
+        text = "".join(capsys.readouterr().out.split())
+        assert f"groups:{','.join(census.GROUPS)}or'all'" in text
+
 
 def _stdlib_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)

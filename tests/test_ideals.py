@@ -8,6 +8,7 @@ from conftest import small_semigroup_st
 from typeseq import (
     EmptyGenerators,
     EncodingError,
+    InvalidInput,
     NotContained,
     NotIntegralProper,
     ParentMismatch,
@@ -78,6 +79,12 @@ class TestConstruction:
     def test_empty_generators(self):
         with pytest.raises(EmptyGenerators):
             ideal_from_generators(S345, ())
+
+    @pytest.mark.parametrize("gens", [[4.7], [4, True], ["4"]])
+    def test_non_int_generators_are_refused(self, gens):
+        # int() would truncate [4.7] to 4 + S.
+        with pytest.raises(InvalidInput, match="generators must be ints"):
+            ideal_from_generators(S345, gens)
 
     def test_negative_generator_gives_fractional_ideal(self):
         E = ideal_from_generators(S345, (-3,))

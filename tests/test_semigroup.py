@@ -104,6 +104,22 @@ class TestConstruction:
         assert isinstance(exc.value, TypeseqError)
         assert isinstance(exc.value, ValueError)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: from_generators((3.5, 4)), id="float-generator"),
+            pytest.param(lambda: from_generators([True, 2]), id="bool-generator"),
+            pytest.param(lambda: from_generators("34"), id="str-generators"),
+            pytest.param(lambda: from_small_elements([0, 3.0], 5), id="float-member"),
+            pytest.param(lambda: from_small_elements([False, 3], 5), id="bool-member"),
+            pytest.param(lambda: from_small_elements([0, 3], 5.0), id="conductor"),
+        ],
+    )
+    def test_non_int_numbers_are_refused(self, build):
+        # int() would truncate them: <3.5, 4> = <3, 4> and <True, 2> = N.
+        with pytest.raises(InvalidInput, match="must be"):
+            build()
+
     def test_not_coprime(self):
         with pytest.raises(NotCoprime):
             from_generators((4, 6))
